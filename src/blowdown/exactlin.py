@@ -4,14 +4,20 @@ Everything in this module (and the package) is exact: rational entries are
 `fractions.Fraction`, integer entries are arbitrary-precision `int`.  There is
 no floating point and no tolerance anywhere; equality checks are bit-exact.
 
-The three workhorses are `solve_linear` (exact Gaussian elimination, used for
-orthogonality corrections against negative-definite Gram matrices),
-`smith_normal_form` (used for divisor class group quotients), and
-`is_negative_definite` (the numerical contractibility criterion).
+One fraction-free (Bareiss 1968) forward elimination, `_eliminate`, serves
+every square-matrix question.  Rational input is first scaled by one common
+positive denominator L, which keeps symmetry and inertia and gives
+det(g) = det(L*g) / L**n.  Its pivots are the leading principal minors, so
+they give the determinant (the last pivot), negative definiteness
+(Sylvester) and inertia (Jacobi: sign changes between consecutive minors);
+carried right-hand columns and one back-substitution give `solve_linear` and
+`invert`.  `smith_normal_form` (divisor class group quotients) is the only
+other elimination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,11 +31,89 @@ Rational = Fraction
 RationalLike = int | Fraction
 
 
-def _to_rows(g: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
+def _square(
+    g: Sequence[Sequence[RationalLike]], symmetric: bool = False
+) -> list[list[Fraction]]:
     rows = [[Fraction(x) for x in row] for row in g]
-    if rows and any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged matrix")
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"matrix is not square: {n} rows of length {len(rows[0])}")
+    if symmetric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
     return rows
+
+
+def _scaled(rows: list[list[RationalLike]]) -> tuple[list[list[int]], int]:
+    """Integer rows L*rows and the common denominator L > 0."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def _eliminate(a: list[list[int]], n: int, symmetric: bool = False) -> tuple[int, list[int]]:
+    """Bareiss elimination of the leading n columns of the integer rows a, in place.
+
+    Rows may carry extra right-hand columns, which are reduced alongside.
+    Afterwards row k holds, from column k on, the (k+1)-th leading minor
+    bordered by each column, so pivot a[k][k] is that leading minor and every
+    division is exact.  Returns (det, pivots), one pivot per index handled.
+
+    A zero pivot is replaced by a row swap, or, when `symmetric`, by the
+    congruence row_k += t*row_j, col_k += t*col_j, which keeps the
+    determinant and the inertia.  With no nonzero entry below it the general
+    mode stops (det 0, last pivot 0); the symmetric mode records pivot 0 for
+    that index (its trailing row and column are zero, one zero eigenvalue)
+    and goes on without it.
+    """
+    prev, sign, pivots = 1, 1, []
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][k] != 0), None)
+            if j is None:
+                pivots.append(0)
+                if symmetric:
+                    continue
+                return 0, pivots
+            if symmetric:
+                # the new pivot t^2*a[j][j] + 2t*a[j][k] is nonzero for this t
+                t = 1 if a[j][j] != -2 * a[j][k] else -1
+                a[k] = [x + t * y for x, y in zip(a[k], a[j])]
+                for row in a[k:]:
+                    row[k] += t * row[j]
+            else:
+                a[k], a[j] = a[j], a[k]
+                sign = -sign
+        p, top = a[k][k], a[k][k:]
+        for row in a[k + 1 : n]:
+            f = row[k]
+            row[k:] = [(x * p - f * y) // prev for x, y in zip(row[k:], top)]
+        prev = p
+        pivots.append(p)
+    return (0 if 0 in pivots else sign * prev), pivots
+
+
+def _solve(a: list[list[Fraction]], rhs: list[list[RationalLike]]) -> list[list[Fraction]]:
+    """X with a*X = rhs, from one elimination of the augmented rows [a | rhs].
+
+    Back-substitution runs on y = det*X, which is integral (Cramer), so every
+    division in it is exact; X = y/det at the end.
+    """
+    n = len(a)
+    rows, _ = _scaled([row + r for row, r in zip(a, rhs)])
+    det, _ = _eliminate(rows, n)
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
+    y: list = [None] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        acc = [det * x for x in row[n:]]
+        for j in range(k + 1, n):
+            if row[j]:
+                acc = [s - row[j] * v for s, v in zip(acc, y[j])]
+        y[k] = [s // row[k] for s in acc]
+    return [[Fraction(v, det) for v in yk] for yk in y]
 
 
 def solve_linear(
@@ -40,128 +124,57 @@ def solve_linear(
     Raises SingularMatrixError when no unique solution exists, which upstream
     signals a non-contractible curve configuration.
     """
-    a = _to_rows(g)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError(f"matrix is not square: {n} rows of length {len(a[0])}")
+    a = _square(g)
     rhs = [Fraction(x) for x in b]
-    if len(rhs) != n:
-        raise ValueError(f"dimension mismatch: {n}x{n} matrix, vector of length {len(rhs)}")
-
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                rhs[r] -= factor * rhs[col]
-    return rhs
+    if len(rhs) != len(a):
+        raise ValueError(
+            f"dimension mismatch: {len(a)}x{len(a)} matrix, vector of length {len(rhs)}"
+        )
+    return [x for x, in _solve(a, [[x] for x in rhs])]
 
 
 def invert(g: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    """Exact inverse of a square nonsingular matrix, column by column."""
-    rows = _to_rows(g)
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve_linear(rows, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Exact inverse of a square nonsingular matrix.
+
+    One elimination of [g | I] and one back-substitution for all columns.
+    """
+    a = _square(g)
+    return _solve(a, [[int(i == j) for j in range(len(a))] for i in range(len(a))])
 
 
 def determinant(g: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    a = _to_rows(g)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+    """Exact determinant: det(L*g) / L**n from the fraction-free elimination."""
+    rows, scale = _scaled(_square(g))
+    return Fraction(_eliminate(rows, len(rows))[0], scale ** len(rows))
 
 
 def is_negative_definite(g: Sequence[Sequence[RationalLike]]) -> bool:
-    """Leading-principal-minor test: the k-th minor must have sign (-1)^k.
+    """Whether all n eigenvalues are negative, read from `signature`.
+
+    A negative definite matrix meets no zero pivot, so this is Sylvester's
+    criterion on the elimination's pivots: the k-th leading minor is nonzero
+    and has sign (-1)^k.
 
     Input must be symmetric (raises ValueError otherwise).  The empty matrix
     is vacuously negative definite, so an empty contraction is always legal.
     """
-    a = _to_rows(g)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in a[:k]])
-        if minor == 0 or (minor > 0) != (k % 2 == 0):
-            return False
-    return True
+    return signature(g)[1] == len(g)
 
 
 def signature(g: Sequence[Sequence[RationalLike]]) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
-    Computed by exact congruence diagonalization, so zero leading minors (as
-    on the quadric's hyperbolic plane [[0,1],[1,0]]) are handled correctly.
+    Read off the symmetric elimination's pivots: a sign change between
+    consecutive nonzero leading minors is one negative eigenvalue, a sign
+    kept is one positive, and each index skipped with a zero trailing row and
+    column is one zero eigenvalue.  The congruence at zero pivots handles
+    zero leading minors (as on the quadric's hyperbolic plane [[0,1],[1,0]]).
     """
-    a = _to_rows(g)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    plus = minus = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][k] != 0), None)
-            if j is None:
-                zero += 1
-                continue
-            # symmetric row+column addition keeps the congruence class; the
-            # factor t makes the new pivot t^2*a[j][j] + 2t*a[j][k] nonzero
-            t = 1 if a[j][j] != -2 * a[j][k] else -1
-            for m in range(n):
-                a[k][m] += t * a[j][m]
-            for m in range(n):
-                a[m][k] += t * a[m][j]
-        d = a[k][k]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                factor = a[i][k] / d
-                for m in range(n):
-                    a[i][m] -= factor * a[k][m]
-                for m in range(n):
-                    a[m][i] -= factor * a[m][k]
-    return plus, minus, zero
+    rows, _ = _scaled(_square(g, symmetric=True))
+    _, pivots = _eliminate(rows, len(rows), symmetric=True)
+    signs = [p > 0 for p in pivots if p]
+    minus = sum(s != t for s, t in zip([True] + signs, signs))
+    return len(signs) - minus, minus, len(pivots) - len(signs)
 
 
 @dataclass(frozen=True)
@@ -214,28 +227,10 @@ class IntMatrix:
         return IntMatrix.from_rows(prod) if prod else IntMatrix(0, other.cols, ())
 
     def determinant(self) -> int:
-        """Fraction-free Bareiss determinant (square matrices only)."""
+        """Fraction-free determinant (square matrices only)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _eliminate(self.to_rows(), self.rows)[0]
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))

@@ -264,6 +264,19 @@ def _require_rational_map(value, where: str) -> None:
         parse_rational(coeff, f"{where}[{name!r}]")
 
 
+def _require_int(value, where: str) -> None:
+    # bool is an int subclass, and True == 1 would pass an equality check
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{where}: must be an integer")
+
+
+def _require_int_list(value, where: str) -> None:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: must be a list of integers")
+    for i, x in enumerate(value):
+        _require_int(x, f"{where}[{i}]")
+
+
 def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> None:
     """Shape- and reference-validate one check so evaluation cannot crash on
     malformed input; all expected rationals are parsed eagerly."""
@@ -288,13 +301,29 @@ def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> No
             parse_rational(entry.get("expect"), f"{where}.proportionality[{i}].expect")
         for i, entry in enumerate(_require_entries(check, "ample", where)):
             _require_ref(entry.get("divisor"), refs_ok, f"{where}.ample[{i}]")
+            if not isinstance(entry.get("expect"), bool):
+                raise ScenarioError(f"{where}.ample[{i}].expect: must be true or false")
+        if "expect_rank" in check:
+            _require_int(check["expect_rank"], f"{where}.expect_rank")
+        if "expect_class_group" in check:
+            spec = check["expect_class_group"]
+            if not isinstance(spec, dict):
+                raise ScenarioError(f"{where}: 'expect_class_group' must be an object")
+            if "rank" in spec:
+                _require_int(spec["rank"], f"{where}.expect_class_group.rank")
+            if "torsion" in spec:
+                _require_int_list(spec["torsion"], f"{where}.expect_class_group.torsion")
     elif kind == "singular-points":
         for i, entry in enumerate(_require_entries(check, "expect", where)):
             for key in ("n", "q", "count"):
-                if not isinstance(entry.get(key), int):
-                    raise ScenarioError(f"{where}.expect[{i}]: '{key}' must be an integer")
+                _require_int(entry.get(key), f"{where}.expect[{i}].{key}")
+        if "expect_total" in check:
+            _require_int(check["expect_total"], f"{where}.expect_total")
     elif kind == "anticanonical-sections":
-        names = list(check.get("fibers", [])) + [check.get("curve")]
+        fibers = check.get("fibers")
+        if not isinstance(fibers, list):
+            raise ScenarioError(f"{where}: 'fibers' must be a list of names")
+        names = fibers + [check.get("curve")]
         towers = check.get("towers")
         if not isinstance(towers, list) or not all(isinstance(t, list) for t in towers):
             raise ScenarioError(f"{where}: 'towers' must be a list of name lists")
@@ -303,6 +332,10 @@ def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> No
         for name in names:
             if not isinstance(name, str) or name not in refs_ok:
                 raise ScenarioError(f"{where}: unknown curve name {name!r}")
+        if "expect_bidegree" in check:
+            _require_int_list(check["expect_bidegree"], f"{where}.expect_bidegree")
+        if "expect_h0" in check:
+            _require_int(check["expect_h0"], f"{where}.expect_h0")
     elif kind == "kvv-failure":
         _require_ref(check.get("divisor"), refs_ok, where)
         spec = check.get("expect", {})
@@ -315,8 +348,8 @@ def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> No
                 parse_rational(spec[key], f"{where}.expect.{key}")
     elif kind == "cone":
         _require_ref(check.get("divisor"), refs_ok, where)
-        if not isinstance(check.get("certificate_m", -1), int):
-            raise ScenarioError(f"{where}: 'certificate_m' must be an integer")
+        if "certificate_m" in check:
+            _require_int(check["certificate_m"], f"{where}.certificate_m")
         spec = check.get("expect", {})
         if not isinstance(spec, dict):
             raise ScenarioError(f"{where}: 'expect' must be an object")

@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from blowdown import (
+    IntMatrix,
     QDivisor,
     contract,
     euler_characteristic,
@@ -22,6 +23,7 @@ from blowdown import (
     solve_linear,
 )
 from blowdown.errors import SingularMatrixError
+from blowdown.exactlin import determinant, invert
 
 ints = st.integers(min_value=-9, max_value=9)
 small_rationals = st.fractions(
@@ -40,6 +42,16 @@ def int_matrices(draw, max_dim=4):
 def square_rational_matrices(draw, max_dim=4):
     n = draw(st.integers(1, max_dim))
     return [[draw(small_rationals) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def singular_rational_matrices(draw, max_dim=4):
+    """n-1 free rows plus a rational combination of them, rows permuted."""
+    n = draw(st.integers(1, max_dim))
+    rows = [[draw(small_rationals) for _ in range(n)] for _ in range(n - 1)]
+    coeffs = [draw(small_rationals) for _ in rows]
+    rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), F(0)) for j in range(n)])
+    return draw(st.permutations(rows))
 
 
 @st.composite
@@ -77,19 +89,14 @@ class TestSmithNormalFormProperties:
 class TestSolveProperties:
     @given(square_rational_matrices(), st.data())
     def test_solution_satisfies_system(self, g, data):
-        from blowdown.exactlin import determinant
-
         assume(determinant(g) != 0)
         b = [data.draw(small_rationals) for _ in g]
         x = solve_linear(g, b)
         for row, target in zip(g, b):
             assert sum(a * v for a, v in zip(row, x)) == target
 
-    @given(square_rational_matrices())
+    @given(singular_rational_matrices())
     def test_singular_raises(self, g):
-        from blowdown.exactlin import determinant
-
-        assume(determinant(g) == 0)
         with pytest.raises(SingularMatrixError):
             solve_linear(g, [1] * len(g))
 
@@ -120,6 +127,94 @@ class TestNegativeDefiniteProperties:
         plus, minus, zero = signature(g)
         assert plus + minus + zero == len(g)
         assert is_negative_definite(g) == (minus == len(g))
+
+
+def _sympy(g):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in g])
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _descartes_inertia(g):
+    """(n_plus, n_minus, n_zero) from the characteristic polynomial; Descartes'
+    rule of signs is exact because a symmetric matrix has only real roots."""
+    coeffs = _sympy(g).charpoly().all_coeffs()  # leading coefficient first
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    plus = _sign_changes(coeffs)
+    minus = _sign_changes([c * (-1) ** i for i, c in enumerate(coeffs)])
+    return plus, minus, zero
+
+
+@st.composite
+def degenerate_symmetric_matrices(draw, max_dim=8):
+    """Direct sums of random symmetric blocks, hyperbolic planes and zero
+    blocks, so leading minors vanish and zero rows sit inside the matrix,
+    then conjugated by a permutation and a few elementary unimodular moves."""
+    n = draw(st.integers(1, max_dim))
+    blocks = []
+    while sum(len(b) for b in blocks) < n:
+        kind = draw(st.sampled_from(["random", "hyperbolic", "zero"]))
+        if kind == "hyperbolic":
+            blocks.append([[0, 1], [1, 0]])
+        elif kind == "zero":
+            size = draw(st.integers(1, 2))
+            blocks.append([[0] * size for _ in range(size)])
+        else:
+            blocks.append(draw(symmetric_int_matrices(n=draw(st.integers(1, 3)))))
+    g = [[0] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                if offset + i < n and offset + j < n:
+                    g[offset + i][offset + j] = x
+        offset += len(block)
+    order = draw(st.permutations(range(n)))
+    g = [[g[i][j] for j in order] for i in order]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        t = draw(st.integers(-2, 2))
+        if i != j:  # g <- E^T g E with E = I + t*e_j*e_i^T
+            g[i] = [x + t * y for x, y in zip(g[i], g[j])]
+            for row in g:
+                row[i] += t * row[j]
+    return g
+
+
+class TestSympyOracles:
+    """The elimination kernel against sympy at sizes up to 8x8."""
+
+    @given(square_rational_matrices(max_dim=8))
+    @settings(deadline=None)
+    def test_determinant(self, g):
+        assert determinant(g) == _sympy(g).det()
+
+    @given(square_rational_matrices(max_dim=8))
+    @settings(deadline=None)
+    def test_invert(self, g):
+        m = _sympy(g)
+        if m.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                invert(g)
+            return
+        inv = invert(g)
+        assert all(type(x) is F for row in inv for x in row)
+        assert _sympy(inv) == m.inv()
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(deadline=None)
+    def test_int_matrix_determinant(self, m):
+        assert IntMatrix.from_rows(m).determinant() == sympy.Matrix(m).det()
+
+    @given(st.one_of(symmetric_int_matrices(n=8), degenerate_symmetric_matrices()))
+    @settings(deadline=None)
+    def test_signature(self, g):
+        assert signature(g) == _descartes_inertia(g)
+        assert is_negative_definite(g) == (_descartes_inertia(g)[1] == len(g))
 
 
 class TestMumfordPullbackProperties:

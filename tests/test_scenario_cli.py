@@ -134,6 +134,50 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="parse error"):
             load_scenario(str(path))
 
+    @staticmethod
+    def _run_with(tmp_path, capsys, kind, key, value):
+        raw = bundled_dict()
+        check = next(c for c in raw["checks"] if c["kind"] == kind)
+        check[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(canonical_json(raw))
+        with pytest.raises(ScenarioError):
+            parse_scenario(raw)
+        code = main(["run", "--scenario", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_class_group_spec_must_be_object(self, tmp_path, capsys):
+        code, err = self._run_with(
+            tmp_path, capsys, "rank-one-positivity", "expect_class_group", 5
+        )
+        assert code == 2 and "'expect_class_group' must be an object" in err
+
+    def test_fibers_must_be_list(self, tmp_path, capsys):
+        code, err = self._run_with(tmp_path, capsys, "anticanonical-sections", "fibers", 7)
+        assert code == 2 and "'fibers' must be a list" in err
+
+    def test_bool_total_rejected(self, tmp_path, capsys):
+        code, err = self._run_with(tmp_path, capsys, "singular-points", "expect_total", True)
+        assert code == 2 and "expect_total: must be an integer" in err
+
+    def test_bool_certificate_m_rejected(self, tmp_path, capsys):
+        code, err = self._run_with(tmp_path, capsys, "cone", "certificate_m", True)
+        assert code == 2 and "certificate_m: must be an integer" in err
+
+    def test_ample_entry_needs_expect(self):
+        raw = bundled_dict()
+        check = next(c for c in raw["checks"] if c["kind"] == "rank-one-positivity")
+        del check["ample"][0]["expect"]
+        with pytest.raises(ScenarioError, match=r"ample\[0\]\.expect: must be true or false"):
+            parse_scenario(raw)
+
+    def test_bool_census_entry_rejected(self):
+        raw = bundled_dict()
+        check = next(c for c in raw["checks"] if c["kind"] == "singular-points")
+        check["expect"][0]["count"] = True
+        with pytest.raises(ScenarioError, match=r"expect\[0\]\.count: must be an integer"):
+            parse_scenario(raw)
+
 
 class TestFailureModes:
     def test_zero_ample_divisor_fails_checks(self):
