@@ -122,10 +122,7 @@ class Contraction:
     def _corrections(self, d: DivisorLike) -> dict[str, Fraction]:
         """Coefficients a_j with (D + sum a_j G_j).G_k = 0 for all k."""
         pairings = [self.source.intersect(d, name) for name in self.contracted]
-        coeffs = [
-            -sum(self._gram_inverse[i][j] * pairings[j] for j in range(len(pairings)))
-            for i in range(len(pairings))
-        ]
+        coeffs = [-sum(g * x for g, x in zip(row, pairings)) for row in self._gram_inverse]
         return dict(zip(self.contracted, coeffs))
 
     def pullback(self, d_on_target: QDivisor) -> QDivisor:
@@ -184,8 +181,8 @@ class Contraction:
         index = {n: i for i, n in enumerate(names)}
         adj: dict[str, list[str]] = {n: [] for n in names}
         for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                meets = self.source.intersect(a, b)
+            for j, b in enumerate(names[i + 1 :], start=i + 1):
+                meets = self.gram[i][j]
                 if meets == 0:
                     continue
                 if meets != 1:
@@ -203,28 +200,21 @@ class Contraction:
                 continue
             component = [start]
             seen.add(start)
-            frontier = [start]
-            while frontier:
-                cur = frontier.pop()
+            for cur in component:  # grows while it is walked
                 for nxt in adj[cur]:
                     if nxt not in seen:
                         seen.add(nxt)
                         component.append(nxt)
-                        frontier.append(nxt)
             edges = sum(len(adj[n]) for n in component) // 2
             if edges != len(component) - 1 or any(len(adj[n]) > 2 for n in component):
                 raise GeometryError(
                     f"unsupported configuration: component {sorted(component)} "
                     "is not a chain"
                 )
-            ends = [n for n in component if len(adj[n]) <= 1]
-            first = min(ends, key=index.__getitem__)
-            ordered = [first]
+            ordered = [min((n for n in component if len(adj[n]) <= 1), key=index.__getitem__)]
             while len(ordered) < len(component):
-                ordered.append(
-                    next(n for n in adj[ordered[-1]] if n not in ordered[-2:])
-                )
-            bs = [-int(self.source.intersect(n, n)) for n in ordered]
+                ordered.append(next(n for n in adj[ordered[-1]] if n not in ordered[-2:]))
+            bs = [-int(self.gram[index[n]][index[n]]) for n in ordered]
             n_val, q_val = hirzebruch_jung_type(bs)
             if n_val == 1:
                 continue  # contracts to a smooth point

@@ -27,7 +27,7 @@ from .cohomology import (
     verify_kvv_failure,
 )
 from .cone import build_cone, local_cohomology_certificate
-from .contraction import Contraction, contract
+from .contraction import Contraction, SingClass, contract
 from .errors import GeometryError, ScenarioError
 from .surface import PLANE, QUADRIC, QDivisor, SurfaceModel, new_plane, new_quadric
 
@@ -270,6 +270,11 @@ def _require_int(value, where: str) -> None:
         raise ScenarioError(f"{where}: must be an integer")
 
 
+def _require_bool(value, where: str) -> None:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: must be true or false")
+
+
 def _require_int_list(value, where: str) -> None:
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: must be a list of integers")
@@ -291,6 +296,9 @@ def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> No
         )
         if "expect_min_discrepancy" in check:
             parse_rational(check["expect_min_discrepancy"], f"{where}.expect_min_discrepancy")
+        classes = [c.value for c in SingClass]
+        if "expect_classification" in check and check["expect_classification"] not in classes:
+            raise ScenarioError(f"{where}.expect_classification: must be one of {classes}")
     elif kind == "rank-one-positivity":
         for i, entry in enumerate(_require_entries(check, "degrees", where)):
             _require_ref(entry.get("divisor"), refs_ok, f"{where}.degrees[{i}]")
@@ -301,8 +309,7 @@ def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> No
             parse_rational(entry.get("expect"), f"{where}.proportionality[{i}].expect")
         for i, entry in enumerate(_require_entries(check, "ample", where)):
             _require_ref(entry.get("divisor"), refs_ok, f"{where}.ample[{i}]")
-            if not isinstance(entry.get("expect"), bool):
-                raise ScenarioError(f"{where}.ample[{i}].expect: must be true or false")
+            _require_bool(entry.get("expect"), f"{where}.ample[{i}].expect")
         if "expect_rank" in check:
             _require_int(check["expect_rank"], f"{where}.expect_rank")
         if "expect_class_group" in check:
@@ -346,6 +353,9 @@ def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> No
         for key in ("k_dot_floor", "floor_squared", "euler_characteristic"):
             if key in spec:
                 parse_rational(spec[key], f"{where}.expect.{key}")
+        for key in ("h1_nonzero", "not_globally_f_split", "no_w2_liftable_log_resolution"):
+            if key in spec:
+                _require_bool(spec[key], f"{where}.expect.{key}")
     elif kind == "cone":
         _require_ref(check.get("divisor"), refs_ok, where)
         if "certificate_m" in check:
@@ -356,6 +366,12 @@ def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> No
         for key in ("r", "section_discrepancy"):
             if key in spec:
                 parse_rational(spec[key], f"{where}.expect.{key}")
+        if "class_group_rank" in spec:
+            _require_int(spec["class_group_rank"], f"{where}.expect.class_group_rank")
+        if "class_group_torsion" in spec:
+            _require_int_list(spec["class_group_torsion"], f"{where}.expect.class_group_torsion")
+        if "cm" in spec:
+            _require_bool(spec["cm"], f"{where}.expect.cm")
 
 
 def load_scenario(path: str) -> Scenario:

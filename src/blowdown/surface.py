@@ -1,12 +1,15 @@
 """Combinatorial model of an iterated blow-up of a rational surface.
 
-The model tracks three things exactly: the divisor lattice (basis plus
-integer Gram matrix), the canonical class, and a registry of named prime
-divisors with their class vectors.  A blow-up point is never a coordinate
-pair; it is specified purely by incidences `(curve_name, multiplicity)`, and
-the engine validates the numerical budget `X.Y >= m_X * m_Y` for every pair
-of incident curves.  Linear equivalence is identified with equality of class
-vectors, which is sound on a rational surface (torsion-free Picard group).
+The model tracks three things exactly: the divisor lattice, the canonical
+class, and a registry of named prime divisors with their integer class
+vectors.  The lattice is always ``base ⊕ −I``: the base surface's Gram block,
+then one basis class per blow-up with square -1, orthogonal to everything
+else.  Only the base block is stored, and the pairing is computed from that
+structure.  A blow-up point is never a coordinate pair; it is specified
+purely by incidences `(curve_name, multiplicity)`, and the engine validates
+the numerical budget `X.Y >= m_X * m_Y` for every pair of incident curves.
+Linear equivalence is identified with equality of class vectors, which is
+sound on a rational surface (torsion-free Picard group).
 
 Conventions:
   * quadric base: basis starts with the two ruling fibre classes ``f_x``,
@@ -145,11 +148,11 @@ class SurfaceModel:
     def __init__(self, base: str):
         if base == QUADRIC:
             self.basis_labels = ["f_x", "f_y"]
-            self._gram = [[0, 1], [1, 0]]
+            self._base_gram = ((0, 1), (1, 0))
             self._canonical = [-2, -2]
         elif base == PLANE:
             self.basis_labels = ["l"]
-            self._gram = [[1]]
+            self._base_gram = ((1,),)
             self._canonical = [-3]
         else:
             raise GeometryError(f"unknown base surface {base!r}")
@@ -229,9 +232,6 @@ class SurfaceModel:
                     )
 
         n = self.rank
-        for row in self._gram:
-            row.append(0)
-        self._gram.append([0] * n + [-1])
         self.basis_labels.append(exceptional_name)
         self._canonical.append(1)
         updated = {}
@@ -256,7 +256,11 @@ class SurfaceModel:
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in self._gram)
+        """The dense Gram matrix ``base ⊕ −I``, built on demand."""
+        r, n = self.base_rank, self.rank
+        rows = [row + (0,) * (n - r) for row in self._base_gram]
+        rows += [(0,) * i + (-1,) + (0,) * (n - i - 1) for i in range(r, n)]
+        return tuple(rows)
 
     @property
     def canonical_class(self) -> tuple[int, ...]:
@@ -266,21 +270,23 @@ class SurfaceModel:
         """The canonical class as a QDivisor (pure residual, no named part)."""
         return QDivisor({}, self.canonical_class)
 
-    def total_class(self, d: DivisorLike) -> tuple[Fraction, ...]:
+    def total_class(self, d: DivisorLike) -> tuple[int | Fraction, ...]:
         """Resolve a divisor (QDivisor, registered name, or raw class vector)
-        to its total class vector in the current basis."""
+        to its total class vector in the current basis, with exact ``int`` or
+        ``Fraction`` entries (a name gives its stored integer vector)."""
         if isinstance(d, str):
             try:
-                return tuple(Fraction(x) for x in self.prime_divisors[d].class_vector)
+                return self.prime_divisors[d].class_vector
             except KeyError:
                 raise GeometryError(f"unknown divisor name {d!r}") from None
         if isinstance(d, QDivisor):
-            total = [Fraction(0)] * self.rank
+            total: list[int | Fraction] = [0] * self.rank
             for name, coeff in d.named.items():
                 if name not in self.prime_divisors:
                     raise GeometryError(f"unknown divisor name {name!r}")
                 for i, x in enumerate(self.prime_divisors[name].class_vector):
-                    total[i] += coeff * x
+                    if x:
+                        total[i] += coeff * x
             if d.residual is not None:
                 if len(d.residual) != self.rank:
                     raise GeometryError(
@@ -288,9 +294,13 @@ class SurfaceModel:
                         f"on a rank-{self.rank} lattice"
                     )
                 for i, x in enumerate(d.residual):
-                    total[i] += x
+                    if x:
+                        total[i] += x
             return tuple(total)
-        vec = tuple(Fraction(x) for x in d)
+        # tuple() of a list, not of a generator: CPython grows a generator's
+        # tuple by resizing, and once freed such tuples pile up in its
+        # per-length free lists instead of being reused
+        vec = tuple([x if type(x) is int else Fraction(x) for x in d])
         if len(vec) != self.rank:
             raise GeometryError(
                 f"class vector of length {len(vec)} on a rank-{self.rank} lattice"
@@ -298,27 +308,25 @@ class SurfaceModel:
         return vec
 
     def intersect(self, a: DivisorLike, b: DivisorLike) -> Fraction:
-        """Intersection pairing, bilinearly extended to rational classes."""
+        """Intersection pairing, bilinearly extended to rational classes: the
+        base block's form on the first ``base_rank`` coordinates minus the dot
+        product of the exceptional coordinates."""
         u = self.total_class(a)
         v = self.total_class(b)
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self._gram[i]
-            total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj != 0)
-        return total
+        r = self.base_rank
+        base = sum(x * g * y for x, row in zip(u, self._base_gram) for g, y in zip(row, v))
+        return Fraction(base - sum(x * y for x, y in zip(u[r:], v[r:]) if x and y))
 
     def arithmetic_genus(self, d: DivisorLike) -> Fraction:
         """Adjunction genus D.(D + K)/2 + 1."""
         k = self.canonical_class
         d_vec = self.total_class(d)
-        dk = tuple(x + y for x, y in zip(d_vec, k))
+        dk = tuple([x + y for x, y in zip(d_vec, k)])  # a list: see total_class
         return self.intersect(d_vec, dk) / 2 + 1
 
     def lattice_signature(self) -> tuple[int, int, int]:
         """Inertia of the Gram matrix; stays (1, rank-1, 0) under blow-ups."""
-        return signature(self._gram)
+        return signature(self.gram)
 
 
 def new_quadric() -> SurfaceModel:

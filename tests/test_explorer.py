@@ -87,3 +87,29 @@ def test_explore_parameter_validation():
         explore_frobenius(1, 3)
     with pytest.raises(GeometryError, match="n_points"):
         explore_frobenius(3, 0)
+
+
+def closed_form_census(p, n):
+    """n fibre points 1/p(1,1), n chain points 1/p(1,p-1) and the curve's
+    point 1/(p(n-2))(1,1), with q = min(q, q^-1 mod N), equal types merged
+    and smooth points (N = 1) dropped."""
+    counts = {}
+    for big_n, q, count in ((p, 1, n), (p, p - 1, n), (p * (n - 2), 1, 1)):
+        if big_n == 1:
+            continue
+        q %= big_n
+        key = (big_n, min(q, pow(q, -1, big_n)))
+        counts[key] = counts.get(key, 0) + count
+    return tuple(sorted((big_n, q, c) for (big_n, q), c in counts.items()))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("p", range(2, 8))
+def test_explore_matches_closed_forms(p, n):
+    # the closed forms check the arithmetic, not geometric realizability
+    report = explore_frobenius(p, n)
+    assert report.target_rank == 1
+    assert report.anticanonical_degree == F(2, n - 2) + 2 - p
+    assert report.census == closed_form_census(p, n)
+    reference = (p, n) == (3, 3)
+    assert report.provenance == (REFERENCE_PROVENANCE if reference else EXTRAPOLATED_PROVENANCE)

@@ -17,6 +17,7 @@ from blowdown import (
     hirzebruch_jung_type,
     is_negative_definite,
     kollar_bound,
+    new_plane,
     new_quadric,
     signature,
     smith_normal_form,
@@ -274,6 +275,67 @@ class TestBlowUpSequenceProperties:
             assert model.lattice_signature() == (1, model.rank - 1, 0)
         for name, genus in genus_before.items():
             assert model.arithmetic_genus(name) == genus
+
+
+class TestBaseBlockPairing:
+    """The stored base block plus exceptional -1s pair like the explicit
+    dense Gram matrix ``base ⊕ −I``."""
+
+    BASES = {
+        "quadric": ([[0, 1], [1, 0]], {"C": (1, 3), "F": (1, 0)}),
+        "plane": ([[1]], {"L": (1,), "Q": (2,)}),
+    }
+
+    @staticmethod
+    def _dense(model, d):
+        if isinstance(d, str):
+            return list(model.prime_divisors[d].class_vector)
+        if isinstance(d, QDivisor):
+            total = list(d.residual or [0] * model.rank)
+            for name, c in d.named.items():
+                for i, x in enumerate(model.prime_divisors[name].class_vector):
+                    total[i] += c * x
+            return total
+        return list(d)
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
+    def test_matches_explicit_gram(self, base, data):
+        block, curves = self.BASES[base]
+        model = new_quadric() if base == "quadric" else new_plane()
+        for name, cls in curves.items():
+            model.declare_curve(name, cls)
+        for step in range(data.draw(st.integers(0, 8))):
+            subset = data.draw(
+                st.lists(st.sampled_from(list(model.prime_divisors)), unique=True, max_size=3)
+            )
+            valid = []
+            for name in subset:
+                if all(model.intersect(name, other) >= 1 for other in valid):
+                    valid.append(name)
+            model.blow_up(f"X{step}", [(n, 1) for n in valid])
+
+        n, r = model.rank, len(block)
+        gram = [
+            [block[i][j] if i < r and j < r else -1 if i == j else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        assert model.gram == tuple(tuple(row) for row in gram)
+
+        names = st.sampled_from(sorted(model.prime_divisors))
+        vectors = st.lists(st.one_of(ints, small_rationals), min_size=n, max_size=n)
+        qdivisors = st.builds(
+            QDivisor,
+            st.dictionaries(names, small_rationals, max_size=4),
+            st.one_of(st.none(), st.lists(ints, min_size=n, max_size=n)),
+        )
+        divisors = st.one_of(names, vectors, qdivisors)
+        for _ in range(5):
+            d1, d2 = data.draw(divisors), data.draw(divisors)
+            u, v = self._dense(model, d1), self._dense(model, d2)
+            value = model.intersect(d1, d2)
+            assert type(value) is F
+            assert value == sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
 
 
 class TestRiemannRochProperties:

@@ -136,9 +136,13 @@ class TestValidation:
 
     @staticmethod
     def _run_with(tmp_path, capsys, kind, key, value):
+        """Set the check's field at the dotted ``key``, run through the CLI."""
         raw = bundled_dict()
-        check = next(c for c in raw["checks"] if c["kind"] == kind)
-        check[key] = value
+        target = next(c for c in raw["checks"] if c["kind"] == kind)
+        *parents, leaf = key.split(".")
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = value
         path = tmp_path / "bad.json"
         path.write_text(canonical_json(raw))
         with pytest.raises(ScenarioError):
@@ -163,6 +167,24 @@ class TestValidation:
     def test_bool_certificate_m_rejected(self, tmp_path, capsys):
         code, err = self._run_with(tmp_path, capsys, "cone", "certificate_m", True)
         assert code == 2 and "certificate_m: must be an integer" in err
+
+    # True == 1 and False == 0, so a mistyped expectation could pass its check
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("cone", "expect.cm", 0, "expect.cm: must be true or false"),
+            ("cone", "expect.class_group_rank", False, "class_group_rank: must be an integer"),
+            ("cone", "expect.class_group_torsion", 7, "class_group_torsion: must be a list"),
+            ("cone", "expect.class_group_torsion", [True], "torsion[0]: must be an integer"),
+            ("kvv-failure", "expect.not_globally_f_split", 1, "f_split: must be true or false"),
+            ("kvv-failure", "expect.h1_nonzero", "yes", "h1_nonzero: must be true or false"),
+            ("canonical-pullback", "expect_classification", 5, "must be one of"),
+            ("canonical-pullback", "expect_classification", "KLT", "must be one of"),
+        ],
+    )
+    def test_mistyped_expectation_rejected(self, tmp_path, capsys, kind, key, value, message):
+        code, err = self._run_with(tmp_path, capsys, kind, key, value)
+        assert code == 2 and message in err
 
     def test_ample_entry_needs_expect(self):
         raw = bundled_dict()
