@@ -77,6 +77,8 @@ class Scenario:
     contraction: tuple[str, ...]
     divisors: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...]
     checks: tuple[dict, ...]
+    #: the checks parsed against ``CHECK_SCHEMAS``; ``to_dict`` keeps the raw ones
+    specs: tuple[dict, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -192,6 +194,12 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
     if not isinstance(raw_divisors, dict):
         raise ScenarioError(f"{where}: 'divisors' must be an object")
     for dname, coeffs in raw_divisors.items():
+        # resolve() would read such a name as K, a negation or the curve
+        if dname == "K" or dname.startswith("-") or dname in known_names:
+            raise ScenarioError(
+                f"{where}.divisors[{dname!r}]: a divisor name must not be 'K', "
+                "start with '-' or be a curve or blow-up name"
+            )
         if not isinstance(coeffs, dict):
             raise ScenarioError(f"{where}.divisors[{dname!r}]: must be an object")
         parsed = []
@@ -203,16 +211,16 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
             parsed.append((cname, parse_rational(value, f"{where}.divisors[{dname!r}][{cname!r}]")))
         divisors.append((dname, tuple(parsed)))
 
-    divisor_names = {n for n, _ in divisors}
-    refs_ok = known_names | divisor_names | {"K"}
-
-    checks = []
+    names = {CURVE: known_names, REF: known_names | {n for n, _ in divisors} | {"K"}}
+    checks, specs = [], []
     for i, check in enumerate(_expect_list(raw, "checks", where)):
         kind = _expect_str(check, "kind", f"{where}.checks[{i}]")
-        if kind not in CHECKS:
+        if kind not in CHECK_SCHEMAS:
             raise ScenarioError(f"{where}.checks[{i}]: unknown check kind {kind!r}")
-        _validate_check(check, kind, refs_ok, f"{where}.checks[{i}]")
+        body = {k: v for k, v in check.items() if k != "kind"}
+        spec = _parse_field(CHECK_SCHEMAS[kind], body, f"{where}.checks", f"[{i}]", names)
         checks.append(check)
+        specs.append({"kind": kind, **spec})
 
     for i, cname in enumerate(contraction):
         if cname not in known_names:
@@ -226,6 +234,7 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
         contraction=tuple(contraction),
         divisors=tuple(divisors),
         checks=tuple(checks),
+        specs=tuple(specs),
     )
 
 
@@ -242,136 +251,134 @@ def _expect_str(entry: Any, key: str, where: str) -> str:
     return entry[key]
 
 
-def _require_ref(ref, refs_ok: set[str], where: str) -> None:
-    if not isinstance(ref, str):
-        raise ScenarioError(f"{where}: divisor reference must be a string")
-    bare = ref[1:] if ref.startswith("-") else ref
-    if bare not in refs_ok:
-        raise ScenarioError(f"{where}: unknown divisor reference {ref!r}")
+# -- check schemas ----------------------------------------------------------------
+
+# Leaf types of a check field.  A rational is an integer or a "num/den" string
+# and parses to a Fraction; ``INTS`` is a list of integers; a ``REF`` is a
+# divisor reference (see ``ScenarioRun.resolve``); a ``CURVE`` is a declared
+# curve or blow-up name; ``SingClass`` takes one of its values.
+RATIONAL, INT, BOOL, INTS, REF, CURVE = "rational", "int", "bool", "ints", "ref", "curve"
+
+#: The key of a map from curve or blow-up names to values.
+ANY_CURVE = "<curve>"
+
+# The fields of each check kind besides "kind".  A key ending in "?" is
+# optional, and an absent optional list reads as empty.  ``[item]`` is a list
+# of items, ``{ANY_CURVE: leaf}`` a map keyed by curve names, and any other
+# dict an object with exactly those keys.
+CHECK_SCHEMAS: dict[str, dict] = {
+    "intersection-table": {
+        "entries?": [{"a": REF, "b": REF, "expect": RATIONAL}],
+    },
+    "canonical-pullback": {
+        "expect_coefficients?": {ANY_CURVE: RATIONAL},
+        "expect_min_discrepancy?": RATIONAL,
+        "expect_classification?": SingClass,
+    },
+    "rank-one-positivity": {
+        "degrees?": [{"divisor": REF, "expect": RATIONAL}],
+        "proportionality?": [{"d1": REF, "d2": REF, "expect": RATIONAL}],
+        "ample?": [{"divisor": REF, "expect": BOOL}],
+        "expect_rank?": INT,
+        "expect_class_group?": {"rank?": INT, "torsion?": INTS},
+    },
+    "singular-points": {
+        "expect?": [{"n": INT, "q": INT, "count": INT}],
+        "expect_total?": INT,
+    },
+    "anticanonical-sections": {
+        "fibers": [CURVE],
+        "curve": CURVE,
+        "towers": [[CURVE]],
+        "expect_bidegree?": INTS,
+        "expect_h0?": INT,
+    },
+    "kvv-failure": {
+        "divisor": REF,
+        "expect?": {
+            "expansion?": {ANY_CURVE: RATIONAL},
+            "floor?": {ANY_CURVE: RATIONAL},
+            "nef_degrees?": {ANY_CURVE: RATIONAL},
+            "k_dot_floor?": RATIONAL,
+            "floor_squared?": RATIONAL,
+            "euler_characteristic?": RATIONAL,
+            "h1_nonzero?": BOOL,
+            "not_globally_f_split?": BOOL,
+            "no_w2_liftable_log_resolution?": BOOL,
+        },
+    },
+    "cone": {
+        "divisor": REF,
+        "certificate_m?": INT,
+        "expect?": {
+            "r?": RATIONAL,
+            "section_discrepancy?": RATIONAL,
+            "class_group_rank?": INT,
+            "class_group_torsion?": INTS,
+            "cm?": BOOL,
+        },
+    },
+}
 
 
-def _require_entries(check: dict, key: str, where: str) -> list:
-    entries = check.get(key, [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ScenarioError(f"{where}: '{key}' must be a list of objects")
-    return entries
+def _parse_field(schema: Any, value: Any, where: str, key: str, names: dict) -> Any:
+    """Check ``value`` against ``schema`` and return it with every leaf parsed.
 
-
-def _require_rational_map(value, where: str) -> None:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where}: must be an object of rationals")
-    for name, coeff in value.items():
-        parse_rational(coeff, f"{where}[{name!r}]")
-
-
-def _require_int(value, where: str) -> None:
-    # bool is an int subclass, and True == 1 would pass an equality check
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}: must be an integer")
-
-
-def _require_bool(value, where: str) -> None:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{where}: must be true or false")
-
-
-def _require_int_list(value, where: str) -> None:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}: must be a list of integers")
-    for i, x in enumerate(value):
-        _require_int(x, f"{where}[{i}]")
-
-
-def _validate_check(check: dict, kind: str, refs_ok: set[str], where: str) -> None:
-    """Shape- and reference-validate one check so evaluation cannot crash on
-    malformed input; all expected rationals are parsed eagerly."""
-    if kind == "intersection-table":
-        for i, entry in enumerate(_require_entries(check, "entries", where)):
-            _require_ref(entry.get("a"), refs_ok, f"{where}.entries[{i}]")
-            _require_ref(entry.get("b"), refs_ok, f"{where}.entries[{i}]")
-            parse_rational(entry.get("expect"), f"{where}.entries[{i}].expect")
-    elif kind == "canonical-pullback":
-        _require_rational_map(
-            check.get("expect_coefficients", {}), f"{where}.expect_coefficients"
-        )
-        if "expect_min_discrepancy" in check:
-            parse_rational(check["expect_min_discrepancy"], f"{where}.expect_min_discrepancy")
-        classes = [c.value for c in SingClass]
-        if "expect_classification" in check and check["expect_classification"] not in classes:
-            raise ScenarioError(f"{where}.expect_classification: must be one of {classes}")
-    elif kind == "rank-one-positivity":
-        for i, entry in enumerate(_require_entries(check, "degrees", where)):
-            _require_ref(entry.get("divisor"), refs_ok, f"{where}.degrees[{i}]")
-            parse_rational(entry.get("expect"), f"{where}.degrees[{i}].expect")
-        for i, entry in enumerate(_require_entries(check, "proportionality", where)):
-            _require_ref(entry.get("d1"), refs_ok, f"{where}.proportionality[{i}]")
-            _require_ref(entry.get("d2"), refs_ok, f"{where}.proportionality[{i}]")
-            parse_rational(entry.get("expect"), f"{where}.proportionality[{i}].expect")
-        for i, entry in enumerate(_require_entries(check, "ample", where)):
-            _require_ref(entry.get("divisor"), refs_ok, f"{where}.ample[{i}]")
-            _require_bool(entry.get("expect"), f"{where}.ample[{i}].expect")
-        if "expect_rank" in check:
-            _require_int(check["expect_rank"], f"{where}.expect_rank")
-        if "expect_class_group" in check:
-            spec = check["expect_class_group"]
-            if not isinstance(spec, dict):
-                raise ScenarioError(f"{where}: 'expect_class_group' must be an object")
-            if "rank" in spec:
-                _require_int(spec["rank"], f"{where}.expect_class_group.rank")
-            if "torsion" in spec:
-                _require_int_list(spec["torsion"], f"{where}.expect_class_group.torsion")
-    elif kind == "singular-points":
-        for i, entry in enumerate(_require_entries(check, "expect", where)):
-            for key in ("n", "q", "count"):
-                _require_int(entry.get(key), f"{where}.expect[{i}].{key}")
-        if "expect_total" in check:
-            _require_int(check["expect_total"], f"{where}.expect_total")
-    elif kind == "anticanonical-sections":
-        fibers = check.get("fibers")
-        if not isinstance(fibers, list):
-            raise ScenarioError(f"{where}: 'fibers' must be a list of names")
-        names = fibers + [check.get("curve")]
-        towers = check.get("towers")
-        if not isinstance(towers, list) or not all(isinstance(t, list) for t in towers):
-            raise ScenarioError(f"{where}: 'towers' must be a list of name lists")
-        for tower in towers:
-            names.extend(tower)
-        for name in names:
-            if not isinstance(name, str) or name not in refs_ok:
-                raise ScenarioError(f"{where}: unknown curve name {name!r}")
-        if "expect_bidegree" in check:
-            _require_int_list(check["expect_bidegree"], f"{where}.expect_bidegree")
-        if "expect_h0" in check:
-            _require_int(check["expect_h0"], f"{where}.expect_h0")
-    elif kind == "kvv-failure":
-        _require_ref(check.get("divisor"), refs_ok, where)
-        spec = check.get("expect", {})
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"{where}: 'expect' must be an object")
-        for key in ("expansion", "floor", "nef_degrees"):
-            _require_rational_map(spec.get(key, {}), f"{where}.expect.{key}")
-        for key in ("k_dot_floor", "floor_squared", "euler_characteristic"):
-            if key in spec:
-                parse_rational(spec[key], f"{where}.expect.{key}")
-        for key in ("h1_nonzero", "not_globally_f_split", "no_w2_liftable_log_resolution"):
-            if key in spec:
-                _require_bool(spec[key], f"{where}.expect.{key}")
-    elif kind == "cone":
-        _require_ref(check.get("divisor"), refs_ok, where)
-        if "certificate_m" in check:
-            _require_int(check["certificate_m"], f"{where}.certificate_m")
-        spec = check.get("expect", {})
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"{where}: 'expect' must be an object")
-        for key in ("r", "section_discrepancy"):
-            if key in spec:
-                parse_rational(spec[key], f"{where}.expect.{key}")
-        if "class_group_rank" in spec:
-            _require_int(spec["class_group_rank"], f"{where}.expect.class_group_rank")
-        if "class_group_torsion" in spec:
-            _require_int_list(spec["class_group_torsion"], f"{where}.expect.class_group_torsion")
-        if "cm" in spec:
-            _require_bool(spec["cm"], f"{where}.expect.cm")
+    ``where`` locates the enclosing object or list and ``key`` the value in it:
+    a field name, or ``[i]`` / ``['name']`` for an item.  ``names`` maps
+    ``REF`` and ``CURVE`` to the names each accepts."""
+    item = key.startswith("[")
+    path = where + key if item else f"{where}.{key}"
+    if isinstance(schema, (list, dict)) and not isinstance(value, type(schema)):
+        what = "a list" if isinstance(schema, list) else "an object"
+        raise ScenarioError(f"{path}: must be {what}" if item else f"{where}: '{key}' must be {what}")
+    if isinstance(schema, list):
+        return [_parse_field(schema[0], x, path, f"[{i}]", names) for i, x in enumerate(value)]
+    if isinstance(schema, dict) and ANY_CURVE in schema:
+        return {
+            _parse_field(CURVE, name, path, f"[{name!r}]", names): _parse_field(
+                schema[ANY_CURVE], x, path, f"[{name!r}]", names
+            )
+            for name, x in value.items()
+        }
+    if isinstance(schema, dict):
+        fields = {k.rstrip("?"): k for k in schema}
+        for name in value:
+            if name not in fields:
+                raise ScenarioError(f"{path}: unknown field {name!r}")
+        out = {}
+        for name, k in fields.items():
+            # a missing required field is checked as null, which no type accepts
+            if name in value or not k.endswith("?"):
+                out[name] = _parse_field(schema[k], value.get(name), path, name, names)
+            elif isinstance(schema[k], list):
+                out[name] = []
+        return out
+    if schema == RATIONAL:
+        return parse_rational(value, path)
+    if schema == INTS:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{path}: must be a list of integers")
+        return [_parse_field(INT, x, path, f"[{i}]", names) for i, x in enumerate(value)]
+    if schema == INT:
+        # bool is an int subclass, and True == 1 would pass an equality check
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ScenarioError(f"{path}: must be an integer")
+    elif schema == BOOL:
+        if not isinstance(value, bool):
+            raise ScenarioError(f"{path}: must be true or false")
+    elif schema == REF:
+        if not isinstance(value, str) or value.removeprefix("-") not in names[REF]:
+            raise ScenarioError(f"{path}: unknown divisor reference {value!r}")
+    elif schema == CURVE:
+        if not isinstance(value, str) or value not in names[CURVE]:
+            raise ScenarioError(f"{path}: unknown curve {value!r}")
+    else:
+        classes = [c.value for c in schema]
+        if value not in classes:
+            raise ScenarioError(f"{path}: must be one of {classes}")
+        return schema(value)
+    return value
 
 
 def load_scenario(path: str) -> Scenario:
@@ -421,8 +428,11 @@ class _Expect:
         if actual != expected:
             self.mismatches.append(f"{label}: expected {expected}, got {actual}")
 
-    def rational(self, label: str, actual: Fraction, expected: Any, where: str) -> None:
-        self.eq(label, Fraction(actual), parse_rational(expected, where))
+    def present(self, spec: dict, rows: tuple) -> None:
+        """``eq`` for each (key, label, actual) row whose key ``spec`` holds."""
+        for key, label, actual in rows:
+            if key in spec:
+                self.eq(label, actual, spec[key])
 
 
 def _divisor_json(d: QDivisor) -> dict:
@@ -432,42 +442,44 @@ def _divisor_json(d: QDivisor) -> dict:
     return out
 
 
-def _check_intersection_table(run: ScenarioRun, check: dict) -> CheckResult:
+def _singular_points_json(reports) -> list[dict]:
+    return [
+        {
+            "component": list(r.component),
+            "self_intersections": list(r.self_intersections),
+            "type": list(r.hj_type),
+            "label": r.label.value,
+        }
+        for r in reports
+    ]
+
+
+def _check_intersection_table(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
     rows = []
-    for i, entry in enumerate(check.get("entries", [])):
+    for entry in spec["entries"]:
         a, b = entry["a"], entry["b"]
         value = run.model.intersect(run.resolve(a), run.resolve(b))
-        expect.rational(f"{a}.{b}", value, entry["expect"], f"entries[{i}].expect")
+        expect.eq(f"{a}.{b}", value, entry["expect"])
         rows.append({"a": a, "b": b, "value": rational_str(value)})
     details = {"entries": rows, "count": len(rows)}
     return CheckResult("intersection-table", not expect.mismatches, details, expect.mismatches)
 
 
-def _check_canonical_pullback(run: ScenarioRun, check: dict) -> CheckResult:
+def _check_canonical_pullback(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
     con = run.contraction
     k_target = con.pushforward(run.model.canonical_divisor())
     pullback = con.pullback(k_target)
     corrections = {n: pullback.coefficient(n) for n in con.contracted}
-    for name, value in check.get("expect_coefficients", {}).items():
-        expect.rational(
-            f"coefficient of {name}",
-            corrections.get(name, Fraction(0)),
-            value,
-            f"expect_coefficients[{name!r}]",
-        )
+    for name, value in spec.get("expect_coefficients", {}).items():
+        expect.eq(f"coefficient of {name}", corrections.get(name, Fraction(0)), value)
     discreps, classification = con.discrepancies()
-    if "expect_classification" in check:
-        expect.eq("classification", classification.value, check["expect_classification"])
-    if "expect_min_discrepancy" in check:
+    if "expect_classification" in spec:
+        expect.eq("classification", classification.value, spec["expect_classification"].value)
+    if "expect_min_discrepancy" in spec:
         if discreps:
-            expect.rational(
-                "min discrepancy",
-                min(discreps.values()),
-                check["expect_min_discrepancy"],
-                "expect_min_discrepancy",
-            )
+            expect.eq("min discrepancy", min(discreps.values()), spec["expect_min_discrepancy"])
         else:
             expect.mismatches.append("min discrepancy: nothing contracted")
     details = {
@@ -479,90 +491,82 @@ def _check_canonical_pullback(run: ScenarioRun, check: dict) -> CheckResult:
     return CheckResult("canonical-pullback", not expect.mismatches, details, expect.mismatches)
 
 
-def _check_rank_one_positivity(run: ScenarioRun, check: dict) -> CheckResult:
+def _check_rank_one_positivity(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
     con = run.contraction
     details: dict[str, Any] = {"target_rank": con.target_rank}
-    if "expect_rank" in check:
-        expect.eq("target rank", con.target_rank, check["expect_rank"])
+    expect.present(spec, (("expect_rank", "target rank", con.target_rank),))
     degrees = {}
     if con.target_rank == 1:
-        for i, entry in enumerate(check.get("degrees", [])):
+        for entry in spec["degrees"]:
             ref = entry["divisor"]
             value = con.degree_against(run.resolve(ref))
             degrees[ref] = rational_str(value)
-            expect.rational(f"degree of {ref}", value, entry["expect"], f"degrees[{i}]")
+            expect.eq(f"degree of {ref}", value, entry["expect"])
         props = {}
-        for i, entry in enumerate(check.get("proportionality", [])):
+        for entry in spec["proportionality"]:
             r = con.numerically_proportional(run.resolve(entry["d1"]), run.resolve(entry["d2"]))
             key = f"{entry['d1']}~{entry['d2']}"
             props[key] = None if r is None else rational_str(r)
             if r is None:
                 expect.mismatches.append(f"{key}: second divisor numerically trivial")
             else:
-                expect.rational(key, r, entry["expect"], f"proportionality[{i}]")
+                expect.eq(key, r, entry["expect"])
         amp = {}
-        for entry in check.get("ample", []):
+        for entry in spec["ample"]:
             ref = entry["divisor"]
             value = con.is_ample_rank1(run.resolve(ref))
             amp[ref] = value
             expect.eq(f"ample({ref})", value, entry["expect"])
         details.update({"degrees": degrees, "proportionality": props, "ample": amp})
-    elif check.get("degrees") or check.get("proportionality") or check.get("ample"):
+    elif spec["degrees"] or spec["proportionality"] or spec["ample"]:
         expect.mismatches.append(
             f"rank-one quantities undefined: target rank is {con.target_rank}"
         )
-    if "expect_class_group" in check:
+    if "expect_class_group" in spec:
         group = con.class_group()
-        spec = check["expect_class_group"]
-        expect.eq("class group rank", group.rank, spec.get("rank"))
-        expect.eq("class group torsion", list(group.torsion), spec.get("torsion"))
+        expect.present(
+            spec["expect_class_group"],
+            (
+                ("rank", "class group rank", group.rank),
+                ("torsion", "class group torsion", list(group.torsion)),
+            ),
+        )
         details["class_group"] = {"rank": group.rank, "torsion": list(group.torsion)}
     return CheckResult("rank-one-positivity", not expect.mismatches, details, expect.mismatches)
 
 
-def _check_singular_points(run: ScenarioRun, check: dict) -> CheckResult:
+def _check_singular_points(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
     reports = run.contraction.classify_singularities()
     counts: dict[tuple[int, int], int] = {}
     for report in reports:
         counts[report.hj_type] = counts.get(report.hj_type, 0) + 1
     census = sorted((n, q, c) for (n, q), c in counts.items())
-    expected = sorted(
-        (entry["n"], entry["q"], entry["count"]) for entry in check.get("expect", [])
-    )
+    expected = sorted((entry["n"], entry["q"], entry["count"]) for entry in spec["expect"])
     expect.eq("singular point census", census, expected)
-    if "expect_total" in check:
-        expect.eq("total singular points", len(reports), check["expect_total"])
+    expect.present(spec, (("expect_total", "total singular points", len(reports)),))
     details = {
         "total": len(reports),
         "census": [{"n": n, "q": q, "count": c} for n, q, c in census],
-        "points": [
-            {
-                "component": list(r.component),
-                "self_intersections": list(r.self_intersections),
-                "type": list(r.hj_type),
-                "label": r.label.value,
-            }
-            for r in reports
-        ],
+        "points": _singular_points_json(reports),
     }
     return CheckResult("singular-points", not expect.mismatches, details, expect.mismatches)
 
 
-def _check_anticanonical_sections(run: ScenarioRun, check: dict) -> CheckResult:
+def _check_anticanonical_sections(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
     report = verify_h0_anticanonical_zero(
-        run.contraction,
-        fibers=list(check["fibers"]),
-        curve=check["curve"],
-        towers=[list(t) for t in check["towers"]],
+        run.contraction, fibers=spec["fibers"], curve=spec["curve"], towers=spec["towers"]
     )
     expect.eq("class identity", report.identity_holds, True)
-    if "expect_bidegree" in check:
-        expect.eq("base bidegree", list(report.base_bidegree), check["expect_bidegree"])
-    if "expect_h0" in check:
-        expect.eq("h0", report.h0, check["expect_h0"])
+    expect.present(
+        spec,
+        (
+            ("expect_bidegree", "base bidegree", list(report.base_bidegree)),
+            ("expect_h0", "h0", report.h0),
+        ),
+    )
     details: dict[str, Any] = {
         "identity_holds": report.identity_holds,
         "base_bidegree": list(report.base_bidegree),
@@ -576,10 +580,9 @@ def _check_anticanonical_sections(run: ScenarioRun, check: dict) -> CheckResult:
 
 
 def _compare_coefficient_map(
-    expect: "_Expect", label: str, actual: QDivisor, spec: dict
+    expect: "_Expect", label: str, actual: QDivisor, expected: dict[str, Fraction]
 ) -> None:
     """Exact comparison of a divisor's nonzero coefficients with a spec map."""
-    expected = {n: parse_rational(v, f"{label}[{n!r}]") for n, v in spec.items()}
     expected = {n: v for n, v in expected.items() if v != 0}
     for name in sorted(set(expected) | set(actual.named)):
         if actual.coefficient(name) != expected.get(name, Fraction(0)):
@@ -589,43 +592,32 @@ def _compare_coefficient_map(
             )
 
 
-def _check_kvv_failure(run: ScenarioRun, check: dict) -> CheckResult:
+def _check_kvv_failure(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
-    divisor = run.resolve(check["divisor"])
+    divisor = run.resolve(spec["divisor"])
     report = verify_kvv_failure(run.contraction, divisor)
-    spec = check.get("expect", {})
-    if "expansion" in spec:
-        _compare_coefficient_map(
-            expect, "expansion", report.pullback_expansion, spec["expansion"]
-        )
-    if "floor" in spec:
-        _compare_coefficient_map(expect, "floor", report.floor, spec["floor"])
-    for name, value in spec.get("nef_degrees", {}).items():
-        expect.rational(
-            f"nef degree against {name}",
-            report.nef_degrees.get(name, Fraction(0)),
-            value,
-            f"expect.nef_degrees[{name!r}]",
-        )
-    for key, label in (
-        ("k_dot_floor", "K.floor"),
-        ("floor_squared", "floor^2"),
-        ("euler_characteristic", "chi"),
-    ):
-        if key in spec:
-            actual = {
-                "k_dot_floor": report.k_dot_floor,
-                "floor_squared": report.floor_squared,
-                "euler_characteristic": report.euler_char,
-            }[key]
-            expect.rational(label, actual, spec[key], f"expect.{key}")
-    for key, actual in (
-        ("h1_nonzero", report.h1_nonzero),
-        ("not_globally_f_split", report.not_globally_f_split),
-        ("no_w2_liftable_log_resolution", report.no_w2_liftable_log_resolution),
-    ):
-        if key in spec:
-            expect.eq(key, actual, spec[key])
+    want = spec.get("expect", {})
+    if "expansion" in want:
+        _compare_coefficient_map(expect, "expansion", report.pullback_expansion, want["expansion"])
+    if "floor" in want:
+        _compare_coefficient_map(expect, "floor", report.floor, want["floor"])
+    for name, value in want.get("nef_degrees", {}).items():
+        expect.eq(f"nef degree against {name}", report.nef_degrees.get(name, Fraction(0)), value)
+    expect.present(
+        want,
+        (
+            ("k_dot_floor", "K.floor", report.k_dot_floor),
+            ("floor_squared", "floor^2", report.floor_squared),
+            ("euler_characteristic", "chi", report.euler_char),
+            ("h1_nonzero", "h1_nonzero", report.h1_nonzero),
+            ("not_globally_f_split", "not_globally_f_split", report.not_globally_f_split),
+            (
+                "no_w2_liftable_log_resolution",
+                "no_w2_liftable_log_resolution",
+                report.no_w2_liftable_log_resolution,
+            ),
+        ),
+    )
     details = {
         "expansion": _divisor_json(report.pullback_expansion),
         "floor": _divisor_json(report.floor),
@@ -642,45 +634,36 @@ def _check_kvv_failure(run: ScenarioRun, check: dict) -> CheckResult:
     return CheckResult("kvv-failure", not expect.mismatches, details, expect.mismatches)
 
 
-def _check_cone(run: ScenarioRun, check: dict) -> CheckResult:
+def _check_cone(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
-    divisor = run.resolve(check["divisor"])
+    divisor = run.resolve(spec["divisor"])
     cone = build_cone(run.contraction, divisor)
-    certificate_m = check.get("certificate_m", -1)
+    certificate_m = spec.get("certificate_m", -1)
     kvv = verify_kvv_failure(run.contraction, divisor.scaled(-certificate_m))
     cone = local_cohomology_certificate(cone, certificate_m, kvv.h1_nonzero)
-    spec = check.get("expect", {})
-    if "r" in spec:
-        expect.rational("r", cone.r, spec["r"], "expect.r")
-    if "section_discrepancy" in spec:
-        expect.rational(
-            "section discrepancy",
-            cone.section_discrepancy,
-            spec["section_discrepancy"],
-            "expect.section_discrepancy",
-        )
-    if "class_group_rank" in spec:
-        expect.eq(
-            "cone class group rank",
-            None if cone.class_group is None else cone.class_group.rank,
-            spec["class_group_rank"],
-        )
-    if "class_group_torsion" in spec:
-        expect.eq(
-            "cone class group torsion",
-            None if cone.class_group is None else list(cone.class_group.torsion),
-            spec["class_group_torsion"],
-        )
-    if "cm" in spec:
-        expect.eq("Cohen-Macaulay", cone.cm, spec["cm"])
+    group = cone.class_group
+    expect.present(
+        spec.get("expect", {}),
+        (
+            ("r", "r", cone.r),
+            ("section_discrepancy", "section discrepancy", cone.section_discrepancy),
+            ("class_group_rank", "cone class group rank", None if group is None else group.rank),
+            (
+                "class_group_torsion",
+                "cone class group torsion",
+                None if group is None else list(group.torsion),
+            ),
+            ("cm", "Cohen-Macaulay", cone.cm),
+        ),
+    )
     details = {
         "r": rational_str(cone.r),
         "section_discrepancy": rational_str(cone.section_discrepancy),
         "q_gorenstein": cone.q_gorenstein,
         "crepant_partial_resolution": cone.crepant_partial_resolution,
         "class_group": None
-        if cone.class_group is None
-        else {"rank": cone.class_group.rank, "torsion": list(cone.class_group.torsion)},
+        if group is None
+        else {"rank": group.rank, "torsion": list(group.torsion)},
         "cm": cone.cm,
         "certificate_m": cone.cm_certificate_m,
         "klt_note": cone.klt_note,
@@ -788,11 +771,11 @@ def run_scenario(scenario: Scenario) -> Report:
     input: the scenario built fine, its mathematics did not."""
     run = scenario.build()
     checks = []
-    for check in scenario.checks:
+    for spec in scenario.specs:
         try:
-            result = CHECKS[check["kind"]](run, check)
+            result = CHECKS[spec["kind"]](run, spec)
         except GeometryError as exc:
-            result = CheckResult(check["kind"], False, {"error": str(exc)}, [str(exc)])
+            result = CheckResult(spec["kind"], False, {"error": str(exc)}, [str(exc)])
         checks.append(result)
     return Report(scenario.name, scenario_digest(scenario), checks)
 
@@ -811,15 +794,7 @@ def exploration_to_dict(report) -> dict:
         "anticanonical_degree": rational_str(report.anticanonical_degree),
         "verdict": report.verdict,
         "census": [list(entry) for entry in report.census],
-        "singular_points": [
-            {
-                "component": list(r.component),
-                "self_intersections": list(r.self_intersections),
-                "type": list(r.hj_type),
-                "label": r.label.value,
-            }
-            for r in report.singular_points
-        ],
+        "singular_points": _singular_points_json(report.singular_points),
         "provenance": report.provenance,
     }
 

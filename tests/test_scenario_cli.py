@@ -1,8 +1,10 @@
 import copy
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowdown import ScenarioError, load_scenario, run_repro, run_scenario
 from blowdown.cli import main
@@ -19,6 +21,17 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "blowdown" / "data"
 
 def bundled_dict():
     return json.loads((DATA / "keel-mckernan-p3.json").read_text())
+
+
+def check_of(raw, kind):
+    return next(c for c in raw["checks"] if c["kind"] == kind)
+
+
+def run_cli(raw, directory):
+    """Write ``raw`` as a scenario file and run it through ``blowdown run``."""
+    path = Path(directory) / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return main(["run", "--scenario", str(path), "--out", str(Path(directory) / "report.txt")])
 
 
 def test_bundled_scenario_loads():
@@ -200,6 +213,58 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=r"expect\[0\]\.count: must be an integer"):
             parse_scenario(raw)
 
+    # an unknown field, or a name that is not a curve where a curve is due,
+    # is invalid input
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda r: check_of(r, "canonical-pullback").update(expect_coeficients={"C": "5"}),
+                "checks[1]: unknown field 'expect_coeficients'",
+            ),
+            (
+                lambda r: check_of(r, "singular-points")["expect"][0].update(extra=1),
+                "checks[3].expect[0]: unknown field 'extra'",
+            ),
+            (
+                lambda r: check_of(r, "anticanonical-sections").update(fibers=["K"]),
+                "checks[4].fibers[0]: unknown curve 'K'",
+            ),
+            (
+                lambda r: check_of(r, "anticanonical-sections").update(curve="A"),
+                "checks[4].curve: unknown curve 'A'",
+            ),
+            (
+                lambda r: check_of(r, "canonical-pullback")["expect_coefficients"].update(X="0"),
+                "checks[1].expect_coefficients['X']: unknown curve 'X'",
+            ),
+            (
+                lambda r: check_of(r, "kvv-failure")["expect"]["expansion"].update(X="0"),
+                "checks[5].expect.expansion['X']: unknown curve 'X'",
+            ),
+            (
+                lambda r: check_of(r, "kvv-failure")["expect"]["nef_degrees"].update(K="0"),
+                "checks[5].expect.nef_degrees['K']: unknown curve 'K'",
+            ),
+        ],
+        ids=["misspelt-key", "census-extra-key", "fiber-K", "curve-divisor",
+             "coefficients-curve", "expansion-curve", "nef-degrees-curve"],
+    )
+    def test_schema_rejects(self, tmp_path, capsys, mutate, message):
+        raw = bundled_dict()
+        mutate(raw)
+        assert run_cli(raw, tmp_path) == 2
+        assert message in capsys.readouterr().err
+
+    # resolve() reads K and a leading '-' itself, and a curve name would
+    # shadow the curve's own class
+    @pytest.mark.parametrize("name", ["C", "E1", "K", "-A"])
+    def test_unusable_divisor_name_rejected(self, tmp_path, capsys, name):
+        raw = bundled_dict()
+        raw["divisors"][name] = {"E1": "1"}
+        assert run_cli(raw, tmp_path) == 2
+        assert f"divisors[{name!r}]: a divisor name must not be" in capsys.readouterr().err
+
 
 class TestFailureModes:
     def test_zero_ample_divisor_fails_checks(self):
@@ -224,6 +289,15 @@ class TestFailureModes:
         assert not rank_check.passed
         assert rank_check.details["target_rank"] == 2
         assert any("rank" in m for m in rank_check.mismatches)
+
+    def test_partial_class_group_compares_present_fields(self, tmp_path):
+        raw = bundled_dict()
+        check_of(raw, "rank-one-positivity")["expect_class_group"] = {"torsion": [3, 3, 3]}
+        assert run_cli(raw, tmp_path) == 0
+        check_of(raw, "rank-one-positivity")["expect_class_group"] = {"rank": 2}
+        assert run_cli(raw, tmp_path) == 1
+        report = run_scenario(parse_scenario(raw))
+        assert report.first_failure == "rank-one-positivity: class group rank: expected 2, got 1"
 
 
 class TestCli:
@@ -281,3 +355,63 @@ class TestCli:
     def test_explore_invalid_exit_two(self, capsys):
         assert main(["explore", "--p", "3", "--points", "2"]) == 2
         assert "not contractible" in capsys.readouterr().err
+
+
+def _json_paths(node, prefix=()):
+    """Paths into a JSON tree, the root excluded; beyond the checks, a list
+    contributes its first two items only, so long tables do not crowd out
+    the other fields."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        if isinstance(key, int) and key > 1 and prefix != ("checks",):
+            continue
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+BUNDLED_PATHS = tuple(_json_paths(bundled_dict()))
+
+junk_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(min_value=10**40, max_value=10**60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["K", "-K", "A", "-A", "C", "E1", "x", "1/0", "2/3", "klt", ""]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.lists(st.sampled_from(["K", "A", "C", "F1"]), max_size=3),
+    st.dictionaries(st.sampled_from(["K", "A", "C", "E1", "zz"]), st.sampled_from(["1", 1, True]), max_size=2),
+)
+
+mutations = st.tuples(
+    st.sampled_from(BUNDLED_PATHS),
+    st.sampled_from(["replace", "drop", "add-key"]),
+    junk_values,
+)
+
+
+class TestFuzz:
+    """A mutated scenario exits 0, 1 or 2 through ``blowdown run``, never raising."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(mutations, min_size=1, max_size=3))
+    def test_mutated_scenario_exits_cleanly(self, edits):
+        raw = bundled_dict()
+        for path, action, value in edits:
+            parent = raw
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier edit removed or retyped this path
+            if not isinstance(parent, (dict, list)):
+                continue
+            if action == "replace":
+                parent[path[-1]] = value
+            elif action == "drop":
+                del parent[path[-1]]
+            elif isinstance(parent[path[-1]], dict):
+                parent[path[-1]]["unexpected"] = value
+        with tempfile.TemporaryDirectory() as directory:
+            assert run_cli(raw, directory) in (0, 1, 2)
