@@ -1,12 +1,12 @@
 """Contraction of a negative-definite curve configuration.
 
-Given a `SurfaceModel` and a set of tracked curves whose Gram matrix is
-negative definite, this module computes the numerical pullback of divisors
-from the contracted surface (the unique correction supported on the
-contracted curves that is orthogonal to all of them), pushforwards,
-discrepancies with their singularity classification, the cyclic-quotient
-type of every contracted chain, the divisor class group of the target, and
-rank-one positivity tests against a witness curve.
+Given a `SurfaceModel` and tracked curves whose Gram matrix is negative
+definite, this module computes the numerical pullback of divisors from the
+contracted surface (the unique correction supported on the contracted curves
+that is orthogonal to all of them, solved per connected block: Mumford 1961,
+Artin 1962), pushforwards, discrepancies and their singularity class, the
+cyclic-quotient type of every contracted chain, the divisor class group of
+the target, and rank-one positivity tests against a witness curve.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GeometryError, NotContractibleError
@@ -67,29 +68,24 @@ def hirzebruch_jung_type(bs: Sequence[int]) -> tuple[int, int]:
     bs = [int(b) for b in bs]
     if not bs:
         raise GeometryError("empty chain")
-    value: Fraction | None = None
-    for b in reversed(bs):
-        if value is None:
-            value = Fraction(b)
-        elif value == 0:
+    value = Fraction(bs[-1])
+    for b in reversed(bs[:-1]):
+        if value == 0:
             raise GeometryError(f"chain {bs} is degenerate (zero continuant)")
-        else:
-            value = b - 1 / value
+        value = b - 1 / value
     n, q = value.numerator, value.denominator
     if n <= 0:
         raise GeometryError(f"chain {bs} does not contract to a quotient point")
-    if n == 1:
-        return (1, 0)
-    q %= n
-    q_inv = pow(q, -1, n)
-    return (n, min(q, q_inv))
+    q %= n  # n = 1 gives (1, 0)
+    return (n, min(q, pow(q, -1, n)))
 
 
 class Contraction:
-    """A validated contraction with cached Gram data.
-
-    Immutable after construction; the Gram inverse is computed eagerly so
-    every later pullback is a single exact matrix-vector product.
+    """A validated contraction, immutable once built.  Construction tests
+    and inverts the Gram matrix of each connected block of the contracted
+    curves on its own (the Gram matrix is block diagonal along them); a
+    pullback then pairs the divisor with every contracted curve once and
+    multiplies by each block's inverse.
     """
 
     def __init__(self, model: SurfaceModel, curve_names: Iterable[str]):
@@ -102,16 +98,44 @@ class Contraction:
                 raise GeometryError(f"unknown curve {name!r}")
             if not div.is_curve:
                 raise GeometryError(f"{name!r} is not a tracked curve")
-        gram = [[model.intersect(a, b) for b in names] for a in names]
-        if not is_negative_definite(gram):
-            raise NotContractibleError(
-                "not contractible (numerical criterion): the Gram matrix of "
-                f"{names} is not negative definite"
-            )
+        vectors = [model.prime_divisors[n].class_vector for n in names]
+        # only curves sharing a nonzero coordinate can meet; base parts share key 0
+        sharing: dict[int, list[int]] = {}
+        for i, vec in enumerate(vectors):
+            for key in {j if j >= model.base_rank else 0 for j, x in enumerate(vec) if x}:
+                sharing.setdefault(key, []).append(i)
+        pairs = {pair for group in sharing.values() for pair in combinations(group, 2)}
+        # sparse Gram rows: the diagonal, then the nonzero entries off it
+        self._rows = [{i: model.pairing(v, v)} for i, v in enumerate(vectors)]
+        for i, j in sorted(pairs):
+            if meets := model.pairing(vectors[i], vectors[j]):
+                self._rows[i][j] = self._rows[j][i] = meets
+
+        self._blocks: list[tuple[list[int], list[list[Fraction]]]] = []
+        seen: set[int] = set()
+        for start in range(len(names)):
+            if start in seen:
+                continue
+            block = [start]
+            for cur in block:  # grows while it is walked
+                block += [j for j in self._rows[cur] if j not in block]
+            seen.update(block)
+            block.sort()
+            gram = [[self._rows[i].get(j, 0) for j in block] for i in block]
+            if not is_negative_definite(gram):
+                raise NotContractibleError(
+                    "not contractible (numerical criterion): the Gram matrix of "
+                    f"the block {[names[i] for i in block]} is not negative definite"
+                )
+            self._blocks.append((block, invert(gram)))
         self.source = model
         self.contracted = tuple(names)
-        self.gram = tuple(tuple(row) for row in gram)
-        self._gram_inverse = invert(gram) if names else []
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram matrix of the contracted curves, built on demand."""
+        k = len(self.contracted)
+        return tuple(tuple(row.get(j, 0) for j in range(k)) for row in self._rows)
 
     @property
     def target_rank(self) -> int:
@@ -119,10 +143,18 @@ class Contraction:
 
     # -- transfer of divisors ----------------------------------------------
 
+    def _pairings(self, d: DivisorLike) -> list[int | Fraction]:
+        """D.G for every contracted G, resolving D once."""
+        total, divisors = self.source.total_class(d), self.source.prime_divisors
+        return [self.source.pairing(total, divisors[n].class_vector) for n in self.contracted]
+
     def _corrections(self, d: DivisorLike) -> dict[str, Fraction]:
         """Coefficients a_j with (D + sum a_j G_j).G_k = 0 for all k."""
-        pairings = [self.source.intersect(d, name) for name in self.contracted]
-        coeffs = [-sum(g * x for g, x in zip(row, pairings)) for row in self._gram_inverse]
+        pairings = self._pairings(d)
+        coeffs: list[Fraction] = [Fraction(0)] * len(self.contracted)
+        for block, inverse in self._blocks:
+            for i, row in zip(block, inverse):
+                coeffs[i] = -sum(g * pairings[j] for g, j in zip(row, block))
         return dict(zip(self.contracted, coeffs))
 
     def pullback(self, d_on_target: QDivisor) -> QDivisor:
@@ -135,8 +167,7 @@ class Contraction:
             raise GeometryError(
                 f"representative has nonzero coefficient on contracted {touching}"
             )
-        named = dict(d_on_target.named)
-        named.update(self._corrections(d_on_target))
+        named = {**d_on_target.named, **self._corrections(d_on_target)}
         return QDivisor(named, d_on_target.residual)
 
     def pushforward(self, d: QDivisor) -> QDivisor:
@@ -150,11 +181,8 @@ class Contraction:
         """a(G) for each contracted curve, and the classification from the
         minimum: terminal a > 0, canonical a >= 0, klt a > -1, lc a >= -1."""
         k_target = self.pushforward(self.source.canonical_divisor())
-        corrections = self.pullback(k_target).named
-        discreps = {n: -corrections.get(n, Fraction(0)) for n in self.contracted}
-        if not discreps:
-            return discreps, SingClass.TERMINAL
-        worst = min(discreps.values())
+        discreps = {n: -a for n, a in self._corrections(k_target).items()}
+        worst = min(discreps.values(), default=1)  # nothing contracted: smooth
         if worst > 0:
             cls = SingClass.TERMINAL
         elif worst >= 0:
@@ -173,60 +201,41 @@ class Contraction:
         """Hirzebruch-Jung type of every contracted chain.
 
         Chains contracting to smooth points (n = 1, e.g. a single (-1)-curve)
-        are omitted.  Components with a branch vertex, a cycle, a pairwise
+        are omitted.  Blocks with a branch vertex, a cycle, a pairwise
         intersection > 1, or a (-1)-curve inside a genuinely singular chain
         are rejected as unsupported configurations.
         """
-        names = self.contracted
-        index = {n: i for i, n in enumerate(names)}
-        adj: dict[str, list[str]] = {n: [] for n in names}
-        for i, a in enumerate(names):
-            for j, b in enumerate(names[i + 1 :], start=i + 1):
-                meets = self.gram[i][j]
-                if meets == 0:
-                    continue
-                if meets != 1:
+        names, rows = self.contracted, self._rows
+        for i, row in enumerate(rows):
+            for j, meets in row.items():
+                if i < j and meets != 1:
                     raise GeometryError(
-                        f"unsupported configuration: {a}.{b} = {meets} "
+                        f"unsupported configuration: {names[i]}.{names[j]} = {meets} "
                         "(only reduced chains are classified)"
                     )
-                adj[a].append(b)
-                adj[b].append(a)
-
         reports = []
-        seen: set[str] = set()
-        for start in names:
-            if start in seen:
-                continue
-            component = [start]
-            seen.add(start)
-            for cur in component:  # grows while it is walked
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        component.append(nxt)
-            edges = sum(len(adj[n]) for n in component) // 2
-            if edges != len(component) - 1 or any(len(adj[n]) > 2 for n in component):
+        for block, _ in self._blocks:
+            degrees = [len(rows[i]) - 1 for i in block]  # a row holds its diagonal
+            if sum(degrees) != 2 * len(block) - 2 or max(degrees) > 2:
                 raise GeometryError(
-                    f"unsupported configuration: component {sorted(component)} "
+                    f"unsupported configuration: component {sorted(names[i] for i in block)} "
                     "is not a chain"
                 )
-            ordered = [min((n for n in component if len(adj[n]) <= 1), key=index.__getitem__)]
-            while len(ordered) < len(component):
-                ordered.append(next(n for n in adj[ordered[-1]] if n not in ordered[-2:]))
-            bs = [-int(self.gram[index[n]][index[n]]) for n in ordered]
+            ordered = [min(i for i in block if len(rows[i]) <= 2)]
+            while len(ordered) < len(block):
+                ordered.append(next(j for j in rows[ordered[-1]] if j not in ordered[-2:]))
+            bs = [-rows[i][i] for i in ordered]
             n_val, q_val = hirzebruch_jung_type(bs)
             if n_val == 1:
                 continue  # contracts to a smooth point
+            chain = tuple(names[i] for i in ordered)
             if any(b < 2 for b in bs):
                 raise GeometryError(
-                    f"unsupported configuration: chain {ordered} mixes a "
+                    f"unsupported configuration: chain {list(chain)} mixes a "
                     "(-1)-curve into a singular contraction"
                 )
             label = ChainLabel.A_N_CHAIN if all(b == 2 for b in bs) else ChainLabel.WEIGHTED_CYCLIC
-            reports.append(
-                SingularPointReport(tuple(ordered), tuple(bs), (n_val, q_val), label)
-            )
+            reports.append(SingularPointReport(chain, tuple(bs), (n_val, q_val), label))
         return reports
 
     # -- class group ------------------------------------------------------------
@@ -248,12 +257,8 @@ class Contraction:
 
     def is_relatively_nef(self, d: DivisorLike) -> tuple[bool, dict[str, Fraction]]:
         """D.G >= 0 for every contracted G, with all degrees reported."""
-        degrees = {n: self.source.intersect(d, n) for n in self.contracted}
+        degrees = {n: Fraction(x) for n, x in zip(self.contracted, self._pairings(d))}
         return all(v >= 0 for v in degrees.values()), degrees
-
-    def _default_witness(self) -> tuple[int, ...]:
-        # pullback class of a general fibre of the first ruling (line on plane)
-        return (1,) + (0,) * (self.source.rank - 1)
 
     def degree_against(
         self, d_on_target: QDivisor, witness: DivisorLike | None = None
@@ -266,7 +271,8 @@ class Contraction:
                 "rank-one degree undefined"
             )
         if witness is None:
-            witness = self._default_witness()
+            # pullback class of a general fibre of the first ruling (line on plane)
+            witness = (1,) + (0,) * (self.source.rank - 1)
         if isinstance(witness, str) and witness in self.contracted:
             raise GeometryError(f"witness curve {witness!r} is contracted")
         return self.source.intersect(self.pullback(d_on_target), witness)
@@ -277,10 +283,7 @@ class Contraction:
         return self.degree_against(d_on_target, witness) > 0
 
     def numerically_proportional(
-        self,
-        d1: QDivisor,
-        d2: QDivisor,
-        witness: DivisorLike | None = None,
+        self, d1: QDivisor, d2: QDivisor, witness: DivisorLike | None = None
     ) -> Fraction | None:
         """r with d1 = r*d2 numerically on the rank-one target; None when d2
         is numerically trivial."""

@@ -17,10 +17,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .cohomology import (
     verify_h0_anticanonical_zero,
@@ -52,12 +53,18 @@ def scenario_digest(scenario: "Scenario") -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
+#: A rational string: an integer or "num/den", no exponent, point or space.
+RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ScenarioError(f"{where}: expected an exact rational, got {value!r}")
+    if isinstance(value, str) and not RATIONAL_STRING.fullmatch(value):
+        raise ScenarioError(f'{where}: bad rational {value!r} (expected a string like "2/3")')
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"{where}: bad rational {value!r} ({exc})") from None
 
 
@@ -158,10 +165,12 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
     base = raw.get("base")
     if base not in (QUADRIC, PLANE):
         raise ScenarioError(f"{where}: base must be 'quadric' or 'plane', got {base!r}")
+    _reject_unknown(raw, DOCUMENT_FIELDS["scenario"], where)
 
     curves = []
     for i, entry in enumerate(_expect_list(raw, "curves", where)):
         cname = _expect_str(entry, "name", f"{where}.curves[{i}]")
+        _reject_unknown(entry, DOCUMENT_FIELDS["curves"], f"{where}.curves[{i}]")
         vec = entry.get("class")
         if not isinstance(vec, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
             raise ScenarioError(f"{where}.curves[{i}]: 'class' must be a list of integers")
@@ -170,17 +179,18 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
     blowups = []
     for i, entry in enumerate(_expect_list(raw, "blowups", where)):
         bname = _expect_str(entry, "name", f"{where}.blowups[{i}]")
+        _reject_unknown(entry, DOCUMENT_FIELDS["blowups"], f"{where}.blowups[{i}]")
         incident = []
         raw_incident = entry.get("incident", [])
         if not isinstance(raw_incident, list):
             raise ScenarioError(f"{where}.blowups[{i}]: 'incident' must be a list")
         for j, inc in enumerate(raw_incident):
-            curve = _expect_str(inc, "curve", f"{where}.blowups[{i}].incident[{j}]")
+            at = f"{where}.blowups[{i}].incident[{j}]"
+            curve = _expect_str(inc, "curve", at)
+            _reject_unknown(inc, DOCUMENT_FIELDS["incident"], at)
             mult = inc.get("mult")
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise ScenarioError(
-                    f"{where}.blowups[{i}].incident[{j}]: 'mult' must be an integer >= 1"
-                )
+                raise ScenarioError(f"{at}: 'mult' must be an integer >= 1")
             incident.append((curve, mult))
         blowups.append((bname, tuple(incident)))
 
@@ -249,6 +259,24 @@ def _expect_str(entry: Any, key: str, where: str) -> str:
     if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
         raise ScenarioError(f"{where}: missing string field '{key}'")
     return entry[key]
+
+
+def _reject_unknown(entry: dict, fields: Iterable[str], where: str) -> None:
+    for name in entry:
+        if name not in fields:
+            raise ScenarioError(f"{where}: unknown field {name!r}")
+
+
+#: The fields of the document outside its checks: the top level, and each
+#: entry of ``curves``, ``blowups`` and a blow-up's ``incident`` list.
+DOCUMENT_FIELDS = {
+    "scenario": (
+        "schema", "name", "base", "curves", "blowups", "contraction", "divisors", "checks"
+    ),
+    "curves": ("name", "class"),
+    "blowups": ("name", "incident"),
+    "incident": ("curve", "mult"),
+}
 
 
 # -- check schemas ----------------------------------------------------------------
@@ -343,9 +371,7 @@ def _parse_field(schema: Any, value: Any, where: str, key: str, names: dict) -> 
         }
     if isinstance(schema, dict):
         fields = {k.rstrip("?"): k for k in schema}
-        for name in value:
-            if name not in fields:
-                raise ScenarioError(f"{path}: unknown field {name!r}")
+        _reject_unknown(value, fields, path)
         out = {}
         for name, k in fields.items():
             # a missing required field is checked as null, which no type accepts
@@ -388,8 +414,13 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise ScenarioError(f"{path}: parse error: {exc}") from None
     scenario = parse_scenario(raw, where=path)
-    scenario.build()  # surfaces incidence-budget violations with locations
+    try:
+        scenario.build()  # surfaces incidence-budget violations with locations
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}.{exc}") from None
     return scenario
 
 

@@ -280,22 +280,17 @@ class SurfaceModel:
             except KeyError:
                 raise GeometryError(f"unknown divisor name {d!r}") from None
         if isinstance(d, QDivisor):
-            total: list[int | Fraction] = [0] * self.rank
+            total: list[int | Fraction] = [0] * self.rank if d.residual is None else list(d.residual)
+            if len(total) != self.rank:
+                raise GeometryError(
+                    f"residual class of length {len(total)} on a rank-{self.rank} lattice"
+                )
             for name, coeff in d.named.items():
                 if name not in self.prime_divisors:
                     raise GeometryError(f"unknown divisor name {name!r}")
                 for i, x in enumerate(self.prime_divisors[name].class_vector):
                     if x:
                         total[i] += coeff * x
-            if d.residual is not None:
-                if len(d.residual) != self.rank:
-                    raise GeometryError(
-                        f"residual class of length {len(d.residual)} "
-                        f"on a rank-{self.rank} lattice"
-                    )
-                for i, x in enumerate(d.residual):
-                    if x:
-                        total[i] += x
             return tuple(total)
         # tuple() of a list, not of a generator: CPython grows a generator's
         # tuple by resizing, and once freed such tuples pile up in its
@@ -307,22 +302,24 @@ class SurfaceModel:
             )
         return vec
 
-    def intersect(self, a: DivisorLike, b: DivisorLike) -> Fraction:
-        """Intersection pairing, bilinearly extended to rational classes: the
+    def pairing(
+        self, u: Sequence[int | Fraction], v: Sequence[int | Fraction]
+    ) -> int | Fraction:
+        """Intersection form on two class vectors in the current basis: the
         base block's form on the first ``base_rank`` coordinates minus the dot
-        product of the exceptional coordinates."""
-        u = self.total_class(a)
-        v = self.total_class(b)
+        product of the exceptional coordinates.  Integer vectors give an int."""
         r = self.base_rank
         base = sum(x * g * y for x, row in zip(u, self._base_gram) for g, y in zip(row, v))
-        return Fraction(base - sum(x * y for x, y in zip(u[r:], v[r:]) if x and y))
+        return base - sum(x * y for x, y in zip(u[r:], v[r:]) if x and y)
+
+    def intersect(self, a: DivisorLike, b: DivisorLike) -> Fraction:
+        """Intersection number of two divisors: `pairing` of their total classes."""
+        return Fraction(self.pairing(self.total_class(a), self.total_class(b)))
 
     def arithmetic_genus(self, d: DivisorLike) -> Fraction:
         """Adjunction genus D.(D + K)/2 + 1."""
-        k = self.canonical_class
         d_vec = self.total_class(d)
-        dk = tuple([x + y for x, y in zip(d_vec, k)])  # a list: see total_class
-        return self.intersect(d_vec, dk) / 2 + 1
+        return Fraction(self.pairing(d_vec, d_vec) + self.pairing(d_vec, self._canonical), 2) + 1
 
     def lattice_signature(self) -> tuple[int, int, int]:
         """Inertia of the Gram matrix; stays (1, rank-1, 0) under blow-ups."""

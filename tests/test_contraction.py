@@ -38,6 +38,25 @@ def test_contract_fiber_rejected():
         contract(m, ["F"])
 
 
+def test_blocks_from_the_base_form_alone():
+    # F.G = 1 on the quadric, and no blow-up lies on both curves
+    m = new_quadric()
+    m.declare_curve("F", (1, 0))
+    m.declare_curve("G", (0, 1))
+    m.declare_curve("H", (1, 0))
+    for i in range(2):
+        m.blow_up(f"A{i}", [("F", 1)])
+        m.blow_up(f"B{i}", [("G", 1)])
+    con = contract(m, ["F", "G"])
+    assert con.gram == ((-2, 1), (1, -2))
+    [report] = con.classify_singularities()
+    assert report.component == ("F", "G") and report.hj_type == (3, 2)
+    # only the failing block is named: Z meets none of F, G and H (H^2 = 0)
+    m.blow_up("Z")
+    with pytest.raises(NotContractibleError, match=r"not contractible.*block \['F', 'G', 'H'\] is"):
+        contract(m, ["Z", "F", "G", "H"])
+
+
 def test_contract_validation():
     m = new_quadric()
     m.declare_curve("F", (1, 0))

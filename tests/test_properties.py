@@ -9,10 +9,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from blowdown import (
+    ClassGroupReport,
     IntMatrix,
     QDivisor,
     contract,
     euler_characteristic,
+    explore_frobenius,
     h0_on_quadric,
     hirzebruch_jung_type,
     is_negative_definite,
@@ -23,7 +25,7 @@ from blowdown import (
     smith_normal_form,
     solve_linear,
 )
-from blowdown.errors import SingularMatrixError
+from blowdown.errors import NotContractibleError, SingularMatrixError
 from blowdown.exactlin import determinant, invert
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -277,14 +279,33 @@ class TestBlowUpSequenceProperties:
             assert model.arithmetic_genus(name) == genus
 
 
+BASES = {
+    "quadric": ([[0, 1], [1, 0]], {"C": (1, 3), "F": (1, 0), "G": (0, 1)}),
+    "plane": ([[1]], {"L": (1,), "Q": (2,)}),
+}
+
+
+def random_tower(base, data, max_steps=8):
+    """The base's starting curves and up to ``max_steps`` mult-1 blow-ups,
+    each at a point on a random set of curves whose pairwise budgets allow it."""
+    model = new_quadric() if base == "quadric" else new_plane()
+    for name, cls in BASES[base][1].items():
+        model.declare_curve(name, cls)
+    for step in range(data.draw(st.integers(0, max_steps))):
+        subset = data.draw(
+            st.lists(st.sampled_from(list(model.prime_divisors)), unique=True, max_size=3)
+        )
+        valid = []
+        for name in subset:
+            if all(model.intersect(name, other) >= 1 for other in valid):
+                valid.append(name)
+        model.blow_up(f"X{step}", [(n, 1) for n in valid])
+    return model
+
+
 class TestBaseBlockPairing:
     """The stored base block plus exceptional -1s pair like the explicit
     dense Gram matrix ``base ⊕ −I``."""
-
-    BASES = {
-        "quadric": ([[0, 1], [1, 0]], {"C": (1, 3), "F": (1, 0)}),
-        "plane": ([[1]], {"L": (1,), "Q": (2,)}),
-    }
 
     @staticmethod
     def _dense(model, d):
@@ -301,20 +322,8 @@ class TestBaseBlockPairing:
     @given(st.sampled_from(sorted(BASES)), st.data())
     @settings(deadline=None)
     def test_matches_explicit_gram(self, base, data):
-        block, curves = self.BASES[base]
-        model = new_quadric() if base == "quadric" else new_plane()
-        for name, cls in curves.items():
-            model.declare_curve(name, cls)
-        for step in range(data.draw(st.integers(0, 8))):
-            subset = data.draw(
-                st.lists(st.sampled_from(list(model.prime_divisors)), unique=True, max_size=3)
-            )
-            valid = []
-            for name in subset:
-                if all(model.intersect(name, other) >= 1 for other in valid):
-                    valid.append(name)
-            model.blow_up(f"X{step}", [(n, 1) for n in valid])
-
+        block = BASES[base][0]
+        model = random_tower(base, data)
         n, r = model.rank, len(block)
         gram = [
             [block[i][j] if i < r and j < r else -1 if i == j else 0 for j in range(n)]
@@ -336,6 +345,58 @@ class TestBaseBlockPairing:
             value = model.intersect(d1, d2)
             assert type(value) is F
             assert value == sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+class TestBlockwiseContraction:
+    """Contraction works block by block; one dense elimination of the whole
+    contracted Gram matrix is the oracle."""
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
+    def test_matches_dense_gram(self, base, data):
+        model = random_tower(base, data, max_steps=10)
+        names = data.draw(st.lists(st.sampled_from(sorted(model.prime_divisors)), unique=True))
+        gram = [[model.intersect(a, b) for b in names] for a in names]
+        if not is_negative_definite(gram):
+            with pytest.raises(NotContractibleError, match="not contractible"):
+                contract(model, names)
+            return
+        con = contract(model, names)
+        assert con.gram == tuple(tuple(row) for row in gram)
+        kept = sorted(set(model.prime_divisors) - set(names))
+        d = QDivisor(
+            data.draw(st.dictionaries(st.sampled_from(kept), small_rationals)) if kept else {},
+            data.draw(st.lists(ints, min_size=model.rank, max_size=model.rank)),
+        )
+        pairings = [model.intersect(d, n) for n in names]
+        expected = solve_linear(gram, [-x for x in pairings]) if names else []
+        pullback = con.pullback(d)
+        assert [pullback.coefficient(n) for n in names] == expected
+        nef, degrees = con.is_relatively_nef(d)
+        assert degrees == dict(zip(names, pairings)) and nef == all(x >= 0 for x in pairings)
+
+
+def _sympy_class_group(rows, ncols):
+    factors = [abs(int(x)) for x in sympy_snf(sympy.Matrix(rows)).diagonal() if x != 0]
+    return ClassGroupReport(ncols - len(factors), tuple(sorted(x for x in factors if x > 1)))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("p", range(2, 8))
+def test_explorer_pullback_and_class_group_at_scale(p, n):
+    """The explorer family far past the reference scenario: the pullbacks of
+    K and of a surviving divisor are orthogonal to every contracted curve,
+    pullback is linear, and the class group matches sympy's Smith normal form."""
+    report = explore_frobenius(p, n)
+    con, model = report.contraction, report.construction.model
+    k_target = con.pushforward(model.canonical_divisor())
+    survivor = QDivisor({f"E{n}": F(1, p)}, (1,) + (0,) * (model.rank - 1))
+    k_pullback, s_pullback = con.pullback(k_target), con.pullback(survivor)
+    for pullback in (k_pullback, s_pullback):
+        assert all(model.intersect(pullback, c) == 0 for c in con.contracted)
+    assert con.pullback(k_target + survivor.scaled(3)) == k_pullback + s_pullback.scaled(3)
+    rows = [model.prime_divisors[c].class_vector for c in con.contracted]
+    assert con.class_group() == _sympy_class_group(rows, model.rank)
 
 
 class TestRiemannRochProperties:

@@ -1,6 +1,7 @@
 import copy
 import json
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -246,15 +247,77 @@ class TestValidation:
                 lambda r: check_of(r, "kvv-failure")["expect"]["nef_degrees"].update(K="0"),
                 "checks[5].expect.nef_degrees['K']: unknown curve 'K'",
             ),
+            (
+                lambda r: r.update(contractoin=r.pop("contraction")),
+                "scenario.json: unknown field 'contractoin'",
+            ),
+            (
+                lambda r: r["curves"][0].update(clas=[1, 0]),
+                "scenario.json.curves[0]: unknown field 'clas'",
+            ),
+            (
+                lambda r: r["blowups"][0].update(incidence=[]),
+                "scenario.json.blowups[0]: unknown field 'incidence'",
+            ),
+            (
+                lambda r: r["blowups"][0]["incident"][0].update(mutl=1),
+                "scenario.json.blowups[0].incident[0]: unknown field 'mutl'",
+            ),
         ],
         ids=["misspelt-key", "census-extra-key", "fiber-K", "curve-divisor",
-             "coefficients-curve", "expansion-curve", "nef-degrees-curve"],
+             "coefficients-curve", "expansion-curve", "nef-degrees-curve",
+             "top-level-key", "curve-key", "blowup-key", "incidence-key"],
     )
     def test_schema_rejects(self, tmp_path, capsys, mutate, message):
         raw = bundled_dict()
         mutate(raw)
         assert run_cli(raw, tmp_path) == 2
         assert message in capsys.readouterr().err
+
+    # Fraction() alone would also read exponents, decimals, underscores and
+    # spaces; "1e300000" built a 300001-digit integer, then crashed `blowdown run`
+    @pytest.mark.parametrize("value", ["1e300000", "1e30000000", "0.5", "2.5e3", "1_000", " 1/2"])
+    def test_rational_string_must_be_integer_or_fraction(self, tmp_path, capsys, value):
+        raw = bundled_dict()
+        raw["divisors"]["A"]["E1"] = value
+        assert run_cli(raw, tmp_path) == 2
+        assert "divisors['A']['E1']: bad rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected", [("-1", -1), ("+2/4", F(1, 2)), (3, 3)])
+    def test_rational_forms_accepted(self, value, expected):
+        raw = bundled_dict()
+        raw["divisors"]["A"]["E1"] = value
+        assert dict(dict(parse_scenario(raw).divisors)["A"])["E1"] == expected
+
+    # beyond the interpreter's integer digit limit, or not UTF-8
+    @pytest.mark.parametrize(
+        "text", [b'{"schema": ' + b"1" * 5000 + b"}", b"\xff\xfe{}"], ids=["digits", "not-utf8"]
+    )
+    def test_unreadable_json_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert f"error: {path}: parse error" in capsys.readouterr().err
+
+    # build errors are located like parse errors, from the file path on
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda r: r["blowups"].append(
+                    {"name": "X", "incident": [{"curve": "C", "mult": 1}, {"curve": "F1", "mult": 1}]}
+                ),
+                ".blowups[9] ('X'): incidence budget violated",
+            ),
+            (lambda r: r["contraction"].append("E1"), ".contraction: not contractible"),
+        ],
+        ids=["blowup", "contraction"],
+    )
+    def test_build_error_starts_with_path(self, tmp_path, capsys, mutate, message):
+        raw = bundled_dict()
+        mutate(raw)
+        assert run_cli(raw, tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'scenario.json'}{message}")
 
     # resolve() reads K and a leading '-' itself, and a curve name would
     # shadow the curve's own class
@@ -378,6 +441,7 @@ junk_values = st.one_of(
     st.integers(min_value=10**40, max_value=10**60),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(["K", "-K", "A", "-A", "C", "E1", "x", "1/0", "2/3", "klt", ""]),
+    st.sampled_from(["1e300000", "1e30000000", "0.5", "-2.5e-3", "1_0"]),
     st.lists(st.integers(-3, 3), max_size=3),
     st.lists(st.sampled_from(["K", "A", "C", "F1"]), max_size=3),
     st.dictionaries(st.sampled_from(["K", "A", "C", "E1", "zz"]), st.sampled_from(["1", 1, True]), max_size=2),
