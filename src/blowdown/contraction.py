@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GeometryError, NotContractibleError
@@ -92,23 +91,22 @@ class Contraction:
         names = list(curve_names)
         if len(set(names)) != len(names):
             raise GeometryError("contracted curve names must be distinct")
-        for name in names:
-            div = model.prime_divisors.get(name)
-            if div is None:
-                raise GeometryError(f"unknown curve {name!r}")
-            if not div.is_curve:
-                raise GeometryError(f"{name!r} is not a tracked curve")
-        vectors = [model.prime_divisors[n].class_vector for n in names]
-        # only curves sharing a nonzero coordinate can meet; base parts share key 0
-        sharing: dict[int, list[int]] = {}
-        for i, vec in enumerate(vectors):
-            for key in {j if j >= model.base_rank else 0 for j, x in enumerate(vec) if x}:
-                sharing.setdefault(key, []).append(i)
-        pairs = {pair for group in sharing.values() for pair in combinations(group, 2)}
+        if unknown := [n for n in names if n not in model.prime_divisors]:
+            raise GeometryError(f"unknown curve {unknown[0]!r}")
+        self._classes = [model.sparse_class(n) for n in names]
+        support: dict[int, list[int]] = {}  # coordinate -> the curves nonzero there
+        for i, (base, exceptional) in enumerate(self._classes):
+            for j in [*(j for j, x in enumerate(base) if x), *exceptional]:
+                support.setdefault(j, []).append(i)
+        # curves meet only where the form pairs their coordinates (SurfaceModel.pairing)
+        links = [(j, j) for j in support if j >= model.base_rank]
+        links += [(j, k) for j, row in enumerate(model.base_gram) for k, g in enumerate(row) if g]
+        pairs = {(min(a, b), max(a, b)) for j, k in links
+                 for a in support.get(j, ()) for b in support.get(k, ()) if a != b}
         # sparse Gram rows: the diagonal, then the nonzero entries off it
-        self._rows = [{i: model.pairing(v, v)} for i, v in enumerate(vectors)]
+        self._rows = [{i: model.prime_divisors[n].square} for i, n in enumerate(names)]
         for i, j in sorted(pairs):
-            if meets := model.pairing(vectors[i], vectors[j]):
+            if meets := model.pairing(self._classes[i], self._classes[j]):
                 self._rows[i][j] = self._rows[j][i] = meets
 
         self._blocks: list[tuple[list[int], list[list[Fraction]]]] = []
@@ -145,8 +143,8 @@ class Contraction:
 
     def _pairings(self, d: DivisorLike) -> list[int | Fraction]:
         """D.G for every contracted G, resolving D once."""
-        total, divisors = self.source.total_class(d), self.source.prime_divisors
-        return [self.source.pairing(total, divisors[n].class_vector) for n in self.contracted]
+        total = self.source.sparse_class(d)
+        return [self.source.pairing(total, cls) for cls in self._classes]
 
     def _corrections(self, d: DivisorLike) -> dict[str, Fraction]:
         """Coefficients a_j with (D + sum a_j G_j).G_k = 0 for all k."""

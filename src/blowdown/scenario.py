@@ -49,7 +49,7 @@ def canonical_json(obj: Any) -> str:
 
 
 def scenario_digest(scenario: "Scenario") -> str:
-    payload = canonical_json(scenario.to_dict()).encode("utf-8")
+    payload = canonical_json(scenario._document()).encode("utf-8")
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
@@ -86,8 +86,18 @@ class Scenario:
     checks: tuple[dict, ...]
     #: the checks parsed against ``CHECK_SCHEMAS``; ``to_dict`` keeps the raw ones
     specs: tuple[dict, ...]
+    #: the build ``load_scenario`` validated, which ``run_scenario`` takes instead
+    #: of building again; not part of the document
+    _trial: "ScenarioRun | None" = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
+        """The scenario document; its checks are copies the caller may change."""
+        document = self._document()
+        document["checks"] = copy.deepcopy(document["checks"])
+        return document
+
+    def _document(self) -> dict:
+        """The scenario document, sharing the raw checks: for serialising only."""
         return {
             "schema": SCENARIO_SCHEMA,
             "name": self.name,
@@ -107,7 +117,7 @@ class Scenario:
                 n: {c: rational_str(v) for c, v in coeffs}
                 for n, coeffs in self.divisors
             },
-            "checks": [copy.deepcopy(c) for c in self.checks],
+            "checks": list(self.checks),
         }
 
     def build(self) -> "ScenarioRun":
@@ -418,9 +428,10 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: parse error: {exc}") from None
     scenario = parse_scenario(raw, where=path)
     try:
-        scenario.build()  # surfaces incidence-budget violations with locations
+        run = scenario.build()  # surfaces incidence-budget violations with locations
     except ScenarioError as exc:
         raise ScenarioError(f"{path}.{exc}") from None
+    object.__setattr__(scenario, "_trial", run)
     return scenario
 
 
@@ -799,8 +810,10 @@ def run_scenario(scenario: Scenario) -> Report:
 
     A numerical-geometry error raised while evaluating a check (wrong target
     rank, pipeline abort, ...) counts as that check failing, not as invalid
-    input: the scenario built fine, its mathematics did not."""
-    run = scenario.build()
+    input: the scenario built fine, its mathematics did not.  The trial build
+    of `load_scenario`, if not yet used, is used instead of a new one."""
+    run = scenario._trial or scenario.build()
+    object.__setattr__(scenario, "_trial", None)
     checks = []
     for spec in scenario.specs:
         try:

@@ -1,15 +1,22 @@
 """Combinatorial model of an iterated blow-up of a rational surface.
 
 The model tracks three things exactly: the divisor lattice, the canonical
-class, and a registry of named prime divisors with their integer class
-vectors.  The lattice is always ``base ⊕ −I``: the base surface's Gram block,
-then one basis class per blow-up with square -1, orthogonal to everything
-else.  Only the base block is stored, and the pairing is computed from that
-structure.  A blow-up point is never a coordinate pair; it is specified
-purely by incidences `(curve_name, multiplicity)`, and the engine validates
-the numerical budget `X.Y >= m_X * m_Y` for every pair of incident curves.
+class, and a registry of named prime divisors with their integer classes.
+The lattice is always ``base ⊕ −I``: the base surface's Gram block, then one
+basis class per blow-up with square -1, orthogonal to everything else.  A
+blow-up point is never a coordinate pair; it is specified purely by
+incidences `(curve_name, multiplicity)`, and the engine validates the
+numerical budget `X.Y >= m_X * m_Y` for every pair of incident curves.
 Linear equivalence is identified with equality of class vectors, which is
 sound on a rational surface (torsion-free Picard group).
+
+Only the base block is stored, and classes are sparse: a *sparse class*
+``(base, exceptional)`` holds the base coordinates and maps the index of each
+nonzero exceptional coordinate to its value.  A blow-up adds one entry to each
+incident curve's map, and a pairing walks the shorter exceptional support, so
+both cost O(support), not O(rank).  Dense vectors (``class_vector``,
+``total_class``, ``gram``) are built on demand.  The canonical class stays
+dense: each of its exceptional coordinates is 1.
 
 Conventions:
   * quadric base: basis starts with the two ruling fibre classes ``f_x``,
@@ -22,7 +29,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -31,15 +37,39 @@ from .exactlin import signature
 
 QUADRIC = "quadric"
 PLANE = "plane"
+#: basis labels, Gram block and canonical class of each base surface
+BASES = {QUADRIC: (("f_x", "f_y"), ((0, 1), (1, 0)), (-2, -2)), PLANE: (("l",), ((1,),), (-3,))}
+
+#: ``(base, exceptional)``: base coordinates and {coordinate index: nonzero coefficient}
+SparseClass = tuple[Sequence[Union[int, Fraction]], dict[int, Union[int, Fraction]]]
 
 
-@dataclass(frozen=True)
+def _dense(cls: SparseClass, rank: int) -> tuple[int | Fraction, ...]:
+    base, exceptional = cls
+    vec = [*base, *[0] * (rank - len(base))]
+    for i, x in exceptional.items():
+        vec[i] = x
+    return tuple(vec)  # of a list: tuples grown from a generator linger in free lists
+
+
 class PrimeDivisor:
-    """A named irreducible curve (or divisor) with its lattice class."""
+    """A named irreducible curve: its sparse class ``base``/``exceptional``, and
+    D.D and D.K cached as ``square`` and ``k_degree`` (a strict transform by
+    multiplicity m changes them by exactly -m^2 and +m).  A divisor never
+    changes: a blow-up registers its incident curves' strict transforms as new
+    objects, so one fetched earlier keeps its old class, whose ``class_vector``
+    reads as the total transform (0 on newer coordinates)."""
 
-    name: str
-    class_vector: tuple[int, ...]
-    is_curve: bool = True
+    __slots__ = ("name", "base", "exceptional", "square", "k_degree", "_basis")
+
+    def __init__(self, name: str, cls: SparseClass, square: int, k_degree: int, basis: list[str]):
+        self.name, (self.base, self.exceptional) = name, cls
+        self.square, self.k_degree = square, k_degree
+        self._basis = basis  # the model's labels, so class_vector reads its current rank
+
+    @property
+    def class_vector(self) -> tuple[int, ...]:
+        return _dense((self.base, self.exceptional), len(self._basis))
 
 
 class QDivisor:
@@ -53,23 +83,13 @@ class QDivisor:
 
     __slots__ = ("named", "residual")
 
-    def __init__(
-        self,
-        named: Mapping[str, int | Fraction | str] | None = None,
-        residual: Sequence[int] | None = None,
-    ):
-        coeffs = {}
-        for name, c in (named or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                coeffs[name] = c
-        self.named: dict[str, Fraction] = coeffs
-        if residual is not None:
-            if any(x != int(x) for x in residual):
-                raise GeometryError("residual class must be integral")
-            self.residual: tuple[int, ...] | None = tuple(int(x) for x in residual)
-        else:
-            self.residual = None
+    def __init__(self, named: Mapping[str, int | Fraction | str] | None = None,
+                 residual: Sequence[int] | None = None):
+        coeffs = {name: Fraction(c) for name, c in (named or {}).items()}
+        self.named: dict[str, Fraction] = {name: c for name, c in coeffs.items() if c}
+        if residual is not None and any(x != int(x) for x in residual):
+            raise GeometryError("residual class must be integral")
+        self.residual = None if residual is None else tuple(int(x) for x in residual)
 
     def coefficient(self, name: str) -> Fraction:
         return self.named.get(name, Fraction(0))
@@ -87,10 +107,9 @@ class QDivisor:
         named = dict(self.named)
         for n, c in other.named.items():
             named[n] = named.get(n, Fraction(0)) + sign * c
-        if self.residual is None and other.residual is None:
-            res = None
-        else:
-            a = self.residual or (0,) * len(other.residual or ())
+        res = None
+        if self.residual is not None or other.residual is not None:
+            a = self.residual or (0,) * len(other.residual)
             b = other.residual or (0,) * len(a)
             if len(a) != len(b):
                 raise GeometryError("residual classes live in different lattices")
@@ -107,15 +126,10 @@ class QDivisor:
         return self.scaled(-1)
 
     def scaled(self, s: int | Fraction) -> "QDivisor":
+        """``s`` times the divisor; the residual must stay integral."""
         s = Fraction(s)
-        named = {n: s * c for n, c in self.named.items()}
-        res = self.residual
-        if res is not None:
-            scaled_res = [s * x for x in res]
-            if any(x.denominator != 1 for x in scaled_res):
-                raise GeometryError("scaling makes the residual class non-integral")
-            res = tuple(int(x) for x in scaled_res)
-        return QDivisor(named, res)
+        res = None if self.residual is None else [s * x for x in self.residual]
+        return QDivisor({n: s * c for n, c in self.named.items()}, res)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QDivisor):
@@ -146,16 +160,10 @@ class SurfaceModel:
     chi_structure_sheaf = 1
 
     def __init__(self, base: str):
-        if base == QUADRIC:
-            self.basis_labels = ["f_x", "f_y"]
-            self._base_gram = ((0, 1), (1, 0))
-            self._canonical = [-2, -2]
-        elif base == PLANE:
-            self.basis_labels = ["l"]
-            self._base_gram = ((1,),)
-            self._canonical = [-3]
-        else:
+        if base not in BASES:
             raise GeometryError(f"unknown base surface {base!r}")
+        labels, self.base_gram, canonical = BASES[base]
+        self.basis_labels, self._canonical = list(labels), list(canonical)
         self.base = base
         self.base_rank = len(self.basis_labels)
         self.prime_divisors: dict[str, PrimeDivisor] = {}
@@ -173,29 +181,20 @@ class SurfaceModel:
         if any(x != int(x) for x in class_vector):
             raise GeometryError("curve classes are integral lattice vectors")
         vec = tuple(int(x) for x in class_vector)
-        if len(vec) != self.rank:
-            raise GeometryError(
-                f"class vector of length {len(vec)} on a rank-{self.rank} lattice"
-            )
-        base_part = vec[: self.base_rank]
-        if any(x < 0 for x in base_part) or not any(vec):
-            raise GeometryError(
-                f"class {vec} is not effective-irreducible on the {self.base} base"
-            )
-        genus = self.arithmetic_genus(vec)
+        cls = self.sparse_class(vec)
+        if any(x < 0 for x in cls[0]) or not any(vec):
+            raise GeometryError(f"class {vec} is not effective-irreducible on the {self.base} base")
+        square, k_degree = self.pairing(cls, cls), self._k_degree(cls)
+        genus = Fraction(square + k_degree, 2) + 1
         if genus.denominator != 1 or genus < 0:
             raise GeometryError(
-                f"class {vec} has arithmetic genus {genus}; "
-                "no irreducible curve represents it"
+                f"class {vec} has arithmetic genus {genus}; no irreducible curve represents it"
             )
-        divisor = PrimeDivisor(name, vec, is_curve=True)
-        self.prime_divisors[name] = divisor
-        return divisor
+        self.prime_divisors[name] = PrimeDivisor(name, cls, square, k_degree, self.basis_labels)
+        return self.prime_divisors[name]
 
     def blow_up(
-        self,
-        exceptional_name: str,
-        incident: Iterable[tuple[str, int]] = (),
+        self, exceptional_name: str, incident: Iterable[tuple[str, int]] = ()
     ) -> PrimeDivisor:
         """Blow up a point specified by its incident curves and multiplicities.
 
@@ -205,47 +204,44 @@ class SurfaceModel:
         transforms of the incident curves, and updates the canonical class.
         """
         self._check_fresh(exceptional_name)
-        incident = list(incident)
         seen: dict[str, int] = {}
-        for name, mult in incident:
-            if name not in self.prime_divisors:
-                raise GeometryError(f"unknown curve {name!r} in incidence list")
-            if not self.prime_divisors[name].is_curve:
-                raise GeometryError(f"{name!r} is not a tracked curve")
-            if name in seen:
-                raise GeometryError(f"curve {name!r} listed twice in incidence list")
-            if not isinstance(mult, int) or mult < 1:
-                raise GeometryError(f"multiplicity of {name!r} must be an integer >= 1")
-            seen[name] = mult
-        for i, (x, mx) in enumerate(incident):
-            gx = self.arithmetic_genus(x)
-            if gx - Fraction(mx * (mx - 1), 2) < 0:
+        for x, mx in incident:
+            if x not in self.prime_divisors:
+                raise GeometryError(f"unknown curve {x!r} in incidence list")
+            if x in seen:
+                raise GeometryError(f"curve {x!r} listed twice in incidence list")
+            if not isinstance(mx, int) or mx < 1:
+                raise GeometryError(f"multiplicity of {x!r} must be an integer >= 1")
+            dx = self.prime_divisors[x]
+            if (twice_genus := dx.square + dx.k_degree + 2) < mx * (mx - 1):
                 raise GeometryError(
                     f"curve {x!r} cannot have a point of multiplicity {mx} "
-                    f"(genus budget {gx})"
+                    f"(genus budget {Fraction(twice_genus, 2)})"
                 )
-            for y, my in incident[i + 1 :]:
-                if self.intersect(x, y) < mx * my:
+            for y, my in seen.items():
+                if (meets := self.pairing(y, x)) < my * mx:
                     raise GeometryError(
-                        f"incidence budget violated: {x}.{y} = {self.intersect(x, y)} "
-                        f"< {mx}*{my}; the declared point cannot exist numerically"
+                        f"incidence budget violated: {y}.{x} = {meets} "
+                        f"< {my}*{mx}; the declared point cannot exist numerically"
                     )
+            seen[x] = mx
 
-        n = self.rank
-        self.basis_labels.append(exceptional_name)
+        index, basis = self.rank, self.basis_labels
+        basis.append(exceptional_name)
         self._canonical.append(1)
-        updated = {}
-        for name, div in self.prime_divisors.items():
-            updated[name] = PrimeDivisor(
-                name, div.class_vector + (-seen.get(name, 0),), div.is_curve
+        for name, m in seen.items():  # strict transforms; no other divisor changes
+            old = self.prime_divisors[name]
+            strict = (old.base, {**old.exceptional, index: -m})
+            self.prime_divisors[name] = PrimeDivisor(
+                name, strict, old.square - m * m, old.k_degree + m, basis
             )
-        self.prime_divisors = updated
-        exc = PrimeDivisor(exceptional_name, (0,) * n + (1,), is_curve=True)
-        self.prime_divisors[exceptional_name] = exc
-        return exc
+        exc = ((0,) * self.base_rank, {index: 1})
+        self.prime_divisors[exceptional_name] = PrimeDivisor(exceptional_name, exc, -1, -1, basis)
+        return self.prime_divisors[exceptional_name]
 
     def _check_fresh(self, name: str) -> None:
-        if name in self.prime_divisors or name in self.basis_labels:
+        # every exceptional label is also a registered divisor
+        if name in self.prime_divisors or name in self.basis_labels[: self.base_rank]:
             raise GeometryError(f"name {name!r} already in use")
 
     # -- queries ----------------------------------------------------------
@@ -258,7 +254,7 @@ class SurfaceModel:
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """The dense Gram matrix ``base ⊕ −I``, built on demand."""
         r, n = self.base_rank, self.rank
-        rows = [row + (0,) * (n - r) for row in self._base_gram]
+        rows = [row + (0,) * (n - r) for row in self.base_gram]
         rows += [(0,) * i + (-1,) + (0,) * (n - i - 1) for i in range(r, n)]
         return tuple(rows)
 
@@ -270,56 +266,61 @@ class SurfaceModel:
         """The canonical class as a QDivisor (pure residual, no named part)."""
         return QDivisor({}, self.canonical_class)
 
-    def total_class(self, d: DivisorLike) -> tuple[int | Fraction, ...]:
-        """Resolve a divisor (QDivisor, registered name, or raw class vector)
-        to its total class vector in the current basis, with exact ``int`` or
-        ``Fraction`` entries (a name gives its stored integer vector)."""
+    def sparse_class(self, d: DivisorLike | SparseClass) -> SparseClass:
+        """Resolve a divisor to its sparse class: a registered name gives its stored
+        class (shared, not copied), a QDivisor its residual plus its named classes
+        (an integral coefficient stays an ``int``), a class vector its nonzero
+        entries, and a sparse class itself.  Entries are ``int`` or ``Fraction``."""
         if isinstance(d, str):
-            try:
-                return self.prime_divisors[d].class_vector
-            except KeyError:
-                raise GeometryError(f"unknown divisor name {d!r}") from None
-        if isinstance(d, QDivisor):
-            total: list[int | Fraction] = [0] * self.rank if d.residual is None else list(d.residual)
-            if len(total) != self.rank:
-                raise GeometryError(
-                    f"residual class of length {len(total)} on a rank-{self.rank} lattice"
-                )
-            for name, coeff in d.named.items():
-                if name not in self.prime_divisors:
-                    raise GeometryError(f"unknown divisor name {name!r}")
-                for i, x in enumerate(self.prime_divisors[name].class_vector):
-                    if x:
-                        total[i] += coeff * x
-            return tuple(total)
-        # tuple() of a list, not of a generator: CPython grows a generator's
-        # tuple by resizing, and once freed such tuples pile up in its
-        # per-length free lists instead of being reused
-        vec = tuple([x if type(x) is int else Fraction(x) for x in d])
-        if len(vec) != self.rank:
-            raise GeometryError(
-                f"class vector of length {len(vec)} on a rank-{self.rank} lattice"
-            )
-        return vec
-
-    def pairing(
-        self, u: Sequence[int | Fraction], v: Sequence[int | Fraction]
-    ) -> int | Fraction:
-        """Intersection form on two class vectors in the current basis: the
-        base block's form on the first ``base_rank`` coordinates minus the dot
-        product of the exceptional coordinates.  Integer vectors give an int."""
+            if (div := self.prime_divisors.get(d)) is None:
+                raise GeometryError(f"unknown divisor name {d!r}")
+            return div.base, div.exceptional
+        if type(d) is tuple and len(d) == 2 and type(d[1]) is dict:
+            return d
         r = self.base_rank
-        base = sum(x * g * y for x, row in zip(u, self._base_gram) for g, y in zip(row, v))
-        return base - sum(x * y for x, y in zip(u[r:], v[r:]) if x and y)
+        if isinstance(d, QDivisor):
+            residual = ((0,) * r, {}) if d.residual is None else self.sparse_class(d.residual)
+            base, exceptional = list(residual[0]), residual[1]
+            for name, coeff in d.named.items():
+                named_base, named_exceptional = self.sparse_class(name)
+                c = coeff.numerator if coeff.denominator == 1 else coeff
+                for i, x in enumerate(named_base):
+                    base[i] += c * x
+                for i, x in named_exceptional.items():
+                    exceptional[i] = exceptional.get(i, 0) + c * x
+            return tuple(base), exceptional
+        vec = [x if type(x) is int else Fraction(x) for x in d]
+        if len(vec) != self.rank:
+            raise GeometryError(f"class vector of length {len(vec)} on a rank-{self.rank} lattice")
+        return tuple(vec[:r]), {i: x for i, x in enumerate(vec[r:], r) if x}
+
+    def total_class(self, d: DivisorLike) -> tuple[int | Fraction, ...]:
+        """The dense class vector: `sparse_class` with the zero coordinates filled in."""
+        return _dense(self.sparse_class(d), self.rank)
+
+    def pairing(self, u: DivisorLike | SparseClass, v: DivisorLike | SparseClass) -> int | Fraction:
+        """Intersection form on two classes (anything `sparse_class` resolves):
+        the base block's form on the base parts minus the dot product of the
+        exceptional parts, walked over the shorter exceptional support.
+        Integral classes give an int."""
+        (ub, ue), (vb, ve) = self.sparse_class(u), self.sparse_class(v)
+        if len(ue) > len(ve):
+            ue, ve = ve, ue
+        base = sum([x * g * y for x, row in zip(ub, self.base_gram) for g, y in zip(row, vb)])
+        return base - sum([x * ve[i] for i, x in ue.items() if i in ve])
+
+    def _k_degree(self, cls: SparseClass) -> int | Fraction:
+        """D.K against the dense K, whose exceptional coordinates are all 1."""
+        return self.pairing(cls, (self._canonical[: self.base_rank], {})) - sum(cls[1].values())
 
     def intersect(self, a: DivisorLike, b: DivisorLike) -> Fraction:
-        """Intersection number of two divisors: `pairing` of their total classes."""
-        return Fraction(self.pairing(self.total_class(a), self.total_class(b)))
+        """Intersection number of two divisors: `pairing` as a Fraction."""
+        return Fraction(self.pairing(a, b))
 
     def arithmetic_genus(self, d: DivisorLike) -> Fraction:
         """Adjunction genus D.(D + K)/2 + 1."""
-        d_vec = self.total_class(d)
-        return Fraction(self.pairing(d_vec, d_vec) + self.pairing(d_vec, self._canonical), 2) + 1
+        cls = self.sparse_class(d)
+        return Fraction(self.pairing(cls, cls) + self._k_degree(cls), 2) + 1
 
     def lattice_signature(self) -> tuple[int, int, int]:
         """Inertia of the Gram matrix; stays (1, rank-1, 0) under blow-ups."""

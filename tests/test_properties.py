@@ -25,7 +25,7 @@ from blowdown import (
     smith_normal_form,
     solve_linear,
 )
-from blowdown.errors import NotContractibleError, SingularMatrixError
+from blowdown.errors import GeometryError, NotContractibleError, SingularMatrixError
 from blowdown.exactlin import determinant, invert
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -345,6 +345,139 @@ class TestBaseBlockPairing:
             value = model.intersect(d1, d2)
             assert type(value) is F
             assert value == sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+class DenseLattice:
+    """Reference lattice for the sparse model: every class a full list, one
+    coordinate appended to every class per blow-up."""
+
+    def __init__(self, base):
+        self.block = BASES[base][0]
+        self.canonical = [-2, -2] if base == "quadric" else [-3]
+        self.classes = {}
+
+    def pair(self, u, v):
+        r = len(self.block)
+        base = sum(u[i] * self.block[i][j] * v[j] for i in range(r) for j in range(r))
+        return base - sum(x * y for x, y in zip(u[r:], v[r:]))
+
+    def total(self, d):
+        """The dense total class of a name, a QDivisor or a class vector."""
+        if isinstance(d, str):
+            return list(self.classes[d])
+        if isinstance(d, QDivisor):
+            total = list(d.residual or [0] * len(self.canonical))
+            for name, c in d.named.items():
+                total = [t + c * x for t, x in zip(total, self.classes[name])]
+            return total
+        return list(d)
+
+    def twice_genus(self, u):
+        return self.pair(u, u) + self.pair(u, self.canonical) + 2
+
+    def blow_up_allowed(self, incident):
+        if any(self.twice_genus(self.classes[x]) < m * (m - 1) for x, m in incident):
+            return False
+        return all(
+            self.pair(self.classes[x], self.classes[y]) >= mx * my
+            for i, (x, mx) in enumerate(incident)
+            for y, my in incident[i + 1 :]
+        )
+
+    def blow_up(self, name, incident):
+        mults = dict(incident)
+        for other, cls in self.classes.items():
+            cls.append(-mults.get(other, 0))
+        self.canonical.append(1)
+        self.classes[name] = [0] * (len(self.canonical) - 1) + [1]
+
+
+#: starting curves of each base with genus enough for points of multiplicity 2 and 3
+SPARSE_START = {
+    "quadric": {"C": (1, 3), "N": (2, 2), "M": (3, 3)},
+    "plane": {"L": (1,), "Cu": (3,), "Qr": (4,)},
+}
+
+
+class TestSparseClassesAgainstDenseReference:
+    """Random declare/blow-up sequences on the sparse model agree entry for
+    entry with a dense reference, and an object fetched before a blow-up keeps
+    its old class (read as the total transform)."""
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
+    def test_random_sequences(self, base, data):
+        model = new_quadric() if base == "quadric" else new_plane()
+        dense = DenseLattice(base)
+        for name, cls in SPARSE_START[base].items():
+            model.declare_curve(name, cls)
+            dense.classes[name] = list(cls)
+        for step in range(data.draw(st.integers(1, 7))):
+            if data.draw(st.booleans()):
+                self._declare(model, dense, f"D{step}", data)
+            else:
+                self._blow_up(model, dense, f"X{step}", data)
+            self._compare_classes(model, dense)
+        self._compare_divisors(model, dense, data)
+
+    @staticmethod
+    def _declare(model, dense, name, data):
+        r = model.base_rank
+        cls = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)) + data.draw(
+            st.lists(st.integers(-2, 1), min_size=model.rank - r, max_size=model.rank - r)
+        )
+        twice_genus = dense.twice_genus(cls)
+        if any(cls) and twice_genus >= 0 and twice_genus % 2 == 0:
+            assert model.declare_curve(name, cls).class_vector == tuple(cls)
+            dense.classes[name] = cls
+        else:
+            with pytest.raises(GeometryError):
+                model.declare_curve(name, cls)
+
+    @staticmethod
+    def _blow_up(model, dense, name, data):
+        names = data.draw(st.lists(st.sampled_from(sorted(dense.classes)), unique=True, max_size=3))
+        incident = [(n, data.draw(st.integers(1, 3))) for n in names]
+        if not dense.blow_up_allowed(incident):
+            with pytest.raises(GeometryError):
+                model.blow_up(name, incident)
+            return
+        fetched = dict(model.prime_divisors)
+        before = {n: list(cls) for n, cls in dense.classes.items()}
+        model.blow_up(name, incident)
+        dense.blow_up(name, incident)
+        for n, div in fetched.items():  # the total transform: 0 on the new coordinate
+            assert div.class_vector == tuple(before[n]) + (0,)
+            assert (div.square, div.k_degree) == (
+                dense.pair(before[n], before[n]), dense.pair(before[n], dense.canonical[:-1])
+            )
+
+    @staticmethod
+    def _compare_classes(model, dense):
+        assert model.canonical_class == tuple(dense.canonical)
+        for name, cls in dense.classes.items():
+            div = model.prime_divisors[name]
+            assert div.class_vector == tuple(cls)
+            assert (div.square, div.k_degree) == (dense.pair(cls, cls), dense.pair(cls, dense.canonical))
+            assert model.arithmetic_genus(name) == F(dense.twice_genus(cls), 2)
+
+    @staticmethod
+    def _compare_divisors(model, dense, data):
+        n = model.rank
+        names = st.sampled_from(sorted(dense.classes))
+        qdivisors = st.builds(
+            QDivisor,
+            st.dictionaries(names, small_rationals, max_size=4),
+            st.one_of(st.none(), st.lists(ints, min_size=n, max_size=n)),
+        )
+        vectors = st.lists(st.one_of(ints, small_rationals), min_size=n, max_size=n)
+        for _ in range(5):
+            d1, d2 = data.draw(st.one_of(names, qdivisors, vectors)), data.draw(qdivisors)
+            u, v = dense.total(d1), dense.total(d2)
+            assert model.total_class(d2) == tuple(v)
+            value = model.intersect(d1, d2)
+            assert type(value) is F and value == dense.pair(u, v)
+            assert model.arithmetic_genus(d2) == F(dense.twice_genus(v), 2)
 
 
 class TestBlockwiseContraction:

@@ -11,6 +11,7 @@ from blowdown import ScenarioError, load_scenario, run_repro, run_scenario
 from blowdown.cli import main
 from blowdown.scenario import (
     BUNDLED_EXPECTED,
+    Scenario,
     bundled_scenario,
     canonical_json,
     parse_scenario,
@@ -72,6 +73,8 @@ def test_scenario_round_trip():
     scenario = bundled_scenario()
     rebuilt = parse_scenario(scenario.to_dict())
     assert rebuilt == scenario
+    assert scenario_digest(rebuilt) == scenario_digest(scenario)
+    scenario.to_dict()["checks"][0].clear()  # the caller's own copy
     assert scenario_digest(rebuilt) == scenario_digest(scenario)
 
 
@@ -418,6 +421,43 @@ class TestCli:
     def test_explore_invalid_exit_two(self, capsys):
         assert main(["explore", "--p", "3", "--points", "2"]) == 2
         assert "not contractible" in capsys.readouterr().err
+
+
+class TestBuildOnce:
+    """`blowdown run` builds the construction once: `run_scenario` takes the
+    trial build that `load_scenario` validated instead of building again."""
+
+    PATH = str(DATA / "keel-mckernan-p3.json")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = Scenario.build
+
+        def counted(scenario):
+            calls.append(scenario.name)
+            return build(scenario)
+
+        monkeypatch.setattr(Scenario, "build", counted)
+        return calls
+
+    def test_cli_run(self, builds, tmp_path):
+        assert main(["run", "--scenario", self.PATH, "--out", str(tmp_path / "r.txt")]) == 0
+        assert builds == ["keel-mckernan-p3"]
+
+    def test_load_then_run(self, builds):
+        assert run_scenario(load_scenario(self.PATH)).passed
+        assert len(builds) == 1
+
+    def test_parsed_scenario_still_builds(self, builds):
+        assert run_scenario(parse_scenario(bundled_dict())).passed
+        assert len(builds) == 1
+
+    def test_loaded_scenario_runs_twice_identically(self, builds):
+        scenario = load_scenario(self.PATH)
+        first, second = (canonical_json(run_scenario(scenario).to_dict()) for _ in range(2))
+        assert first == second == (DATA / BUNDLED_EXPECTED).read_text()
+        assert len(builds) == 2  # the trial build serves one run
 
 
 def _json_paths(node, prefix=()):

@@ -203,6 +203,8 @@ def test_total_class_resolution():
     m.declare_curve("C", (1, 3))
     d = QDivisor({"C": F(1, 3)}, residual=(1, 0))
     assert m.total_class(d) == (F(4, 3), 1)
+    # an integral coefficient keeps the entries ints
+    assert [type(x) for x in m.total_class(QDivisor({"C": 2}, residual=(1, 0)))] == [int, int]
     with pytest.raises(GeometryError, match="unknown divisor"):
         m.total_class("missing")
     with pytest.raises(GeometryError, match="unknown divisor"):
