@@ -85,10 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         emit_report(report.to_text(), report.to_dict(), args.format, args.out)
         return 0 if report.passed else 1
-    except (ScenarioError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

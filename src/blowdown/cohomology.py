@@ -26,20 +26,16 @@ from .contraction import Contraction
 from .errors import GeometryError, LerayHypothesisError
 from .surface import DivisorLike, QDivisor, SurfaceModel
 
-#: chi(O) of a rational surface, the constant term of Riemann-Roch here.
-CHI_TRIVIAL = Fraction(1)
-
 NEF_HYPOTHESIS_NOTE = "hypothesis of [Kol13, Thm 10.4] verified numerically"
 
 
 def euler_characteristic(model: SurfaceModel, d: DivisorLike) -> Fraction:
-    """Riemann-Roch: chi(D) = chi(O) + D.(D - K)/2, for integral classes."""
-    total = model.total_class(d)
-    if any(x.denominator != 1 for x in total):
-        raise GeometryError(f"Euler characteristic of a non-integral class {total}")
-    k = model.canonical_class
-    d_minus_k = tuple(x - y for x, y in zip(total, k))
-    return CHI_TRIVIAL + model.intersect(total, d_minus_k) / 2
+    """Riemann-Roch: chi(D) = chi(O) + (D.D - D.K)/2, for integral classes."""
+    cls = model.sparse_class(d)
+    if any(x.denominator != 1 for x in (*cls[0], *cls[1].values())):
+        raise GeometryError(f"Euler characteristic of a non-integral class {model.total_class(d)}")
+    square, k_degree = model.pairing(cls, cls), model.pairing(cls, model.canonical_class)
+    return model.chi_structure_sheaf + Fraction(square - k_degree, 2)
 
 
 def h0_on_quadric(a: int, b: int) -> int:

@@ -12,6 +12,7 @@ the target, and rank-one positivity tests against a witness curve.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -77,6 +78,14 @@ def hirzebruch_jung_type(bs: Sequence[int]) -> tuple[int, int]:
         raise GeometryError(f"chain {bs} does not contract to a quotient point")
     q %= n  # n = 1 gives (1, 0)
     return (n, min(q, pow(q, -1, n)))
+
+
+def singular_point_census(
+    reports: Iterable[SingularPointReport],
+) -> tuple[tuple[int, int, int], ...]:
+    """(n, q, count) for each type 1/n(1, q) among ``reports``, sorted."""
+    counts = Counter(report.hj_type for report in reports)
+    return tuple(sorted((n, q, c) for (n, q), c in counts.items()))
 
 
 class Contraction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contraction import Contraction, SingularPointReport, contract
+from .contraction import Contraction, SingularPointReport, contract, singular_point_census
 from .errors import GeometryError
 from .surface import SurfaceModel, new_quadric
 
@@ -125,10 +125,7 @@ def explore_frobenius(p: int, n_points: int) -> ExplorationReport:
     else:
         verdict = "canonically_ample"
     reports = con.classify_singularities()
-    counts: dict[tuple[int, int], int] = {}
-    for report in reports:
-        counts[report.hj_type] = counts.get(report.hj_type, 0) + 1
-    census = tuple(sorted((n, q, c) for (n, q), c in counts.items()))
+    census = singular_point_census(reports)
     provenance = (
         REFERENCE_PROVENANCE if (p, n_points) == (3, 3) else EXTRAPOLATED_PROVENANCE
     )

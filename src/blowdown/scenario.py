@@ -7,6 +7,10 @@ the construction, evaluates every check, and produces a report whose JSON
 serialization is canonical (sorted keys, rationals as "num/den" strings), so
 two runs of the same scenario are byte-identical.
 
+The format is stated once, in the table `DOCUMENT_SCHEMA` (with the fields of
+each check kind in `CHECK_SCHEMAS`), which is its reference; `parse_scenario`
+walks that table once with `_parse_field`.
+
 Exit-code taxonomy used by the CLI: a malformed scenario or a numerically
 impossible construction is *invalid input*; a check whose computed values
 differ from the expectations is a *mathematical failure*.
@@ -21,14 +25,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .cohomology import (
     verify_h0_anticanonical_zero,
     verify_kvv_failure,
 )
 from .cone import build_cone, local_cohomology_certificate
-from .contraction import Contraction, SingClass, contract
+from .contraction import Contraction, SingClass, contract, singular_point_census
 from .errors import GeometryError, ScenarioError
 from .surface import PLANE, QUADRIC, QDivisor, SurfaceModel, new_plane, new_quadric
 
@@ -55,17 +59,6 @@ def scenario_digest(scenario: "Scenario") -> str:
 
 #: A rational string: an integer or "num/den", no exponent, point or space.
 RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ScenarioError(f"{where}: expected an exact rational, got {value!r}")
-    if isinstance(value, str) and not RATIONAL_STRING.fullmatch(value):
-        raise ScenarioError(f'{where}: bad rational {value!r} (expected a string like "2/3")')
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"{where}: bad rational {value!r} ({exc})") from None
 
 
 def rational_str(value: Fraction | int) -> str:
@@ -164,152 +157,64 @@ class ScenarioRun:
 
 
 def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: top level must be an object")
-    schema = raw.get("schema")
-    if schema != SCENARIO_SCHEMA:
-        raise ScenarioError(f"{where}: schema must be {SCENARIO_SCHEMA!r}, got {schema!r}")
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioError(f"{where}: 'name' must be a nonempty string")
-    base = raw.get("base")
-    if base not in (QUADRIC, PLANE):
-        raise ScenarioError(f"{where}: base must be 'quadric' or 'plane', got {base!r}")
-    _reject_unknown(raw, DOCUMENT_FIELDS["scenario"], where)
-
-    curves = []
-    for i, entry in enumerate(_expect_list(raw, "curves", where)):
-        cname = _expect_str(entry, "name", f"{where}.curves[{i}]")
-        _reject_unknown(entry, DOCUMENT_FIELDS["curves"], f"{where}.curves[{i}]")
-        vec = entry.get("class")
-        if not isinstance(vec, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
-            raise ScenarioError(f"{where}.curves[{i}]: 'class' must be a list of integers")
-        curves.append((cname, tuple(vec)))
-
-    blowups = []
-    for i, entry in enumerate(_expect_list(raw, "blowups", where)):
-        bname = _expect_str(entry, "name", f"{where}.blowups[{i}]")
-        _reject_unknown(entry, DOCUMENT_FIELDS["blowups"], f"{where}.blowups[{i}]")
-        incident = []
-        raw_incident = entry.get("incident", [])
-        if not isinstance(raw_incident, list):
-            raise ScenarioError(f"{where}.blowups[{i}]: 'incident' must be a list")
-        for j, inc in enumerate(raw_incident):
-            at = f"{where}.blowups[{i}].incident[{j}]"
-            curve = _expect_str(inc, "curve", at)
-            _reject_unknown(inc, DOCUMENT_FIELDS["incident"], at)
-            mult = inc.get("mult")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise ScenarioError(f"{at}: 'mult' must be an integer >= 1")
-            incident.append((curve, mult))
-        blowups.append((bname, tuple(incident)))
-
-    contraction = raw.get("contraction", [])
-    if not isinstance(contraction, list) or not all(isinstance(x, str) for x in contraction):
-        raise ScenarioError(f"{where}: 'contraction' must be a list of names")
-
-    known_names = {n for n, _ in curves} | {n for n, _ in blowups}
-    divisors = []
-    raw_divisors = raw.get("divisors", {})
-    if not isinstance(raw_divisors, dict):
-        raise ScenarioError(f"{where}: 'divisors' must be an object")
-    for dname, coeffs in raw_divisors.items():
-        # resolve() would read such a name as K, a negation or the curve
-        if dname == "K" or dname.startswith("-") or dname in known_names:
-            raise ScenarioError(
-                f"{where}.divisors[{dname!r}]: a divisor name must not be 'K', "
-                "start with '-' or be a curve or blow-up name"
-            )
-        if not isinstance(coeffs, dict):
-            raise ScenarioError(f"{where}.divisors[{dname!r}]: must be an object")
-        parsed = []
-        for cname, value in coeffs.items():
-            if cname not in known_names:
-                raise ScenarioError(
-                    f"{where}.divisors[{dname!r}]: unknown curve {cname!r}"
-                )
-            parsed.append((cname, parse_rational(value, f"{where}.divisors[{dname!r}][{cname!r}]")))
-        divisors.append((dname, tuple(parsed)))
-
-    names = {CURVE: known_names, REF: known_names | {n for n, _ in divisors} | {"K"}}
-    checks, specs = [], []
-    for i, check in enumerate(_expect_list(raw, "checks", where)):
-        kind = _expect_str(check, "kind", f"{where}.checks[{i}]")
-        if kind not in CHECK_SCHEMAS:
-            raise ScenarioError(f"{where}.checks[{i}]: unknown check kind {kind!r}")
-        body = {k: v for k, v in check.items() if k != "kind"}
-        spec = _parse_field(CHECK_SCHEMAS[kind], body, f"{where}.checks", f"[{i}]", names)
-        checks.append(check)
-        specs.append({"kind": kind, **spec})
-
-    for i, cname in enumerate(contraction):
-        if cname not in known_names:
-            raise ScenarioError(f"{where}: contraction[{i}] references unknown {cname!r}")
-
+    """Parse a scenario document against `DOCUMENT_SCHEMA`; every error's
+    location starts with ``where``."""
+    doc = _parse_field(DOCUMENT_SCHEMA, raw, where, {CURVE: set(), REF: {"K"}})
     return Scenario(
-        name=name,
-        base=base,
-        curves=tuple(curves),
-        blowups=tuple(blowups),
-        contraction=tuple(contraction),
-        divisors=tuple(divisors),
-        checks=tuple(checks),
-        specs=tuple(specs),
+        name=doc["name"],
+        base=doc["base"],
+        curves=tuple((c["name"], tuple(c["class"])) for c in doc["curves"]),
+        blowups=tuple(
+            (b["name"], tuple((i["curve"], i["mult"]) for i in b["incident"]))
+            for b in doc["blowups"]
+        ),
+        contraction=tuple(doc["contraction"]),
+        divisors=tuple((n, tuple(c.items())) for n, c in doc.get("divisors", {}).items()),
+        checks=tuple(raw.get("checks", ())),
+        specs=tuple(doc["checks"]),
     )
 
 
-def _expect_list(raw: dict, key: str, where: str) -> list:
-    value = raw.get(key, [])
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}: '{key}' must be a list")
-    return value
+# -- the document schema ------------------------------------------------------------
 
+# Leaf types.  A rational is an integer or a "num/den" string and parses to a
+# Fraction; ``INTS`` is a list of integers, ``MULT`` an integer >= 1, ``NAME`` a
+# nonempty string.  A ``REF`` is a divisor reference (see
+# ``ScenarioRun.resolve``) and a ``CURVE`` a declared curve or blow-up name.
+# ``NEW_CURVE`` declares a curve or blow-up name, and ``NEW_DIVISOR`` a divisor
+# name, which must not be 'K', start with '-' or be a curve or blow-up name
+# (resolve() would read it as K, a negation or the curve).  ``CHECK`` is a
+# check, parsed against the ``CHECK_SCHEMAS`` entry of its kind.  A tuple, or
+# an enum such as ``SingClass``, takes one of its values.
+RATIONAL, INT, BOOL, INTS, MULT = "<rational>", "<int>", "<bool>", "<ints>", "<mult>"
+STR, NAME, REF, CURVE = "<str>", "<name>", "<ref>", "<curve>"
+NEW_CURVE, NEW_DIVISOR, CHECK = "<new curve>", "<new divisor>", "<check>"
 
-def _expect_str(entry: Any, key: str, where: str) -> str:
-    if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
-        raise ScenarioError(f"{where}: missing string field '{key}'")
-    return entry[key]
+# A key ending in "?" is optional, and an absent optional list reads as empty.
+# ``[item]`` is a list of items, ``{leaf: item}`` a map whose keys are that
+# leaf, and any other dict an object with exactly those keys.  An object's
+# fields are parsed in the order given, so every name is declared before the
+# fields that refer to it.
 
-
-def _reject_unknown(entry: dict, fields: Iterable[str], where: str) -> None:
-    for name in entry:
-        if name not in fields:
-            raise ScenarioError(f"{where}: unknown field {name!r}")
-
-
-#: The fields of the document outside its checks: the top level, and each
-#: entry of ``curves``, ``blowups`` and a blow-up's ``incident`` list.
-DOCUMENT_FIELDS = {
-    "scenario": (
-        "schema", "name", "base", "curves", "blowups", "contraction", "divisors", "checks"
-    ),
-    "curves": ("name", "class"),
-    "blowups": ("name", "incident"),
-    "incident": ("curve", "mult"),
+#: The scenario document.
+DOCUMENT_SCHEMA: dict = {
+    "schema": (SCENARIO_SCHEMA,),
+    "name": NAME,
+    "base": (QUADRIC, PLANE),
+    "curves?": [{"name": NEW_CURVE, "class": INTS}],
+    "blowups?": [{"name": NEW_CURVE, "incident?": [{"curve": STR, "mult": MULT}]}],
+    "contraction?": [CURVE],
+    "divisors?": {NEW_DIVISOR: {CURVE: RATIONAL}},
+    "checks?": [CHECK],
 }
 
-
-# -- check schemas ----------------------------------------------------------------
-
-# Leaf types of a check field.  A rational is an integer or a "num/den" string
-# and parses to a Fraction; ``INTS`` is a list of integers; a ``REF`` is a
-# divisor reference (see ``ScenarioRun.resolve``); a ``CURVE`` is a declared
-# curve or blow-up name; ``SingClass`` takes one of its values.
-RATIONAL, INT, BOOL, INTS, REF, CURVE = "rational", "int", "bool", "ints", "ref", "curve"
-
-#: The key of a map from curve or blow-up names to values.
-ANY_CURVE = "<curve>"
-
-# The fields of each check kind besides "kind".  A key ending in "?" is
-# optional, and an absent optional list reads as empty.  ``[item]`` is a list
-# of items, ``{ANY_CURVE: leaf}`` a map keyed by curve names, and any other
-# dict an object with exactly those keys.
+#: The fields of each check kind besides "kind".
 CHECK_SCHEMAS: dict[str, dict] = {
     "intersection-table": {
         "entries?": [{"a": REF, "b": REF, "expect": RATIONAL}],
     },
     "canonical-pullback": {
-        "expect_coefficients?": {ANY_CURVE: RATIONAL},
+        "expect_coefficients?": {CURVE: RATIONAL},
         "expect_min_discrepancy?": RATIONAL,
         "expect_classification?": SingClass,
     },
@@ -334,9 +239,9 @@ CHECK_SCHEMAS: dict[str, dict] = {
     "kvv-failure": {
         "divisor": REF,
         "expect?": {
-            "expansion?": {ANY_CURVE: RATIONAL},
-            "floor?": {ANY_CURVE: RATIONAL},
-            "nef_degrees?": {ANY_CURVE: RATIONAL},
+            "expansion?": {CURVE: RATIONAL},
+            "floor?": {CURVE: RATIONAL},
+            "nef_degrees?": {CURVE: RATIONAL},
             "k_dot_floor?": RATIONAL,
             "floor_squared?": RATIONAL,
             "euler_characteristic?": RATIONAL,
@@ -359,62 +264,108 @@ CHECK_SCHEMAS: dict[str, dict] = {
 }
 
 
-def _parse_field(schema: Any, value: Any, where: str, key: str, names: dict) -> Any:
+def _parse_field(schema: Any, value: Any, at: Any, names: dict) -> Any:
     """Check ``value`` against ``schema`` and return it with every leaf parsed.
 
-    ``where`` locates the enclosing object or list and ``key`` the value in it:
-    a field name, or ``[i]`` / ``['name']`` for an item.  ``names`` maps
-    ``REF`` and ``CURVE`` to the names each accepts."""
-    item = key.startswith("[")
-    path = where + key if item else f"{where}.{key}"
-    if isinstance(schema, (list, dict)) and not isinstance(value, type(schema)):
-        what = "a list" if isinstance(schema, list) else "an object"
-        raise ScenarioError(f"{path}: must be {what}" if item else f"{where}: '{key}' must be {what}")
-    if isinstance(schema, list):
-        return [_parse_field(schema[0], x, path, f"[{i}]", names) for i, x in enumerate(value)]
-    if isinstance(schema, dict) and ANY_CURVE in schema:
-        return {
-            _parse_field(CURVE, name, path, f"[{name!r}]", names): _parse_field(
-                schema[ANY_CURVE], x, path, f"[{name!r}]", names
-            )
-            for name, x in value.items()
-        }
-    if isinstance(schema, dict):
-        fields = {k.rstrip("?"): k for k in schema}
-        _reject_unknown(value, fields, path)
+    ``at`` locates the value: the document's own location, or ``(parent, key)``
+    with ``key`` a field name, an item index or a 1-tuple holding a map key;
+    `_error` formats it only for a message.  ``names`` holds the curve and the
+    divisor names declared so far, which ``CURVE`` and ``REF`` accept."""
+    if isinstance(schema, (list, dict)):
+        if not isinstance(value, type(schema)):
+            what = "a list" if isinstance(schema, list) else "an object"
+            if isinstance(at, tuple) and isinstance(at[1], str):  # a field names itself
+                raise _error(at[0], f"'{at[1]}' must be {what}")
+            raise _error(at, f"must be {what}")
+        if isinstance(schema, list):
+            return [_parse_field(schema[0], x, (at, i), names) for i, x in enumerate(value)]
+        if len(schema) == 1 and (key := next(iter(schema)))[0] == "<":  # a map, keyed by a leaf
+            item = schema[key]
+            return {
+                _parse_field(key, k, (at, (k,)), names): _parse_field(item, x, (at, (k,)), names)
+                for k, x in value.items()
+            }
+        for k in value:
+            # a key is a required field's name or an optional one's without its "?"
+            if (k[-1] == "?") if k in schema else (f"{k}?" not in schema):
+                raise _error(at, f"unknown field {k!r}")
         out = {}
-        for name, k in fields.items():
+        for k, item in schema.items():
+            name = k.rstrip("?")
             # a missing required field is checked as null, which no type accepts
-            if name in value or not k.endswith("?"):
-                out[name] = _parse_field(schema[k], value.get(name), path, name, names)
-            elif isinstance(schema[k], list):
+            if name in value or name == k:
+                out[name] = _parse_field(item, value.get(name), (at, name), names)
+            elif isinstance(item, list):
                 out[name] = []
         return out
-    if schema == RATIONAL:
-        return parse_rational(value, path)
-    if schema == INTS:
-        if not isinstance(value, list):
-            raise ScenarioError(f"{path}: must be a list of integers")
-        return [_parse_field(INT, x, path, f"[{i}]", names) for i, x in enumerate(value)]
-    if schema == INT:
+    if schema == REF:
+        if not isinstance(value, str) or (
+            (v := value.removeprefix("-")) not in names[REF] and v not in names[CURVE]
+        ):
+            raise _error(at, f"unknown divisor reference {value!r}")
+    elif schema == RATIONAL:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise _error(at, f"expected an exact rational, got {value!r}")
+        if isinstance(value, str) and not RATIONAL_STRING.fullmatch(value):
+            raise _error(at, f'bad rational {value!r} (expected a string like "2/3")')
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _error(at, f"bad rational {value!r} ({exc})") from None
+    elif schema in (INT, MULT):
         # bool is an int subclass, and True == 1 would pass an equality check
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ScenarioError(f"{path}: must be an integer")
-    elif schema == BOOL:
-        if not isinstance(value, bool):
-            raise ScenarioError(f"{path}: must be true or false")
-    elif schema == REF:
-        if not isinstance(value, str) or value.removeprefix("-") not in names[REF]:
-            raise ScenarioError(f"{path}: unknown divisor reference {value!r}")
+        if not isinstance(value, int) or isinstance(value, bool) or schema == MULT and value < 1:
+            raise _error(at, "must be an integer" if schema == INT else "must be an integer >= 1")
+    elif schema in (STR, NEW_CURVE):
+        if not isinstance(value, str):
+            raise _error(at, "must be a string")
+        if schema == NEW_CURVE:
+            names[CURVE].add(value)
     elif schema == CURVE:
         if not isinstance(value, str) or value not in names[CURVE]:
-            raise ScenarioError(f"{path}: unknown curve {value!r}")
+            raise _error(at, f"unknown curve {value!r}")
+    elif schema == NAME:
+        if not isinstance(value, str) or not value:
+            raise _error(at, "must be a nonempty string")
+    elif schema == INTS:
+        if not isinstance(value, list):
+            raise _error(at, "must be a list of integers")
+        return [_parse_field(INT, x, (at, i), names) for i, x in enumerate(value)]
+    elif schema == BOOL:
+        if not isinstance(value, bool):
+            raise _error(at, "must be true or false")
+    elif schema == NEW_DIVISOR:
+        if not isinstance(value, str) or value == "K" or value[:1] == "-" or value in names[CURVE]:
+            raise _error(
+                at, "a divisor name must not be 'K', start with '-' or be a curve or blow-up name"
+            )
+        names[REF].add(value)
+    elif schema == CHECK:
+        if not isinstance(value, dict):
+            raise _error(at, "must be an object")
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in CHECK_SCHEMAS:
+            raise _error(at, f"unknown check kind {kind!r}")
+        body = {k: v for k, v in value.items() if k != "kind"}
+        return {"kind": kind, **_parse_field(CHECK_SCHEMAS[kind], body, at, names)}
     else:
-        classes = [c.value for c in schema]
-        if value not in classes:
-            raise ScenarioError(f"{path}: must be one of {classes}")
-        return schema(value)
+        choices = [getattr(c, "value", c) for c in schema]
+        if value not in choices:
+            raise _error(at, f"must be one of {choices}, got {value!r}")
+        return schema(value) if isinstance(schema, type) else value
     return value
+
+
+def _error(at: Any, message: str) -> ScenarioError:
+    """``message`` located at ``at`` (see `_parse_field`)."""
+    keys = []
+    while isinstance(at, tuple):
+        at, key = at
+        if isinstance(key, str):
+            keys.append(f".{key}")
+        else:  # an item index, or a 1-tuple holding a map key
+            keys.append(f"[{key!r}]" if isinstance(key, int) else f"[{key[0]!r}]")
+    return ScenarioError(f"{at}{''.join(reversed(keys))}: {message}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -424,7 +375,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+    # not UTF-8, an integer past the digit limit, or nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from None
     scenario = parse_scenario(raw, where=path)
     try:
@@ -581,10 +533,7 @@ def _check_rank_one_positivity(run: ScenarioRun, spec: dict) -> CheckResult:
 def _check_singular_points(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
     reports = run.contraction.classify_singularities()
-    counts: dict[tuple[int, int], int] = {}
-    for report in reports:
-        counts[report.hj_type] = counts.get(report.hj_type, 0) + 1
-    census = sorted((n, q, c) for (n, q), c in counts.items())
+    census = list(singular_point_census(reports))
     expected = sorted((entry["n"], entry["q"], entry["count"]) for entry in spec["expect"])
     expect.eq("singular point census", census, expected)
     expect.present(spec, (("expect_total", "total singular points", len(reports)),))

@@ -266,10 +266,19 @@ class TestValidation:
                 lambda r: r["blowups"][0]["incident"][0].update(mutl=1),
                 "scenario.json.blowups[0].incident[0]: unknown field 'mutl'",
             ),
+            (
+                lambda r: r["blowups"][0].update({"incident?": []}),
+                "scenario.json.blowups[0]: unknown field 'incident?'",
+            ),
+            (
+                lambda r: check_of(r, "cone").update({"expect?": {}}),
+                "checks[6]: unknown field 'expect?'",
+            ),
         ],
         ids=["misspelt-key", "census-extra-key", "fiber-K", "curve-divisor",
              "coefficients-curve", "expansion-curve", "nef-degrees-curve",
-             "top-level-key", "curve-key", "blowup-key", "incidence-key"],
+             "top-level-key", "curve-key", "blowup-key", "incidence-key",
+             "optional-marker-key", "check-optional-marker-key"],
     )
     def test_schema_rejects(self, tmp_path, capsys, mutate, message):
         raw = bundled_dict()
@@ -301,6 +310,41 @@ class TestValidation:
         path.write_bytes(text)
         assert main(["run", "--scenario", str(path)]) == 2
         assert f"error: {path}: parse error" in capsys.readouterr().err
+
+    # json.load recurses once per level, past the interpreter's recursion limit
+    def test_deep_nesting_rejected(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert f"error: {path}: parse error" in capsys.readouterr().err
+
+    # the fields outside the checks are located like those in them
+    @pytest.mark.parametrize(
+        "mutate, location",
+        [
+            (lambda r: r.update(name=["x"]), ("name",)),
+            (lambda r: r.update(name=""), ("name",)),
+            (lambda r: r.update(base="torus"), ("base",)),
+            (lambda r: r.update(curves={}), ("curves",)),
+            (lambda r: r["curves"][0]["class"].append(True), ("curves[0]", "class")),
+            (lambda r: r["blowups"][0].update(incident={}), ("blowups[0]", "incident")),
+            (lambda r: r["blowups"][0]["incident"][0].update(mult=0), ("blowups[0].incident[0]", "mult")),
+            (lambda r: r["blowups"][0]["incident"][0].update(mult=True), ("blowups[0].incident[0]", "mult")),
+            (lambda r: r["blowups"][0]["incident"][0].pop("mult"), ("blowups[0].incident[0]", "mult")),
+            (lambda r: r["contraction"].append(5), ("contraction",)),
+            (lambda r: r.update(divisors=[]), ("divisors",)),
+        ],
+        ids=["name-list", "name-empty", "base", "curves", "class-bool", "incident",
+             "mult-zero", "mult-bool", "mult-missing", "contraction-int", "divisors"],
+    )
+    def test_document_field_rejected(self, tmp_path, capsys, mutate, location):
+        raw = bundled_dict()
+        mutate(raw)
+        assert run_cli(raw, tmp_path) == 2
+        prefix = f"error: {tmp_path / 'scenario.json'}"
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert all(part in err[len(prefix):] for part in location)
 
     # build errors are located like parse errors, from the file path on
     @pytest.mark.parametrize(
