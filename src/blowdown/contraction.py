@@ -6,7 +6,9 @@ contracted surface (the unique correction supported on the contracted curves
 that is orthogonal to all of them, solved per connected block: Mumford 1961,
 Artin 1962), pushforwards, discrepancies and their singularity class, the
 cyclic-quotient type of every contracted chain, the divisor class group of
-the target, and rank-one positivity tests against a witness curve.
+the target, and rank-one positivity tests against a witness curve.  A
+reduced chain is solved and typed by its continuants (Hirzebruch 1953), any
+other block by dense exact elimination.
 """
 
 from __future__ import annotations
@@ -61,23 +63,36 @@ class ClassGroupReport:
     torsion: tuple[int, ...]
 
 
+def _continuants(bs: Sequence[int]) -> list[int]:
+    """P_0 = 1, P_1 = b_1, P_i = b_i*P_(i-1) - P_(i-2): the leading principal
+    minors of tridiag(b_i; -1), the negated Gram matrix of a chain."""
+    out = [0, 1]  # P_-1 = 0 and P_0
+    for b in bs:
+        out.append(b * out[-1] - out[-2])
+    return out[1:]
+
+
+def _hj_pair(n: int, q: int) -> tuple[int, int]:
+    """1/n(1, q) with the smaller of the two orientations' weights."""
+    q %= n  # n = 1 gives (1, 0)
+    return (n, min(q, pow(q, -1, n)))
+
+
 def hirzebruch_jung_type(bs: Sequence[int]) -> tuple[int, int]:
     """(n, q) with n/q = b1 - 1/(b2 - 1/(...)), canonicalized as documented
     on SingularPointReport.  n = 1 means the chain contracts to a smooth
-    point (reported as (1, 0))."""
+    point (reported as (1, 0)).  n and q are the continuants of b1..bk and
+    b2..bk; a zero continuant of a shorter tail makes the fraction degenerate."""
     bs = [int(b) for b in bs]
     if not bs:
         raise GeometryError("empty chain")
-    value = Fraction(bs[-1])
-    for b in reversed(bs[:-1]):
-        if value == 0:
-            raise GeometryError(f"chain {bs} is degenerate (zero continuant)")
-        value = b - 1 / value
-    n, q = value.numerator, value.denominator
-    if n <= 0:
+    tails = _continuants(bs[::-1])  # tails[m]: continuant of the last m entries
+    if 0 in tails[1:-1]:
+        raise GeometryError(f"chain {bs} is degenerate (zero continuant)")
+    n, q = tails[-1], tails[-2]
+    if n * q <= 0:  # n/q <= 0
         raise GeometryError(f"chain {bs} does not contract to a quotient point")
-    q %= n  # n = 1 gives (1, 0)
-    return (n, min(q, pow(q, -1, n)))
+    return _hj_pair(abs(n), abs(q))
 
 
 def singular_point_census(
@@ -89,12 +104,13 @@ def singular_point_census(
 
 
 class Contraction:
-    """A validated contraction, immutable once built.  Construction tests
-    and inverts the Gram matrix of each connected block of the contracted
-    curves on its own (the Gram matrix is block diagonal along them); a
-    pullback then pairs the divisor with every contracted curve once and
-    multiplies by each block's inverse.
-    """
+    """A validated contraction, immutable once built.  Construction walks
+    each connected block of the contracted curves on its own (the Gram
+    matrix is block diagonal along them).  A reduced chain (neighbours meet
+    once, nothing else meets) is ordered once and keeps its continuants,
+    which test it (Sylvester) and solve a pullback in O(k) integer steps; any
+    other block is tested and inverted densely, and a pullback multiplies by
+    its inverse."""
 
     def __init__(self, model: SurfaceModel, curve_names: Iterable[str]):
         names = list(curve_names)
@@ -118,23 +134,40 @@ class Contraction:
             if meets := model.pairing(self._classes[i], self._classes[j]):
                 self._rows[i][j] = self._rows[j][i] = meets
 
-        self._blocks: list[tuple[list[int], list[list[Fraction]]]] = []
+        # a reduced chain keeps its order and continuants, any other block its inverse
+        self._chains: list[tuple[list[int], list[int], list[int]]] = []
+        self._others: list[tuple[list[int], list[list[Fraction]]]] = []
         seen: set[int] = set()
         for start in range(len(names)):
             if start in seen:
                 continue
             block = [start]
+            seen.add(start)
             for cur in block:  # grows while it is walked
-                block += [j for j in self._rows[cur] if j not in block]
-            seen.update(block)
+                new = [j for j in self._rows[cur] if j not in seen]
+                seen.update(new)
+                block += new
             block.sort()
-            gram = [[self._rows[i].get(j, 0) for j in block] for i in block]
-            if not is_negative_definite(gram):
-                raise NotContractibleError(
-                    "not contractible (numerical criterion): the Gram matrix of "
-                    f"the block {[names[i] for i in block]} is not negative definite"
-                )
-            self._blocks.append((block, invert(gram)))
+            degrees = [len(self._rows[i]) - 1 for i in block]  # a row holds its diagonal
+            if (max(degrees) <= 2 and sum(degrees) == 2 * len(block) - 2
+                    and all(m == 1 for i in block for j, m in self._rows[i].items() if j != i)):
+                order = [min(i for i, d in zip(block, degrees) if d <= 1)]
+                while len(order) < len(block):
+                    order.append(next(j for j in self._rows[order[-1]] if j not in order[-2:]))
+                bs = [-self._rows[i][i] for i in order]
+                lead = _continuants(bs)
+                if min(lead) > 0:  # Sylvester: every leading minor of -G is positive
+                    self._chains.append((order, lead, _continuants(bs[::-1])[::-1]))
+                    continue
+            else:
+                gram = [[self._rows[i].get(j, 0) for j in block] for i in block]
+                if is_negative_definite(gram):
+                    self._others.append((block, invert(gram)))
+                    continue
+            raise NotContractibleError(
+                "not contractible (numerical criterion): the Gram matrix of "
+                f"the block {[names[i] for i in block]} is not negative definite"
+            )
         self.source = model
         self.contracted = tuple(names)
 
@@ -156,10 +189,21 @@ class Contraction:
         return [self.source.pairing(total, cls) for cls in self._classes]
 
     def _corrections(self, d: DivisorLike) -> dict[str, Fraction]:
-        """Coefficients a_j with (D + sum a_j G_j).G_k = 0 for all k."""
+        """Coefficients a_j with (D + sum a_j G_j).G_k = 0 for all k.  On a
+        chain, a = (-G)^-1 (D.G) with (-G)^-1_ij = P_i*Q_(j+1)/P_k for i <= j
+        (0-based; P leading and Q trailing continuants): a prefix and a suffix sum."""
         pairings = self._pairings(d)
         coeffs: list[Fraction] = [Fraction(0)] * len(self.contracted)
-        for block, inverse in self._blocks:
+        for order, lead, trail in self._chains:
+            ds = [pairings[i] for i in order]
+            after = [0] * len(ds)  # after[i]: the sum of Q_(j+1)*d_j over j > i
+            for i in range(len(ds) - 1, 0, -1):
+                after[i - 1] = after[i] + trail[i + 1] * ds[i]
+            before = 0  # the sum of P_j*d_j over j <= i
+            for i, x in enumerate(ds):
+                before += lead[i] * x
+                coeffs[order[i]] = Fraction(trail[i + 1] * before + lead[i] * after[i], lead[-1])
+        for block, inverse in self._others:
             for i, row in zip(block, inverse):
                 coeffs[i] = -sum(g * pairings[j] for g, j in zip(row, block))
         return dict(zip(self.contracted, coeffs))
@@ -220,29 +264,25 @@ class Contraction:
                         f"unsupported configuration: {names[i]}.{names[j]} = {meets} "
                         "(only reduced chains are classified)"
                     )
+        for block, _ in self._others[:1]:  # a block that is not a reduced chain
+            raise GeometryError(
+                f"unsupported configuration: component {sorted(names[i] for i in block)} "
+                "is not a chain"
+            )
         reports = []
-        for block, _ in self._blocks:
-            degrees = [len(rows[i]) - 1 for i in block]  # a row holds its diagonal
-            if sum(degrees) != 2 * len(block) - 2 or max(degrees) > 2:
-                raise GeometryError(
-                    f"unsupported configuration: component {sorted(names[i] for i in block)} "
-                    "is not a chain"
-                )
-            ordered = [min(i for i in block if len(rows[i]) <= 2)]
-            while len(ordered) < len(block):
-                ordered.append(next(j for j in rows[ordered[-1]] if j not in ordered[-2:]))
-            bs = [-rows[i][i] for i in ordered]
-            n_val, q_val = hirzebruch_jung_type(bs)
+        for order, lead, _ in self._chains:
+            n_val, q_val = _hj_pair(lead[-1], lead[-2])
             if n_val == 1:
                 continue  # contracts to a smooth point
-            chain = tuple(names[i] for i in ordered)
+            chain = tuple(names[i] for i in order)
+            bs = tuple(-rows[i][i] for i in order)
             if any(b < 2 for b in bs):
                 raise GeometryError(
                     f"unsupported configuration: chain {list(chain)} mixes a "
                     "(-1)-curve into a singular contraction"
                 )
             label = ChainLabel.A_N_CHAIN if all(b == 2 for b in bs) else ChainLabel.WEIGHTED_CYCLIC
-            reports.append(SingularPointReport(chain, tuple(bs), (n_val, q_val), label))
+            reports.append(SingularPointReport(chain, bs, (n_val, q_val), label))
         return reports
 
     # -- class group ------------------------------------------------------------

@@ -181,11 +181,11 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
 # Fraction; ``INTS`` is a list of integers, ``MULT`` an integer >= 1, ``NAME`` a
 # nonempty string.  A ``REF`` is a divisor reference (see
 # ``ScenarioRun.resolve``) and a ``CURVE`` a declared curve or blow-up name.
-# ``NEW_CURVE`` declares a curve or blow-up name, and ``NEW_DIVISOR`` a divisor
-# name, which must not be 'K', start with '-' or be a curve or blow-up name
-# (resolve() would read it as K, a negation or the curve).  ``CHECK`` is a
-# check, parsed against the ``CHECK_SCHEMAS`` entry of its kind.  A tuple, or
-# an enum such as ``SingClass``, takes one of its values.
+# ``NEW_CURVE`` declares a curve or blow-up name, which must not be 'K' or start
+# with '-', and ``NEW_DIVISOR`` a divisor name, which must also not be a curve
+# or blow-up name (resolve() would read it as K, a negation or the curve).
+# ``CHECK`` is a check, parsed against the ``CHECK_SCHEMAS`` entry of its kind.
+# A tuple, or an enum such as ``SingClass``, takes one of its values.
 RATIONAL, INT, BOOL, INTS, MULT = "<rational>", "<int>", "<bool>", "<ints>", "<mult>"
 STR, NAME, REF, CURVE = "<str>", "<name>", "<ref>", "<curve>"
 NEW_CURVE, NEW_DIVISOR, CHECK = "<new curve>", "<new divisor>", "<check>"
@@ -320,6 +320,8 @@ def _parse_field(schema: Any, value: Any, at: Any, names: dict) -> Any:
         if not isinstance(value, str):
             raise _error(at, "must be a string")
         if schema == NEW_CURVE:
+            if value == "K" or value[:1] == "-":
+                raise _error(at, "a curve or blow-up name must not be 'K' or start with '-'")
             names[CURVE].add(value)
     elif schema == CURVE:
         if not isinstance(value, str) or value not in names[CURVE]:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from blowdown import GeometryError, explore_frobenius
+from blowdown import GeometryError, SingClass, explore_frobenius
 from blowdown.explorer import (
     EXTRAPOLATED_PROVENANCE,
     REFERENCE_PROVENANCE,
@@ -113,3 +113,20 @@ def test_explore_matches_closed_forms(p, n):
     assert report.census == closed_form_census(p, n)
     reference = (p, n) == (3, 3)
     assert report.provenance == (REFERENCE_PROVENANCE if reference else EXTRAPOLATED_PROVENANCE)
+
+
+@pytest.mark.parametrize(
+    "p, n", [*((p, n) for p in range(2, 8) for n in range(3, 10)), (200, 3), (7, 40), (1000, 3)]
+)
+def test_discrepancies_match_closed_forms(p, n):
+    # a(C) = -1 + 2/(p(n-2)), a(F_i) = -1 + 2/p and 0 along every (-2)-chain;
+    # all three are 0 only at (2, 3), whose seven points are A_1
+    report = explore_frobenius(p, n)
+    discrepancies, singularity_class = report.contraction.discrepancies()
+    construction = report.construction
+    assert discrepancies[construction.curve] == -1 + F(2, p * (n - 2))
+    assert all(discrepancies[f] == -1 + F(2, p) for f in construction.fibers)
+    assert all(discrepancies[x] == 0 for tower in construction.towers for x in tower[:-1])
+    assert singularity_class is (SingClass.CANONICAL if (p, n) == (2, 3) else SingClass.KLT)
+    if (p, n) == (3, 3):
+        assert min(discrepancies.values()) == F(-1, 3)

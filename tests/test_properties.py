@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from blowdown import (
     ClassGroupReport,
@@ -480,20 +480,112 @@ class TestSparseClassesAgainstDenseReference:
             assert model.arithmetic_genus(d2) == F(dense.twice_genus(v), 2)
 
 
+def _blocks(gram):
+    """Connected blocks of the curves that ``gram`` pairs, as index lists."""
+    seen, blocks = set(), []
+    for start in range(len(gram)):
+        if start not in seen:
+            block = [start]
+            seen.add(start)
+            for i in block:
+                block += [j for j, x in enumerate(gram[i]) if x and j not in seen]
+                seen.update(block)
+            blocks.append(block)
+    return blocks
+
+
+def _is_reduced_chain(gram, block):
+    degrees = [sum(1 for j in block if j != i and gram[i][j]) for i in block]
+    ones = all(gram[i][j] in (0, 1) for i in block for j in block if i != j)
+    return ones and max(degrees) <= 2 and sum(degrees) == 2 * len(block) - 2
+
+
+def with_chain(model, data):
+    """Blow up a point and then, 4 to 7 times, a point on the last exceptional
+    curve alone, plus a few points on single curves of the chain: a reduced
+    chain of 5 to 8 curves, each of square <= -2 but the last, so negative
+    definite.  Returns the chain's names."""
+    chain = []
+    for i in range(data.draw(st.integers(5, 8))):
+        model.blow_up(f"Y{i}", [(chain[-1], 1)] if chain else [])
+        chain.append(f"Y{i}")
+    for i, name in enumerate(data.draw(st.lists(st.sampled_from(chain), max_size=4))):
+        model.blow_up(f"W{i}", [(name, 1)])
+    return chain
+
+
+def with_branch(model, base, data):
+    """A base curve made to square <= -2 with three arms of exceptional
+    (-2)-or-lower curves, of lengths (1, 1, r) or (1, 2, r): a D- or E-type
+    tree, so negative definite.  Returns the tree's names, centre first."""
+    centre = data.draw(st.sampled_from(sorted(BASES[base][1])))
+    tree = [centre]
+    arms = data.draw(st.sampled_from([(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
+                                      (1, 2, 4)]))
+    for a, length in enumerate(arms):
+        previous = centre
+        for i in range(length):
+            model.blow_up(f"A{a}x{i}", [(previous, 1)])
+            previous = f"A{a}x{i}"
+            tree.append(previous)
+        model.blow_up(f"B{a}", [(previous, 1)])  # the arm's last curve to -2
+    for i in range(int(model.intersect(centre, centre)) + 2):
+        model.blow_up(f"V{i}", [(centre, 1)])
+    for i, name in enumerate(data.draw(st.lists(st.sampled_from(tree), max_size=3))):
+        model.blow_up(f"W{i}", [(name, 1)])
+    return tree
+
+
+def with_disjoint(model, block, data):
+    """``block`` plus a random set of curves meeting none of it, shuffled."""
+    others = [n for n in sorted(model.prime_divisors)
+              if n not in block and all(model.intersect(n, b) == 0 for b in block)]
+    extra = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return data.draw(st.permutations(block + extra))
+
+
 class TestBlockwiseContraction:
-    """Contraction works block by block; one dense elimination of the whole
-    contracted Gram matrix is the oracle."""
+    """Contraction works block by block, chains by their continuants and any
+    other block densely; one dense elimination of the whole contracted Gram
+    matrix is the oracle."""
 
     @given(st.sampled_from(sorted(BASES)), st.data())
     @settings(deadline=None)
     def test_matches_dense_gram(self, base, data):
         model = random_tower(base, data, max_steps=10)
         names = data.draw(st.lists(st.sampled_from(sorted(model.prime_divisors)), unique=True))
+        self._compare(model, names, data)
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
+    def test_long_chains_match_dense_gram(self, base, data):
+        model = random_tower(base, data, max_steps=4)
+        chain = with_chain(model, data)
+        assert self._compare(model, data.draw(st.permutations(chain)), data)
+        names = with_disjoint(model, chain, data)
+        gram = [[model.intersect(a, b) for b in names] for a in names]
+        assert any(len(b) >= 5 and _is_reduced_chain(gram, b) for b in _blocks(gram))
+        self._compare(model, names, data)
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
+    def test_branched_blocks_match_dense_gram(self, base, data):
+        model = random_tower(base, data, max_steps=4)
+        tree = with_branch(model, base, data)
+        assert self._compare(model, data.draw(st.permutations(tree)), data)
+        names = with_disjoint(model, tree, data)
+        gram = [[model.intersect(a, b) for b in names] for a in names]
+        assert any(sum(1 for x in row if x) >= 4 for row in gram)  # a curve meeting three
+        self._compare(model, names, data)
+
+    @staticmethod
+    def _compare(model, names, data):
+        """The dense-Gram assertions; whether the curves were contractible."""
         gram = [[model.intersect(a, b) for b in names] for a in names]
         if not is_negative_definite(gram):
             with pytest.raises(NotContractibleError, match="not contractible"):
                 contract(model, names)
-            return
+            return False
         con = contract(model, names)
         assert con.gram == tuple(tuple(row) for row in gram)
         kept = sorted(set(model.prime_divisors) - set(names))
@@ -507,6 +599,106 @@ class TestBlockwiseContraction:
         assert [pullback.coefficient(n) for n in names] == expected
         nef, degrees = con.is_relatively_nef(d)
         assert degrees == dict(zip(names, pairings)) and nef == all(x >= 0 for x in pairings)
+        return True
+
+
+def _fraction_hj(bs):
+    """The continued fraction b1 - 1/(b2 - 1/(...)) evaluated in Fractions,
+    canonicalized like SingularPointReport; None where it is undefined or
+    not positive."""
+    value = F(bs[-1])
+    for b in reversed(bs[:-1]):
+        if value == 0:
+            return None
+        value = b - 1 / value
+    if value <= 0:
+        return None
+    n, q = value.numerator, value.denominator % value.numerator
+    return (n, min(q, pow(q, -1, n)))
+
+
+def chain_model(bs):
+    """Curves L0..L(k-1) on a blown-up quadric, k <= 5, with L_i^2 = -b_i
+    (b_i >= 1), meeting their neighbours once and nothing else.  Even
+    positions have class (1, 0) and odd ones (0, 1), so neighbours meet once
+    on the base; two curves of opposite rulings that are not neighbours pass
+    through one common blown-up point, and every curve through private ones
+    until its square is -b_i."""
+    k = len(bs)
+    points = [[] for _ in range(k)]
+    shared = [(i, j) for i in range(k) for j in range(i + 3, k, 2)]
+    for x, (i, j) in enumerate(shared):
+        points[i].append(x)
+        points[j].append(x)
+    for i, b in enumerate(bs):
+        assert len(points[i]) <= b
+        points[i] += [len(shared) + sum(bs[:i]) + m for m in range(b - len(points[i]))]
+    model = new_quadric()
+    rank = 2 + len(shared) + sum(bs)
+    for x in range(rank - 2):
+        model.blow_up(f"P{x}")
+    for i, on in enumerate(points):
+        cls = [1, 0] if i % 2 == 0 else [0, 1]
+        cls += [-1 if x in on else 0 for x in range(rank - 2)]
+        model.declare_curve(f"L{i}", cls)
+    return model
+
+
+class TestChainContinuants:
+    """Chains with b_i >= 1, degenerate and indefinite ones included: the
+    continuant path agrees with the dense elimination and its inverse."""
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.data())
+    @example(bs=[1, 1], data=None)
+    @example(bs=[1, 2, 1], data=None)
+    @example(bs=[2, 1, 2], data=None)
+    @settings(deadline=None)
+    def test_matches_elimination(self, bs, data):
+        model = chain_model(bs)
+        chain = [f"L{i}" for i in range(len(bs))]
+        names = data.draw(st.permutations(chain)) if data else chain
+        gram = [[model.intersect(a, b) for b in names] for a in names]
+        assert [model.intersect(c, c) for c in chain] == [-b for b in bs]
+        assert all(model.intersect(a, b) == (abs(i - j) == 1)
+                   for i, a in enumerate(chain) for j, b in enumerate(chain) if i != j)
+        if not is_negative_definite(gram):
+            with pytest.raises(NotContractibleError, match="not contractible"):
+                contract(model, names)
+            return
+        con = contract(model, names)
+        inverse = invert(gram)
+        for d in [model.canonical_divisor(), QDivisor({}, [1] + [0] * (model.rank - 1)),
+                  QDivisor({"P0": F(1, 3)}, [0, 2] + [0] * (model.rank - 2))]:
+            pairings = [model.intersect(d, n) for n in names]
+            expected = [-sum(g * x for g, x in zip(row, pairings)) for row in inverse]
+            assert expected == solve_linear(gram, [-x for x in pairings])
+            pullback = con.pullback(con.pushforward(d))
+            assert [pullback.coefficient(n) for n in names] == expected
+        if all(b >= 2 for b in bs):
+            [report] = con.classify_singularities()
+            assert report.hj_type == hirzebruch_jung_type(bs) == _fraction_hj(bs)
+            # read from the end that comes first among the contracted names
+            first = min(chain[0], chain[-1], key=names.index)
+            assert report.component == tuple(chain if first == chain[0] else chain[::-1])
+            squares = tuple(model.intersect(c, c) for c in report.component)
+            assert report.self_intersections == tuple(-x for x in squares)
+
+    @given(st.lists(st.integers(-2, 6), min_size=1, max_size=10))
+    @example(bs=[1, 1])
+    @example(bs=[2, 0])
+    @example(bs=[2, -1])
+    @example(bs=[-3])
+    def test_type_matches_continued_fraction(self, bs):
+        expected = _fraction_hj(bs)
+        if expected is None:
+            with pytest.raises(GeometryError):
+                hirzebruch_jung_type(bs)
+            return
+        assert hirzebruch_jung_type(bs) == expected
+        gram = [[-b if i == j else int(abs(i - j) == 1) for j in range(len(bs))]
+                for i, b in enumerate(bs)]
+        if is_negative_definite(gram):
+            assert hirzebruch_jung_type(bs[::-1]) == expected
 
 
 def _sympy_class_group(rows, ncols):

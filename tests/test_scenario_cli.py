@@ -375,6 +375,34 @@ class TestValidation:
         assert run_cli(raw, tmp_path) == 2
         assert f"divisors[{name!r}]: a divisor name must not be" in capsys.readouterr().err
 
+    # the same reading of K and '-' would make a check pair the canonical
+    # class or a negation instead of the curve: a quadric curve K of class
+    # (1, 0) with K.K expected 0 would report "expected 0, got 8"
+    @pytest.mark.parametrize(
+        "field, name, location",
+        [
+            ("curves", "K", "curves[0].name"),
+            ("curves", "-X", "curves[0].name"),
+            ("blowups", "K", "blowups[0].name"),
+            ("blowups", "-E", "blowups[0].name"),
+        ],
+    )
+    def test_unusable_curve_name_rejected(self, tmp_path, capsys, field, name, location):
+        raw = {
+            "schema": "blowdown-scenario/1",
+            "name": "curve named like a reference",
+            "base": "quadric",
+            "curves": [{"name": name if field == "curves" else "F", "class": [1, 0]}],
+            "blowups": [{"name": name if field == "blowups" else "E"}],
+            "checks": [
+                {"kind": "intersection-table", "entries": [{"a": name, "b": name, "expect": 0}]}
+            ],
+        }
+        assert run_cli(raw, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'scenario.json'}.{location}: ")
+        assert "a curve or blow-up name must not be 'K' or start with '-'" in err
+
 
 class TestFailureModes:
     def test_zero_ample_divisor_fails_checks(self):
