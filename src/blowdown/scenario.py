@@ -34,7 +34,7 @@ from .cohomology import (
 from .cone import build_cone, local_cohomology_certificate
 from .contraction import Contraction, SingClass, contract, singular_point_census
 from .errors import GeometryError, ScenarioError
-from .surface import PLANE, QUADRIC, QDivisor, SurfaceModel, new_plane, new_quadric
+from .surface import PLANE, QUADRIC, QDivisor, SparseClass, SurfaceModel, new_plane, new_quadric
 
 SCENARIO_SCHEMA = "blowdown-scenario/1"
 REPORT_SCHEMA = "blowdown-report/1"
@@ -47,9 +47,58 @@ BUNDLED_EXPECTED = "keel-mckernan-p3.expected.json"
 # -- canonical JSON -----------------------------------------------------------
 
 
+#: The stdlib's string encoder for ``ensure_ascii=False`` (its C version when built).
+_encode_str = json.encoder.encode_basestring
+
+
 def canonical_json(obj: Any) -> str:
-    """Deterministic serialization: sorted keys, 2-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical serialization of a report or scenario document.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``: keys sorted, each container item on its own
+    line indented by 2 spaces per level, ``","`` ending each item's line but
+    the last and ``": "`` after each key, non-ASCII text written as itself,
+    and a trailing newline.  The values are dicts with ``str`` keys, lists,
+    tuples, str, int, float, bool and None; anything else raises TypeError,
+    and an int past the int-to-str digit limit ValueError, as in the stdlib.
+
+    This writer exists because any ``indent`` makes ``json.dumps`` leave its C
+    encoder for its pure-Python one, which took more time than the checks on
+    a large intersection table.  Strings still go through the stdlib's C
+    string encoder and floats through ``json.dumps``."""
+    return _write(obj, "\n") + "\n"
+
+
+def _write(obj: Any, newline: str) -> str:
+    """`canonical_json` of ``obj`` at the indent that ``newline`` ends with."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        if kind is dict:
+            items = [_encode_str(k) + ": " + _write(obj[k], inner) for k in sorted(obj)]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = [_write(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    # a subclass, such as a namedtuple or an OrderedDict, is written as its base type
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        return _write(list(obj), newline)
+    if isinstance(obj, dict):
+        return _write(dict(obj.items()), newline)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def scenario_digest(scenario: "Scenario") -> str:
@@ -137,10 +186,25 @@ class Scenario:
 
 @dataclass
 class ScenarioRun:
+    """A built scenario: its model, contraction and declared divisors.
+
+    ``sparse_class`` caches the class of each divisor reference for the run.
+    The model is complete before any check runs and pairing never changes a
+    class, so every check may share the cached classes."""
+
     scenario: Scenario
     model: SurfaceModel
     contraction: Contraction
     divisors: dict[str, QDivisor]
+    _classes: dict[str, SparseClass] = field(default_factory=dict, init=False, repr=False)
+
+    def sparse_class(self, ref: str) -> SparseClass:
+        """The model's sparse class of ``resolve(ref)``, resolved once per
+        reference string ('-C', 'K' and divisor names included)."""
+        cls = self._classes.get(ref)
+        if cls is None:
+            cls = self._classes[ref] = self.model.sparse_class(self.resolve(ref))
+        return cls
 
     def resolve(self, ref: str) -> QDivisor:
         """Divisor references in checks: 'K', a declared divisor name, a
@@ -455,7 +519,7 @@ def _check_intersection_table(run: ScenarioRun, spec: dict) -> CheckResult:
     rows = []
     for entry in spec["entries"]:
         a, b = entry["a"], entry["b"]
-        value = run.model.intersect(run.resolve(a), run.resolve(b))
+        value = run.model.intersect(run.sparse_class(a), run.sparse_class(b))
         expect.eq(f"{a}.{b}", value, entry["expect"])
         rows.append({"a": a, "b": b, "value": rational_str(value)})
     details = {"entries": rows, "count": len(rows)}

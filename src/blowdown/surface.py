@@ -313,7 +313,7 @@ class SurfaceModel:
         """D.K against the dense K, whose exceptional coordinates are all 1."""
         return self.pairing(cls, (self._canonical[: self.base_rank], {})) - sum(cls[1].values())
 
-    def intersect(self, a: DivisorLike, b: DivisorLike) -> Fraction:
+    def intersect(self, a: DivisorLike | SparseClass, b: DivisorLike | SparseClass) -> Fraction:
         """Intersection number of two divisors: `pairing` as a Fraction."""
         return Fraction(self.pairing(a, b))
 

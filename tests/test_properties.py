@@ -1,6 +1,10 @@
 """Randomized property suites (hypothesis) plus library cross-checks."""
 
+import collections
+import enum
 import itertools
+import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +31,7 @@ from blowdown import (
 )
 from blowdown.errors import GeometryError, NotContractibleError, SingularMatrixError
 from blowdown.exactlin import determinant, invert
+from blowdown.scenario import canonical_json
 
 ints = st.integers(min_value=-9, max_value=9)
 small_rationals = st.fractions(
@@ -786,3 +791,65 @@ class TestConeLinearity:
         scaled = build_cone(ref.contraction, ref.ample.scaled(s))
         assert scaled.r == base.r / s
         assert scaled.section_discrepancy == -(1 + scaled.r)
+
+
+# subclasses of the JSON types, which the stdlib writes as their base types
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Shade(str, enum.Enum):
+    DARK = "dark"
+
+
+class Ratio(float):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+# every code point, lone surrogates and control characters included
+json_text = st.text(st.characters(exclude_categories=()))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | st.floats()
+    | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    """`canonical_json` writes the bytes of the stdlib's ``indent=2`` encoder."""
+
+    @staticmethod
+    def stdlib(value):
+        return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+    @given(json_values)
+    @example(float("nan"))
+    @example([float("inf"), float("-inf"), -0.0, 1e300])
+    @example({"\ud800": "\x00\x1f\x7f\u2028\"\\", "": [], "a": {}, "b": ()})
+    @example([Colour.RED, Shade.DARK, Ratio(0.5), Pair(1, "x"), collections.OrderedDict(b=1, a=())])
+    @settings(max_examples=500)
+    def test_matches_stdlib_bytes(self, value):
+        assert canonical_json(value) == self.stdlib(value)
+
+    @pytest.mark.parametrize("value", [object(), F(1, 2), {"a": [1, {2}]}])
+    def test_unserialisable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            self.stdlib(value)
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no int-to-str digit limit",
+    )
+    def test_int_past_digit_limit_raises_value_error(self):
+        value = [10 ** sys.get_int_max_str_digits()]
+        with pytest.raises(ValueError):
+            self.stdlib(value)
+        with pytest.raises(ValueError):
+            canonical_json(value)

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import itertools
 import json
 import tempfile
 from fractions import Fraction as F
@@ -591,3 +593,90 @@ class TestFuzz:
                 parent[path[-1]]["unexpected"] = value
         with tempfile.TemporaryDirectory() as directory:
             assert run_cli(raw, directory) in (0, 1, 2)
+
+
+def tower_dict(p, n, extra_entries=()):
+    """A quadric with a curve C of class (1, p) and fibres F1..Fn, blown up p
+    times over each fibre at the point it shares with C; its table holds the
+    closed-form intersection numbers plus ``extra_entries``.  Rank 2 + p*n."""
+    blowups, entries = [], [("C", "C", p * (2 - n))]
+    for i in range(1, n + 1):
+        fibre, top = f"F{i}", f"E{i}_{p}"
+        entries += [(fibre, fibre, -p), (fibre, top, 1), ("C", top, 1), ("C", fibre, 0)]
+        for k in range(1, p + 1):
+            name = f"E{i}_{k}"
+            incident = [{"curve": "C", "mult": 1}, {"curve": fibre, "mult": 1}]
+            if k > 1:
+                incident.append({"curve": f"E{i}_{k - 1}", "mult": 1})
+            blowups.append({"name": name, "incident": incident})
+            entries.append((name, name, -2 if k < p else -1))
+            if k < p:
+                entries.append((name, f"E{i}_{k + 1}", 1))
+    return {
+        "schema": "blowdown-scenario/1",
+        "name": f"tower-p{p}-n{n}",
+        "base": "quadric",
+        "curves": [{"name": "C", "class": [1, p]}]
+        + [{"name": f"F{i}", "class": [1, 0]} for i in range(1, n + 1)],
+        "blowups": blowups,
+        "divisors": {"D": {"C": "1/2", "F1": 1, "E1_1": "-1/3"}},
+        "checks": [
+            {
+                "kind": "intersection-table",
+                "entries": [{"a": a, "b": b, "expect": v} for a, b, v in entries]
+                + list(extra_entries),
+            }
+        ],
+    }
+
+
+def stdlib_indent2(text):
+    """``text`` decoded and encoded again by the stdlib with the canonical options."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestIntersectionTableResolvesOnce:
+    """The intersection-table check pairs each reference's class resolved once
+    per run; its values are those of resolving every reference afresh."""
+
+    REFS = ("C", "-C", "K", "-K", "D", "-D", "F2", "E2_3")
+
+    def scenarios(self):
+        # the extra entries' expectations are placeholders: only the reported
+        # values are compared, with those of the per-entry resolution
+        extra = [
+            {"a": a, "b": b, "expect": 0}
+            for _ in range(3)
+            for a, b in itertools.product(self.REFS, repeat=2)
+        ]
+        return [bundled_scenario(), parse_scenario(tower_dict(3, 4, extra))]
+
+    def test_values_match_fresh_resolution(self):
+        for scenario in self.scenarios():
+            spec = next(s for s in scenario.specs if s["kind"] == "intersection-table")
+            rows = run_scenario(scenario).checks[0].details["entries"]
+            run = scenario.build()
+            assert [(r["a"], r["b"]) for r in rows] == [(e["a"], e["b"]) for e in spec["entries"]]
+            for row in rows:
+                expected = run.model.intersect(run.resolve(row["a"]), run.resolve(row["b"]))
+                assert F(row["value"]) == expected, (row, expected)
+
+    def test_second_run_gives_identical_bytes(self):
+        for scenario in self.scenarios():
+            first, second = (canonical_json(run_scenario(scenario).to_dict()) for _ in range(2))
+            assert first == second
+
+
+def test_tower_report_bytes_match_stdlib_encoder(tmp_path):
+    """At rank 82 the report and the digest payload are the bytes the stdlib
+    writes with ``sort_keys=True, indent=2, ensure_ascii=False``."""
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower_dict(4, 20)))
+    scenario = load_scenario(str(path))
+    report = run_scenario(scenario)
+    assert report.passed, report.first_failure
+    text = canonical_json(report.to_dict())
+    assert text == stdlib_indent2(text)
+    payload = canonical_json(scenario.to_dict())
+    assert payload == stdlib_indent2(payload)
+    assert scenario_digest(scenario) == "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
