@@ -34,8 +34,7 @@ def euler_characteristic(model: SurfaceModel, d: DivisorLike) -> Fraction:
     cls = model.sparse_class(d)
     if any(x.denominator != 1 for x in (*cls[0], *cls[1].values())):
         raise GeometryError(f"Euler characteristic of a non-integral class {model.total_class(d)}")
-    square, k_degree = model.pairing(cls, cls), model.pairing(cls, model.canonical_class)
-    return model.chi_structure_sheaf + Fraction(square - k_degree, 2)
+    return model.chi_structure_sheaf + Fraction(model.pairing(cls, cls) - model.k_degree(cls), 2)
 
 
 def h0_on_quadric(a: int, b: int) -> int:
@@ -140,7 +139,7 @@ def verify_kvv_failure(contraction: Contraction, a: QDivisor) -> KvvFailureRepor
             f"Leray degeneration hypothesis fails: floor is not relatively nef "
             f"(negative degrees {bad})"
         )
-    k_dot = model.intersect(model.canonical_divisor(), floor)
+    k_dot = Fraction(model.k_degree(floor))
     squared = model.intersect(floor, floor)
     chi = euler_characteristic(model, floor)
     h1_nonzero = chi <= -1

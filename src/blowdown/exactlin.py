@@ -12,7 +12,9 @@ they give the determinant (the last pivot), negative definiteness
 (Sylvester) and inertia (Jacobi: sign changes between consecutive minors);
 carried right-hand columns and one back-substitution give `solve_linear` and
 `invert`.  `smith_normal_form` (divisor class group quotients) is the only
-other elimination.
+other elimination: one loop that swaps the smallest nonzero entry of the
+trailing block to the corner, reduces its row and column by it, and folds in
+a row the pivot does not divide, then checks its own result.
 """
 
 from __future__ import annotations
@@ -254,8 +256,13 @@ class SnfDecomposition:
 def smith_normal_form(m: IntMatrix | Sequence[Sequence[int]]) -> SnfDecomposition:
     """Smith normal form with unimodular transforms tracked.
 
-    Normalization: diagonal entries nonnegative, each dividing the next;
-    pivoting always brings the smallest nonzero absolute value to the corner.
+    One loop fills the diagonal from (0, 0).  Each pass picks the nonzero
+    entry of smallest absolute value in the trailing submatrix (the first in
+    row-major order on a tie), swaps it to the corner and reduces its column
+    and row by it.  A remainder starts the next pass with a smaller pivot; a
+    trailing entry the pivot does not divide has its row folded into the
+    pivot row, so the next pass reduces it; otherwise the corner is final.
+    Normalization: diagonal entries nonnegative, each dividing the next.
     The returned decomposition is self-validated (U*M*V = D, det U, det V
     in {1, -1}), so a bug here raises rather than propagating silently.
     """
@@ -263,8 +270,8 @@ def smith_normal_form(m: IntMatrix | Sequence[Sequence[int]]) -> SnfDecompositio
         m = IntMatrix.from_rows(m)
     a = m.to_rows()
     nrows, ncols = m.rows, m.cols
-    u = IntMatrix.identity(nrows).to_rows()
-    v = IntMatrix.identity(ncols).to_rows()
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def row_op(i: int, k: int, q: int) -> None:  # row i -= q * row k
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
@@ -276,70 +283,41 @@ def smith_normal_form(m: IntMatrix | Sequence[Sequence[int]]) -> SnfDecompositio
         for row in v:
             row[j] -= q * row[k]
 
-    def swap_rows(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
     t = 0
     while t < min(nrows, ncols):
-        # bring the smallest nonzero absolute value of the submatrix to (t, t)
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        pivot = min(
+            ((abs(a[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]),
+            default=None,
+        )
+        if pivot is None:
             break
-        while True:
-            i, j = best
-            if i != t:
-                swap_rows(i, t)
-            if j != t:
-                swap_cols(j, t)
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    dirty = dirty or a[t][j] != 0
-            if dirty:
-                best = min(
-                    ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j] != 0),
-                    key=lambda ij: abs(a[ij[0]][ij[1]]),
-                )
-                continue
-            # pivot must divide the remaining submatrix for the divisor chain
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, nrows)
-                    for j in range(t + 1, ncols)
-                    if a[i][j] % a[t][t] != 0
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            row_op(t, offender[0], -1)  # fold the offending row into the pivot row
-            best = (t, t)
-        t += 1
+        _, i, j = pivot
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for row in (*a, *v):
+            row[t], row[j] = row[j], row[t]
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                row_op(i, t, a[i][t] // a[t][t])
+        for j in range(t + 1, ncols):
+            if a[t][j]:
+                col_op(j, t, a[t][j] // a[t][t])
+        if any(a[i][t] for i in range(t + 1, nrows)) or any(a[t][t + 1 :]):
+            continue
+        # the pivot must divide the trailing block for the divisor chain
+        offender = next(
+            (i for i in range(t + 1, nrows) if any(x % a[t][t] for x in a[i][t + 1 :])), None
+        )
+        if offender is None:
+            t += 1
+        else:
+            row_op(t, offender, -1)  # fold the offending row into the pivot row
 
     for k in range(min(nrows, ncols)):
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
 
-    u_m = IntMatrix.from_rows(u) if u else IntMatrix(0, 0, ())
-    v_m = IntMatrix.from_rows(v) if v else IntMatrix(0, 0, ())
+    u_m, v_m = IntMatrix.from_rows(u), IntMatrix.from_rows(v)
     d_m = IntMatrix.from_rows(a) if a else IntMatrix(0, ncols, ())
     _validate_snf(m, u_m, d_m, v_m)
     return SnfDecomposition(u_m, d_m, v_m)

@@ -15,8 +15,9 @@ Only the base block is stored, and classes are sparse: a *sparse class*
 nonzero exceptional coordinate to its value.  A blow-up adds one entry to each
 incident curve's map, and a pairing walks the shorter exceptional support, so
 both cost O(support), not O(rank).  Dense vectors (``class_vector``,
-``total_class``, ``gram``) are built on demand.  The canonical class stays
-dense: each of its exceptional coordinates is 1.
+``total_class``, ``gram``, ``canonical_class``) are built on demand.  The
+canonical class is stored as its base part: each of its exceptional
+coordinates is 1.
 
 Conventions:
   * quadric base: basis starts with the two ruling fibre classes ``f_x``,
@@ -162,8 +163,8 @@ class SurfaceModel:
     def __init__(self, base: str):
         if base not in BASES:
             raise GeometryError(f"unknown base surface {base!r}")
-        labels, self.base_gram, canonical = BASES[base]
-        self.basis_labels, self._canonical = list(labels), list(canonical)
+        labels, self.base_gram, self._k_base = BASES[base]
+        self.basis_labels = list(labels)
         self.base = base
         self.base_rank = len(self.basis_labels)
         self.prime_divisors: dict[str, PrimeDivisor] = {}
@@ -184,7 +185,7 @@ class SurfaceModel:
         cls = self.sparse_class(vec)
         if any(x < 0 for x in cls[0]) or not any(vec):
             raise GeometryError(f"class {vec} is not effective-irreducible on the {self.base} base")
-        square, k_degree = self.pairing(cls, cls), self._k_degree(cls)
+        square, k_degree = self.pairing(cls, cls), self.k_degree(cls)
         genus = Fraction(square + k_degree, 2) + 1
         if genus.denominator != 1 or genus < 0:
             raise GeometryError(
@@ -200,8 +201,9 @@ class SurfaceModel:
 
         Validates the intersection budget `X.Y >= m_X*m_Y` for every pair of
         incident curves and the genus budget `p_a(X) >= m(m-1)/2` for every
-        multiplicity.  Appends a new (-1) basis class, takes strict
-        transforms of the incident curves, and updates the canonical class.
+        multiplicity.  Appends a new (-1) basis class and takes strict
+        transforms of the incident curves; the canonical class gains a 1 on
+        the new class.
         """
         self._check_fresh(exceptional_name)
         seen: dict[str, int] = {}
@@ -228,7 +230,6 @@ class SurfaceModel:
 
         index, basis = self.rank, self.basis_labels
         basis.append(exceptional_name)
-        self._canonical.append(1)
         for name, m in seen.items():  # strict transforms; no other divisor changes
             old = self.prime_divisors[name]
             strict = (old.base, {**old.exceptional, index: -m})
@@ -260,7 +261,8 @@ class SurfaceModel:
 
     @property
     def canonical_class(self) -> tuple[int, ...]:
-        return tuple(self._canonical)
+        """The dense canonical class: K's base part, then 1 per blow-up."""
+        return (*self._k_base, *[1] * (self.rank - self.base_rank))
 
     def canonical_divisor(self) -> QDivisor:
         """The canonical class as a QDivisor (pure residual, no named part)."""
@@ -309,9 +311,11 @@ class SurfaceModel:
         base = sum([x * g * y for x, row in zip(ub, self.base_gram) for g, y in zip(row, vb)])
         return base - sum([x * ve[i] for i, x in ue.items() if i in ve])
 
-    def _k_degree(self, cls: SparseClass) -> int | Fraction:
-        """D.K against the dense K, whose exceptional coordinates are all 1."""
-        return self.pairing(cls, (self._canonical[: self.base_rank], {})) - sum(cls[1].values())
+    def k_degree(self, d: DivisorLike | SparseClass) -> int | Fraction:
+        """D.K for anything `sparse_class` resolves: the base block's form on
+        K's base part, less the exceptional coordinates (K has 1 on each)."""
+        base, exceptional = self.sparse_class(d)
+        return self.pairing((base, {}), (self._k_base, {})) - sum(exceptional.values())
 
     def intersect(self, a: DivisorLike | SparseClass, b: DivisorLike | SparseClass) -> Fraction:
         """Intersection number of two divisors: `pairing` as a Fraction."""
@@ -320,7 +324,7 @@ class SurfaceModel:
     def arithmetic_genus(self, d: DivisorLike) -> Fraction:
         """Adjunction genus D.(D + K)/2 + 1."""
         cls = self.sparse_class(d)
-        return Fraction(self.pairing(cls, cls) + self._k_degree(cls), 2) + 1
+        return Fraction(self.pairing(cls, cls) + self.k_degree(cls), 2) + 1
 
     def lattice_signature(self) -> tuple[int, int, int]:
         """Inertia of the Gram matrix; stays (1, rank-1, 0) under blow-ups."""

@@ -47,6 +47,20 @@ def int_matrices(draw, max_dim=4):
 
 
 @st.composite
+def sparse_int_matrices(draw, max_dim=8):
+    """Shaped like a class-group relation matrix: mostly 0 and +-1 entries,
+    a few larger ones, and some rows and columns entirely zero."""
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 2))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 2))
+    entries = st.one_of(st.sampled_from((0, 0, 0, 0, 1, -1)), st.integers(-12, 12))
+    return [
+        [0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@st.composite
 def square_rational_matrices(draw, max_dim=4):
     n = draw(st.integers(1, max_dim))
     return [[draw(small_rationals) for _ in range(n)] for _ in range(n)]
@@ -72,7 +86,23 @@ def symmetric_int_matrices(draw, n=4):
 
 
 class TestSmithNormalFormProperties:
-    @given(int_matrices())
+    @pytest.mark.parametrize(
+        "m, diagonal",
+        [
+            ([[2, 0], [0, 3]], (1, 6)),  # coprime pivots: the fold gives gcd and lcm
+            ([[4, 6], [6, 1]], (1, 32)),  # smallest entry away from (0, 0)
+            ([[0, 0, 0], [0, 0, 5], [0, 0, 0]], (5, 0, 0)),
+            ([[4, 6, 10]], (2,)),
+            ([[6], [-9], [15]], (3,)),
+            ([[0, 0], [0, 0], [0, 0]], (0, 0)),
+        ],
+    )
+    def test_explicit_shapes(self, m, diagonal):
+        snf = smith_normal_form(m)
+        assert (snf.d.rows, snf.d.cols) == (len(m), len(m[0]))
+        assert snf.d.diagonal() == diagonal
+
+    @given(st.one_of(int_matrices(), sparse_int_matrices()))
     def test_decomposition_invariants(self, m):
         snf = smith_normal_form(m)
         # invariants (U*M*V = D, unimodularity, chain) are re-validated
@@ -82,7 +112,7 @@ class TestSmithNormalFormProperties:
         for x, y in zip(diag, diag[1:]):
             assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
 
-    @given(int_matrices())
+    @given(st.one_of(int_matrices(), sparse_int_matrices()))
     def test_matches_independent_library(self, m):
         ours = smith_normal_form(m).invariant_factors()
         theirs = tuple(
@@ -336,6 +366,27 @@ class TestBaseBlockPairing:
         ]
         assert model.gram == tuple(tuple(row) for row in gram)
 
+        divisors = self._divisors(model)
+        for _ in range(5):
+            d1, d2 = data.draw(divisors), data.draw(divisors)
+            u, v = self._dense(model, d1), self._dense(model, d2)
+            value = model.intersect(d1, d2)
+            assert type(value) is F
+            assert value == sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
+    def test_k_degree_matches_dense_canonical(self, base, data):
+        model = random_tower(base, data)
+        divisors = self._divisors(model)
+        for _ in range(5):
+            d = data.draw(divisors)
+            assert model.k_degree(d) == model.pairing(d, model.canonical_class)
+
+    @staticmethod
+    def _divisors(model):
+        """Names, rational class vectors and QDivisors on the model."""
+        n = model.rank
         names = st.sampled_from(sorted(model.prime_divisors))
         vectors = st.lists(st.one_of(ints, small_rationals), min_size=n, max_size=n)
         qdivisors = st.builds(
@@ -343,13 +394,7 @@ class TestBaseBlockPairing:
             st.dictionaries(names, small_rationals, max_size=4),
             st.one_of(st.none(), st.lists(ints, min_size=n, max_size=n)),
         )
-        divisors = st.one_of(names, vectors, qdivisors)
-        for _ in range(5):
-            d1, d2 = data.draw(divisors), data.draw(divisors)
-            u, v = self._dense(model, d1), self._dense(model, d2)
-            value = model.intersect(d1, d2)
-            assert type(value) is F
-            assert value == sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+        return st.one_of(names, vectors, qdivisors)
 
 
 class DenseLattice:
