@@ -14,14 +14,22 @@ other block by dense exact elimination.
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GeometryError, NotContractibleError
-from .exactlin import IntMatrix, invert, is_negative_definite, smith_normal_form
-from .surface import DivisorLike, QDivisor, SurfaceModel
+from .exactlin import (
+    PivotPass,
+    divisor_chain,
+    invert,
+    is_negative_definite,
+    smith_normal_form,
+    sparse_pivot_pass,
+)
+from .surface import DivisorLike, QDivisor, SparseClass, SurfaceModel
 
 
 class SingClass(enum.Enum):
@@ -110,7 +118,24 @@ class Contraction:
     once, nothing else meets) is ordered once and keeps its continuants,
     which test it (Sylvester) and solve a pullback in O(k) integer steps; any
     other block is tested and inverted densely, and a pullback multiplies by
-    its inverse."""
+    its inverse.
+
+    The class group is the source lattice modulo the contracted classes, read
+    from their sparse rows M with a certified chain of steps:
+    `sparse_pivot_pass` gives U*M = A with U unimodular (checked as U*M = A
+    and U*U^-1 = I over the sparse rows) and A a triangular block of pivots
+    d_t, each dividing its row, above non-pivot rows that are zero on the
+    pivot columns; the self-validating `smith_normal_form` takes the small
+    remainder (0x1 across the explorer family); `divisor_chain` merges the
+    d_t with the remainder's factors by gcd/lcm exchanges, each checked by
+    its 2x2 Bezout pair.  Extra classes (the cone's polarization) are reduced
+    by the cached pass's pivot rows divided by their pivots (`PivotPass.split`),
+    and only that reduction is checked again.
+
+    Two caches are filled lazily, on first use: that pivot pass, and for each
+    hashable rank-one witness W its correction W* = W + sum c_j G_j,
+    orthogonal to every contracted G_j, which gives
+    pullback(D).W = D.W* for D supported off the contracted curves."""
 
     def __init__(self, model: SurfaceModel, curve_names: Iterable[str]):
         names = list(curve_names)
@@ -170,6 +195,8 @@ class Contraction:
             )
         self.source = model
         self.contracted = tuple(names)
+        self._pass: PivotPass | None = None
+        self._witnesses: dict[object, tuple[SparseClass, int]] = {}
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -213,13 +240,16 @@ class Contraction:
         on contracted curves that is orthogonal to every contracted curve.
 
         The representative must be supported off the contracted curves."""
+        self._check_off_contracted(d_on_target)
+        named = {**d_on_target.named, **self._corrections(d_on_target)}
+        return QDivisor(named, d_on_target.residual)
+
+    def _check_off_contracted(self, d_on_target: QDivisor) -> None:
         touching = [n for n in self.contracted if d_on_target.coefficient(n) != 0]
         if touching:
             raise GeometryError(
                 f"representative has nonzero coefficient on contracted {touching}"
             )
-        named = {**d_on_target.named, **self._corrections(d_on_target)}
-        return QDivisor(named, d_on_target.residual)
 
     def pushforward(self, d: QDivisor) -> QDivisor:
         """Drop coefficients on contracted curves, keep everything else."""
@@ -289,14 +319,25 @@ class Contraction:
 
     def class_group(self, extra_classes: Sequence[Sequence[int]] = ()) -> ClassGroupReport:
         """Quotient of the source lattice by the contracted classes (plus any
-        extra integral classes), via Smith normal form."""
-        rows = [list(self.source.prime_divisors[n].class_vector) for n in self.contracted]
-        rows.extend(list(int(x) for x in extra) for extra in extra_classes)
-        matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, self.source.rank, ())
-        snf = smith_normal_form(matrix)
-        factors = snf.invariant_factors()
+        extra integral classes of length ``source.rank``), via the certified
+        pivot pass, the Smith normal form of its remainder and the divisor
+        chain of both (see the class docstring)."""
+        rank = self.source.rank
+        extra = []
+        for cls in extra_classes:
+            if len(cls) != rank:
+                raise GeometryError(f"extra class of length {len(cls)} on a rank-{rank} lattice")
+            if any(x != int(x) for x in cls):
+                raise GeometryError(f"extra class {list(cls)} is not integral")
+            extra.append({j: int(x) for j, x in enumerate(cls) if x})
+        if self._pass is None:
+            rows = [{**{j: x for j, x in enumerate(base) if x}, **exceptional}
+                    for base, exceptional in self._classes]
+            self._pass = sparse_pivot_pass(rows, rank)
+        factors, rest = self._pass.split(extra)
+        factors = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
         return ClassGroupReport(
-            rank=self.source.rank - len(factors),
+            rank=rank - len(factors),
             torsion=tuple(x for x in factors if x > 1),
         )
 
@@ -311,18 +352,47 @@ class Contraction:
         self, d_on_target: QDivisor, witness: DivisorLike | None = None
     ) -> Fraction:
         """Degree of a divisor on the rank-one target against a witness curve
-        (projection formula: pair the pullback with the witness class)."""
+        (projection formula: pullback(D).W, computed as D.W* with the cached
+        corrected witness W*; the default W is the pullback class of a
+        general fibre of the first ruling, the line on the plane)."""
         if self.target_rank != 1:
             raise GeometryError(
                 f"target Picard rank is {self.target_rank}, not 1; "
                 "rank-one degree undefined"
             )
-        if witness is None:
-            # pullback class of a general fibre of the first ruling (line on plane)
-            witness = (1,) + (0,) * (self.source.rank - 1)
         if isinstance(witness, str) and witness in self.contracted:
             raise GeometryError(f"witness curve {witness!r} is contracted")
-        return self.source.intersect(self.pullback(d_on_target), witness)
+        self._check_off_contracted(d_on_target)
+        corrected, scale = self._corrected_witness(witness)
+        return Fraction(self.source.pairing(d_on_target, corrected), scale)
+
+    def _corrected_witness(self, witness: DivisorLike | None) -> tuple[SparseClass, int]:
+        """(L*W*, L): the witness plus its correction on the contracted
+        curves, as an integral sparse class and one denominator L > 0.
+        Cached for a hashable witness (None, a name, a tuple)."""
+        try:
+            return self._witnesses[witness]
+        except KeyError:
+            cache = True
+        except TypeError:  # a list or a QDivisor
+            cache = False
+        w = (1,) + (0,) * (self.source.rank - 1) if witness is None else witness
+        base, exceptional = self.source.sparse_class(w)
+        base, exceptional = list(base), dict(exceptional)
+        for (g_base, g_exceptional), c in zip(self._classes, self._corrections(w).values()):
+            if c:
+                for j, x in enumerate(g_base):
+                    base[j] += c * x
+                for j, x in g_exceptional.items():
+                    exceptional[j] = exceptional.get(j, 0) + c * x
+        scale = math.lcm(*(x.denominator for x in (*base, *exceptional.values())))
+        result = (
+            tuple(int(x * scale) for x in base),
+            {j: int(x * scale) for j, x in exceptional.items() if x},
+        ), scale
+        if cache:
+            self._witnesses[witness] = result
+        return result
 
     def is_ample_rank1(
         self, d_on_target: QDivisor, witness: DivisorLike | None = None

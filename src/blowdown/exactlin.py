@@ -11,10 +11,29 @@ det(g) = det(L*g) / L**n.  Its pivots are the leading principal minors, so
 they give the determinant (the last pivot), negative definiteness
 (Sylvester) and inertia (Jacobi: sign changes between consecutive minors);
 carried right-hand columns and one back-substitution give `solve_linear` and
-`invert`.  `smith_normal_form` (divisor class group quotients) is the only
-other elimination: one loop that swaps the smallest nonzero entry of the
-trailing block to the corner, reduces its row and column by it, and folds in
-a row the pivot does not divide, then checks its own result.
+`invert`.
+
+Integer eliminations give divisor class groups, the quotient of Z^n by the
+rows of M, and each step checks its own result, so a bug raises rather than
+giving a wrong group:
+
+* `sparse_pivot_pass` eliminates, on the sparse rows of M, every pivot that
+  divides its row and its column (every +-1 is one), in an approximate
+  Markowitz order (Dumas, Saunders and Villard 2001).  Its certificate:
+  U*M = A and U*U^-1 = I over the sparse rows, so |det U| = 1 without a
+  determinant; the pivot rows form a triangular block with d_t on its
+  diagonal and d_t divides its row; every non-pivot row is zero on the pivot
+  columns.  So M is equivalent to diag(d_t) plus the remainder.  `PivotPass.split` gives the
+  factors and the remainder, and reduces extra rows (a quotient by further
+  classes) by the pivot rows divided by their pivots, checking x = y*W.
+* `smith_normal_form` takes the remainder, which is small: one loop that
+  swaps the smallest nonzero entry of the trailing block to the corner,
+  reduces its row and column by it, and folds in a row the pivot does not
+  divide; `_validate_snf` checks U*M*V = D with both determinants +-1 and the
+  divisor chain.  It also serves direct callers, with its U and V.
+* `divisor_chain` merges the factors of both into divisor-chain form by
+  gcd/lcm exchanges, each checked by its 2x2 Bezout pair:
+  U*diag(a, b)*V = diag(gcd, lcm) with det U = det V = 1.
 """
 
 from __future__ import annotations
@@ -22,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 
@@ -321,6 +340,226 @@ def smith_normal_form(m: IntMatrix | Sequence[Sequence[int]]) -> SnfDecompositio
     d_m = IntMatrix.from_rows(a) if a else IntMatrix(0, ncols, ())
     _validate_snf(m, u_m, d_m, v_m)
     return SnfDecomposition(u_m, d_m, v_m)
+
+
+#: A sparse integer row: {column: nonzero entry}.
+SparseRow = dict[int, int]
+
+
+def _subtract(target: SparseRow, q: int, source: SparseRow) -> list[int]:
+    """target -= q*source in place, keeping only nonzero entries; returns the
+    columns where target gained or lost an entry."""
+    changed = []
+    for j, x in source.items():
+        if y := target.get(j, 0) - q * x:
+            if j not in target:
+                changed.append(j)
+            target[j] = y
+        else:
+            del target[j]
+            changed.append(j)
+    return changed
+
+
+def _combination(coeffs: SparseRow, rows: Sequence[SparseRow]) -> SparseRow:
+    """The sparse row sum of coeffs[k] * rows[k]."""
+    acc: SparseRow = {}
+    for k, c in coeffs.items():
+        for j, x in rows[k].items():
+            acc[j] = acc.get(j, 0) + c * x
+    return {j: x for j, x in acc.items() if x}
+
+
+class PivotPass(NamedTuple):
+    """U*M = A from exact integer row operations on the sparse rows of M.
+
+    ``matrix`` is M and ``rows`` is A, one row per row of M; ``u`` and
+    ``u_inverse`` are the rows of U and of its integer inverse.  ``pivots``
+    lists (row, column) in pivot order: pivot t sits at A[row][column] = d_t,
+    d_t divides its whole row, the row is zero on the columns of earlier
+    pivots, and every non-pivot row is zero on all pivot columns.  So
+    A = (D + R)*W, with D = diag(d_t) on the pivot columns, R the non-pivot
+    rows on the other columns, and W the unimodular matrix whose row at the
+    column of pivot t is that pivot's row divided by d_t and whose other rows
+    are those of the identity (triangular in pivot order, with 1 on its
+    diagonal).
+    """
+
+    ncols: int
+    matrix: tuple[SparseRow, ...]
+    rows: tuple[SparseRow, ...]
+    u: tuple[SparseRow, ...]
+    u_inverse: tuple[SparseRow, ...]
+    pivots: tuple[tuple[int, int], ...]
+
+    def split(self, extra: Sequence[SparseRow] = ()) -> tuple[tuple[int, ...], IntMatrix]:
+        """(factors, remainder) with M, plus the `extra` rows below it,
+        equivalent to diag(factors) + remainder.
+
+        An extra row x is reduced by the pivot rows divided by their pivots,
+        in pivot order, keeping the coefficient y_t taken at each: checked,
+        x = sum y_t*A[row_t]/d_t + z with z zero on the pivot columns, so x is
+        the row (y, z) times W.  A pivot whose y_t is a multiple of d_t in
+        every extra row stands alone as the factor |d_t|; any other adds the
+        row d_t on its column, and that column, to the remainder.  The
+        remainder's rows are the nonzero non-pivot rows of A and then the
+        reduced extra rows.
+        """
+        pivot_columns = {c for _, c in self.pivots}
+        reduced = []
+        for x in extra:
+            if any(not 0 <= j < self.ncols for j in x):
+                raise ValueError(f"column index outside 0..{self.ncols - 1}")
+            z, y, check = {j: v for j, v in x.items() if v}, {}, {}
+            for p, c in self.pivots:
+                if v := z.get(c):
+                    d = self.rows[p][c]
+                    scaled = {j: a // d for j, a in self.rows[p].items()}
+                    _subtract(z, v, scaled)
+                    _subtract(check, -v, scaled)
+                    y[c] = v
+            _subtract(check, -1, z)
+            if check != {j: v for j, v in x.items() if v} or not pivot_columns.isdisjoint(z):
+                raise AssertionError("extra row is not its reduction times W")
+            reduced.append({**z, **y})
+        alone = [
+            (p, c) for p, c in self.pivots
+            if all(row.get(c, 0) % self.rows[p][c] == 0 for row in reduced)
+        ]
+        kept = {c for _, c in alone}
+        done = {p for p, _ in self.pivots}
+        cols = [j for j in range(self.ncols) if j not in kept]
+        rows = [row for i, row in enumerate(self.rows) if row and i not in done]
+        rows += [{c: self.rows[p][c]} for p, c in self.pivots if c not in kept]
+        dense = [[row.get(j, 0) for j in cols] for row in rows + reduced]
+        factors = tuple(abs(self.rows[p][c]) for p, c in alone)
+        return factors, IntMatrix(len(dense), len(cols), tuple(x for row in dense for x in row))
+
+
+def sparse_pivot_pass(rows: Sequence[SparseRow], ncols: int) -> PivotPass:
+    """Eliminate pivots of the sparse integer rows of M (Dumas, Saunders and
+    Villard, J. Symbolic Comput. 32, 2001), then certify the result.
+
+    A pivot is a live entry d that divides every entry of its row and of its
+    column, so every +-1 is one.  Pivots are taken in an approximate
+    Markowitz order: each round visits the live rows by length, shortest
+    first, and takes in each row the candidate whose column has the fewest
+    live entries, which bounds the fill-in by
+    (row length - 1)*(column length - 1).  The pivot's column is cleared from
+    the other live rows by exact row operations, and the pivot row leaves the
+    live set.  A row with no candidate waits for the next round; the pass
+    ends with a round that pivots nothing.  See `PivotPass` for the result
+    and `_certify_pivot_pass` for the checks it passes before it is returned.
+    """
+    matrix = tuple({j: x for j, x in row.items() if x} for row in rows)
+    if any(not 0 <= j < ncols for row in matrix for j in row):
+        raise ValueError(f"column index outside 0..{ncols - 1}")
+    a = [dict(row) for row in matrix]
+    u = [{i: 1} for i in range(len(a))]
+    u_inverse = [{i: 1} for i in range(len(a))]
+    live: dict[int, set[int]] = {}  # column -> the live rows nonzero there
+    for i, row in enumerate(a):
+        for j in row:
+            live.setdefault(j, set()).add(i)
+    pivots: list[tuple[int, int]] = []
+    done: set[int] = set()
+    progress = True
+    while progress:
+        progress = False
+        for p in sorted((i for i, row in enumerate(a) if row and i not in done),
+                        key=lambda i: len(a[i])):
+            row = a[p]
+            if not row:  # cancelled earlier in this round
+                continue
+            g = math.gcd(*row.values())
+            c = min(
+                (j for j, x in row.items()
+                 if abs(x) == g and (g == 1 or all(a[k][j] % g == 0 for k in live[j]))),
+                key=lambda j: len(live[j]),
+                default=None,
+            )
+            if c is None:
+                continue
+            pivots.append((p, c))
+            done.add(p)
+            progress = True
+            for j in row:
+                live[j].discard(p)
+            for i in list(live[c]):
+                q = a[i][c] // row[c]
+                for j in _subtract(a[i], q, row):
+                    if j in a[i]:
+                        live.setdefault(j, set()).add(i)
+                    else:
+                        live[j].discard(i)
+                _subtract(u[i], q, u[p])
+                u_inverse[i][p] = q
+    result = PivotPass(ncols, matrix, tuple(a), tuple(u), tuple(u_inverse), tuple(pivots))
+    _certify_pivot_pass(result)
+    return result
+
+
+def _certify_pivot_pass(pp: PivotPass) -> None:
+    """Check a pivot pass, raising AssertionError on failure.
+
+    U*M = A and U*U^-1 = I row by row over the sparse rows, which with integer
+    U and U^-1 proves |det U| = 1; the pivot rows form a triangular block with
+    d_t on its diagonal and d_t divides its row; every non-pivot row is zero
+    on the pivot columns.
+    """
+    m, a, u, u_inverse = pp.matrix, pp.rows, pp.u, pp.u_inverse
+    if not len(m) == len(a) == len(u) == len(u_inverse):
+        raise AssertionError("pivot pass rows of different counts")
+    for i in range(len(a)):
+        if _combination(u[i], m) != a[i]:
+            raise AssertionError("U*M != A")
+        if _combination(u[i], u_inverse) != {i: 1}:
+            raise AssertionError("U*U^-1 != I")
+    order = {j: t for t, (_, j) in enumerate(pp.pivots)}
+    pivot_rows = {i for i, _ in pp.pivots}
+    if len(order) != len(pp.pivots) or len(pivot_rows) != len(pp.pivots):
+        raise AssertionError("pivots share a row or a column")
+    for t, (i, j) in enumerate(pp.pivots):
+        d = a[i].get(j, 0)
+        if d == 0 or any(x % d for x in a[i].values()):
+            raise AssertionError("pivot is zero or does not divide its row")
+        if any(order.get(k, t) < t for k in a[i]):
+            raise AssertionError("pivot rows are not triangular")
+    for i in range(len(a)):
+        if i not in pivot_rows and any(j in order for j in a[i]):
+            raise AssertionError("a non-pivot row meets a pivot column")
+
+
+def divisor_chain(factors: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero invariant factors of diag(factors), in divisor-chain form.
+
+    Sorted by size, then each pair a, b with a not dividing b (a earlier) is
+    exchanged for gcd, lcm: Z/a + Z/b = Z/gcd + Z/lcm.  Each exchange is
+    checked by its 2x2 Bezout pair: U*diag(a, b)*V = diag(gcd, lcm) with
+    det U = det V = 1.
+    """
+    f = sorted(abs(x) for x in factors if x)
+    for i in range(f.count(1), len(f)):  # a leading 1 divides everything
+        for j in range(i + 1, len(f)):
+            if f[j] % f[i]:
+                f[i], f[j] = _exchange(f[i], f[j])
+    return tuple(f)
+
+
+def _exchange(a: int, b: int) -> tuple[int, int]:
+    """(gcd, lcm) of a, b > 0 from x*a + y*b = g (extended Euclid), checked."""
+    (r, x, y), (r1, x1, y1) = (a, 1, 0), (b, 0, 1)
+    while r1:
+        q = r // r1
+        (r, x, y), (r1, x1, y1) = (r1, x1, y1), (r - q * r1, x - q * x1, y - q * y1)
+    g, lcm = r, a // r * b
+    u = IntMatrix.from_rows([[x, y], [-b // g, a // g]])
+    v = IntMatrix.from_rows([[1, -y * b // g], [1, x * a // g]])
+    if (u @ IntMatrix.from_rows([[a, 0], [0, b]]) @ v).entries != (g, 0, 0, lcm):
+        raise AssertionError("gcd/lcm exchange: U*diag(a, b)*V != diag(gcd, lcm)")
+    if u.determinant() != 1 or v.determinant() != 1:
+        raise AssertionError("gcd/lcm exchange is not unimodular")
+    return g, lcm
 
 
 def _validate_snf(m: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:

@@ -263,6 +263,27 @@ def test_class_group_single_blow_down():
     assert group == ClassGroupReport(rank=2, torsion=())
 
 
+class TestClassGroupExtraClasses:
+    def test_polarization_quotient(self, ref):
+        polarization = ref.model.total_class(ref.ample)
+        assert ref.contraction.class_group([polarization]) == ClassGroupReport(0, (3, 3, 3))
+        three_times = [3 * x for x in polarization]
+        assert ref.contraction.class_group([three_times]) == ClassGroupReport(0, (3, 3, 3, 3))
+
+    @pytest.mark.parametrize("entry", [F(1, 2), 1.7, F(-7, 3)])
+    def test_non_integral_entry_rejected(self, ref, entry):
+        for position in (0, 10):
+            cls = [0] * 11
+            cls[position] = entry
+            with pytest.raises(GeometryError, match="not integral"):
+                ref.contraction.class_group([cls])
+
+    @pytest.mark.parametrize("length", [0, 10, 12])
+    def test_wrong_length_rejected(self, ref, length):
+        with pytest.raises(GeometryError, match="rank-11"):
+            ref.contraction.class_group([[1] * length])
+
+
 class TestRankOnePositivity:
     def test_degrees(self, ref):
         con = ref.contraction
@@ -276,6 +297,11 @@ class TestRankOnePositivity:
         con = contract(ref.model, [])
         with pytest.raises(GeometryError, match="rank"):
             con.degree_against(ref.ample)
+
+    def test_representative_on_contracted_rejected(self, ref):
+        for witness in (None, "E1"):
+            with pytest.raises(GeometryError, match="nonzero coefficient on contracted"):
+                ref.contraction.degree_against(QDivisor({"C": 1}), witness)
 
     def test_contracted_witness_rejected(self, ref):
         with pytest.raises(GeometryError, match="witness"):

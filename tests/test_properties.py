@@ -30,8 +30,14 @@ from blowdown import (
     solve_linear,
 )
 from blowdown.errors import GeometryError, NotContractibleError, SingularMatrixError
-from blowdown.exactlin import determinant, invert
-from blowdown.scenario import canonical_json
+from blowdown.exactlin import (
+    _certify_pivot_pass,
+    determinant,
+    divisor_chain,
+    invert,
+    sparse_pivot_pass,
+)
+from blowdown.scenario import bundled_scenario, canonical_json
 
 ints = st.integers(min_value=-9, max_value=9)
 small_rationals = st.fractions(
@@ -772,6 +778,128 @@ def test_explorer_pullback_and_class_group_at_scale(p, n):
     assert con.pullback(k_target + survivor.scaled(3)) == k_pullback + s_pullback.scaled(3)
     rows = [model.prime_divisors[c].class_vector for c in con.contracted]
     assert con.class_group() == _sympy_class_group(rows, model.rank)
+
+
+@st.composite
+def sparse_relations(draw):
+    """(rows, extra rows, ncols): sparse rows shaped like class-group
+    relations, 0..8 rows of 0..9 columns plus 0..2 extra rows.  Entries in
+    -6..6, mostly 0 and +-1, some rows zero and some repeated, and some rows
+    scaled so that their pivots are not units."""
+    ncols = draw(st.integers(0, 9))
+    entries = st.one_of(st.sampled_from((0, 0, 0, 1, -1, 1, -1)), st.integers(-6, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    for i in draw(st.sets(st.integers(0, 7), max_size=3)):
+        if i < len(rows):
+            action = draw(st.sampled_from(("zero", "repeat", "scale")))
+            if action == "zero":
+                rows[i] = [0] * ncols
+            elif action == "repeat":
+                rows.append(list(rows[i]))
+            else:
+                k = draw(st.sampled_from((2, 3, -2)))
+                rows[i] = [k * x for x in rows[i]]
+    extra = draw(st.lists(row, max_size=2))
+    return rows, extra, ncols
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+class TestSparsePivotPass:
+    """The class group's elimination: the certified pivot pass, the Smith
+    normal form of its remainder and the divisor chain of both."""
+
+    @given(sparse_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy(self, case):
+        rows, extra, ncols = case
+        pp = sparse_pivot_pass(_sparse(rows), ncols)
+        factors, rest = pp.split(_sparse(extra))
+        assert rest.cols == ncols - len(factors)
+        ours = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
+        full = rows + extra
+        theirs = () if not full or not ncols else tuple(sorted(
+            abs(int(x)) for x in sympy_snf(sympy.Matrix(full)).diagonal() if x != 0
+        ))
+        assert ours == theirs
+
+    @pytest.mark.parametrize(
+        "factors, chain",
+        [((), ()), ((2, 3), (1, 6)), ((6, 4), (2, 12)), ((0, 5, -5, 1), (1, 5, 5)),
+         ((4, 6, 10), (2, 2, 60)), ((3, 3, 9), (3, 3, 9))],
+    )
+    def test_divisor_chain(self, factors, chain):
+        assert divisor_chain(factors) == chain
+
+    @staticmethod
+    def _reference_pass(ref):
+        rows = [ref.model.prime_divisors[c].class_vector for c in ref.contraction.contracted]
+        return sparse_pivot_pass(_sparse(rows), ref.model.rank)
+
+    def test_reference_pass_has_non_unit_pivots_and_no_remainder(self, ref):
+        pp = self._reference_pass(ref)
+        factors, rest = pp.split()
+        assert sorted(factors) == [1] * 7 + [3] * 3
+        assert (rest.rows, rest.cols) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda pp: pp.rows[0].update({0: pp.rows[0].get(0, 0) + 1}), r"U\*M != A"),
+            (lambda pp: pp.matrix[1].update({1: pp.matrix[1].get(1, 0) + 1}), r"U\*M != A"),
+            (lambda pp: pp.u_inverse[0].update({1: 5}), r"U\*U\^-1 != I"),
+            (lambda pp: pp._replace(pivots=pp.pivots[::-1]), "triangular"),
+            (lambda pp: pp._replace(pivots=(*pp.pivots[:-1], (pp.pivots[-1][0], 4))),
+             "divide"),
+            (lambda pp: pp._replace(pivots=(*pp.pivots, pp.pivots[0])), "share"),
+            (lambda pp: pp._replace(
+                matrix=(*pp.matrix, {2: 1}), rows=(*pp.rows, {2: 1}),
+                u=(*pp.u, {len(pp.u): 1}), u_inverse=(*pp.u_inverse, {len(pp.u): 1})),
+             "non-pivot row"),
+        ],
+    )
+    def test_tampered_certificate_raises(self, ref, tamper, message):
+        pp = self._reference_pass(ref)
+        _certify_pivot_pass(pp)
+        tampered = tamper(pp) or pp
+        with pytest.raises(AssertionError, match=message):
+            _certify_pivot_pass(tampered)
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (2, 5), (5, 4), (7, 3)])
+def test_degree_against_is_pullback_pairing(p, n):
+    _check_degrees(explore_frobenius(p, n).contraction, [f"E{n}"])
+
+
+def test_degree_against_is_pullback_pairing_on_bundled_scenario():
+    run = bundled_scenario().build()
+    _check_degrees(run.contraction, list(run.divisors.values()) + ["E1", "E2"])
+
+
+def _check_degrees(con, extra_witnesses):
+    """D.W* with the cached corrected witness equals pullback(D).W, for the
+    default witness, a named one, a tuple, a list and a QDivisor (the last
+    two not cached), each asked twice."""
+    model = con.source
+    k_target = con.pushforward(model.canonical_divisor())
+    survivor = QDivisor({"E1": F(1, 3), "E2": 2}, (0, 1) + (0,) * (model.rank - 2))
+    vector = tuple((-1) ** j * (j % 3) for j in range(model.rank))
+    witnesses = [None, (0, 1) + (0,) * (model.rank - 2), vector, list(vector), *extra_witnesses]
+    for d in (k_target, -k_target, survivor):
+        pulled = con.pullback(d)
+        for w in witnesses:
+            expected = model.intersect(pulled, (1,) + (0,) * (model.rank - 1) if w is None else w)
+            assert con.degree_against(d, w) == expected
+            assert con.degree_against(d, w) == expected
+
+
+def test_class_group_closed_form_at_rank_1002():
+    con = explore_frobenius(5, 200).contraction
+    assert con.source.rank == 1002
+    assert con.class_group() == ClassGroupReport(1, (5,) * 200)
 
 
 class TestRiemannRochProperties:
