@@ -32,7 +32,7 @@ NEF_HYPOTHESIS_NOTE = "hypothesis of [Kol13, Thm 10.4] verified numerically"
 def euler_characteristic(model: SurfaceModel, d: DivisorLike) -> Fraction:
     """Riemann-Roch: chi(D) = chi(O) + (D.D - D.K)/2, for integral classes."""
     cls = model.sparse_class(d)
-    if any(x.denominator != 1 for x in (*cls[0], *cls[1].values())):
+    if any(x.denominator != 1 for x in cls.values()):
         raise GeometryError(f"Euler characteristic of a non-integral class {model.total_class(d)}")
     return model.chi_structure_sheaf + Fraction(model.pairing(cls, cls) - model.k_degree(cls), 2)
 
@@ -139,9 +139,9 @@ def verify_kvv_failure(contraction: Contraction, a: QDivisor) -> KvvFailureRepor
             f"Leray degeneration hypothesis fails: floor is not relatively nef "
             f"(negative degrees {bad})"
         )
-    k_dot = Fraction(model.k_degree(floor))
-    squared = model.intersect(floor, floor)
-    chi = euler_characteristic(model, floor)
+    cls = model.sparse_class(floor)
+    k_dot, squared = Fraction(model.k_degree(cls)), model.intersect(cls, cls)
+    chi = model.chi_structure_sheaf + (squared - k_dot) / 2  # Riemann-Roch; the floor is integral
     h1_nonzero = chi <= -1
     return KvvFailureReport(
         pullback_expansion=expansion,

@@ -145,8 +145,8 @@ class Contraction:
             raise GeometryError(f"unknown curve {unknown[0]!r}")
         self._classes = [model.sparse_class(n) for n in names]
         support: dict[int, list[int]] = {}  # coordinate -> the curves nonzero there
-        for i, (base, exceptional) in enumerate(self._classes):
-            for j in [*(j for j, x in enumerate(base) if x), *exceptional]:
+        for i, cls in enumerate(self._classes):
+            for j in cls:
                 support.setdefault(j, []).append(i)
         # curves meet only where the form pairs their coordinates (SurfaceModel.pairing)
         links = [(j, j) for j in support if j >= model.base_rank]
@@ -331,9 +331,7 @@ class Contraction:
                 raise GeometryError(f"extra class {list(cls)} is not integral")
             extra.append({j: int(x) for j, x in enumerate(cls) if x})
         if self._pass is None:
-            rows = [{**{j: x for j, x in enumerate(base) if x}, **exceptional}
-                    for base, exceptional in self._classes]
-            self._pass = sparse_pivot_pass(rows, rank)
+            self._pass = sparse_pivot_pass(self._classes, rank)
         factors, rest = self._pass.split(extra)
         factors = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
         return ClassGroupReport(
@@ -376,20 +374,14 @@ class Contraction:
             cache = True
         except TypeError:  # a list or a QDivisor
             cache = False
-        w = (1,) + (0,) * (self.source.rank - 1) if witness is None else witness
-        base, exceptional = self.source.sparse_class(w)
-        base, exceptional = list(base), dict(exceptional)
-        for (g_base, g_exceptional), c in zip(self._classes, self._corrections(w).values()):
+        w = {0: 1} if witness is None else witness
+        cls = dict(self.source.sparse_class(w))
+        for g, c in zip(self._classes, self._corrections(w).values()):
             if c:
-                for j, x in enumerate(g_base):
-                    base[j] += c * x
-                for j, x in g_exceptional.items():
-                    exceptional[j] = exceptional.get(j, 0) + c * x
-        scale = math.lcm(*(x.denominator for x in (*base, *exceptional.values())))
-        result = (
-            tuple(int(x * scale) for x in base),
-            {j: int(x * scale) for j, x in exceptional.items() if x},
-        ), scale
+                for j, x in g.items():
+                    cls[j] = cls.get(j, 0) + c * x
+        scale = math.lcm(*(x.denominator for x in cls.values()))
+        result = {j: int(x * scale) for j, x in cls.items() if x}, scale
         if cache:
             self._witnesses[witness] = result
         return result

@@ -223,10 +223,6 @@ class IntMatrix:
         ncols = len(rows[0]) if rows else 0
         return cls(len(rows), ncols, tuple(x for row in rows for x in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]

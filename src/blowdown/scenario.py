@@ -22,6 +22,7 @@ import copy
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -111,7 +112,16 @@ RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational_str(value: Fraction | int) -> str:
-    return str(Fraction(value))
+    return _text(Fraction(value))
+
+
+def _text(value: Any) -> str:
+    """``str(value)``; ScenarioError for an int past the interpreter's digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # only an int past sys.get_int_max_str_digits() raises it
+        limit = sys.get_int_max_str_digits()
+        raise ScenarioError(f"a number has more than {limit} digits, too many to write") from None
 
 
 # -- scenario data -------------------------------------------------------------
@@ -486,7 +496,7 @@ class _Expect:
 
     def eq(self, label: str, actual: Any, expected: Any) -> None:
         if actual != expected:
-            self.mismatches.append(f"{label}: expected {expected}, got {actual}")
+            self.mismatches.append(f"{label}: expected {_text(expected)}, got {_text(actual)}")
 
     def present(self, spec: dict, rows: tuple) -> None:
         """``eq`` for each (key, label, actual) row whose key ``spec`` holds."""
@@ -639,11 +649,7 @@ def _compare_coefficient_map(
     """Exact comparison of a divisor's nonzero coefficients with a spec map."""
     expected = {n: v for n, v in expected.items() if v != 0}
     for name in sorted(set(expected) | set(actual.named)):
-        if actual.coefficient(name) != expected.get(name, Fraction(0)):
-            expect.mismatches.append(
-                f"{label}[{name}]: expected {expected.get(name, Fraction(0))}, "
-                f"got {actual.coefficient(name)}"
-            )
+        expect.eq(f"{label}[{name}]", actual.coefficient(name), expected.get(name, Fraction(0)))
 
 
 def _check_kvv_failure(run: ScenarioRun, spec: dict) -> CheckResult:
@@ -822,16 +828,19 @@ def run_scenario(scenario: Scenario) -> Report:
 
     A numerical-geometry error raised while evaluating a check (wrong target
     rank, pipeline abort, ...) counts as that check failing, not as invalid
-    input: the scenario built fine, its mathematics did not.  The trial build
+    input: the scenario built fine, its mathematics did not.  A ScenarioError
+    (a number too long to write) gains the check's location.  The trial build
     of `load_scenario`, if not yet used, is used instead of a new one."""
     run = scenario._trial or scenario.build()
     object.__setattr__(scenario, "_trial", None)
     checks = []
-    for spec in scenario.specs:
+    for i, spec in enumerate(scenario.specs):
         try:
             result = CHECKS[spec["kind"]](run, spec)
         except GeometryError as exc:
             result = CheckResult(spec["kind"], False, {"error": str(exc)}, [str(exc)])
+        except ScenarioError as exc:
+            raise ScenarioError(f"checks[{i}] ({spec['kind']}): {exc}") from None
         checks.append(result)
     return Report(scenario.name, scenario_digest(scenario), checks)
 

@@ -10,11 +10,11 @@ numerical budget `X.Y >= m_X * m_Y` for every pair of incident curves.
 Linear equivalence is identified with equality of class vectors, which is
 sound on a rational surface (torsion-free Picard group).
 
-Only the base block is stored, and classes are sparse: a *sparse class*
-``(base, exceptional)`` holds the base coordinates and maps the index of each
-nonzero exceptional coordinate to its value.  A blow-up adds one entry to each
-incident curve's map, and a pairing walks the shorter exceptional support, so
-both cost O(support), not O(rank).  Dense vectors (``class_vector``,
+Only the base block is stored, and classes are sparse: a *sparse class* is
+one dict ``{coordinate index: nonzero value}``, base coordinates included.
+No other module splits a class into base and exceptional parts.  A blow-up
+adds one entry to each incident curve's map, and a pairing walks the shorter
+map, so both cost O(support), not O(rank).  Dense vectors (``class_vector``,
 ``total_class``, ``gram``, ``canonical_class``) are built on demand.  The
 canonical class is stored as its base part: each of its exceptional
 coordinates is 1.
@@ -41,36 +41,35 @@ PLANE = "plane"
 #: basis labels, Gram block and canonical class of each base surface
 BASES = {QUADRIC: (("f_x", "f_y"), ((0, 1), (1, 0)), (-2, -2)), PLANE: (("l",), ((1,),), (-3,))}
 
-#: ``(base, exceptional)``: base coordinates and {coordinate index: nonzero coefficient}
-SparseClass = tuple[Sequence[Union[int, Fraction]], dict[int, Union[int, Fraction]]]
+#: {coordinate index: nonzero coefficient}, base coordinates included
+SparseClass = dict[int, Union[int, Fraction]]
 
 
 def _dense(cls: SparseClass, rank: int) -> tuple[int | Fraction, ...]:
-    base, exceptional = cls
-    vec = [*base, *[0] * (rank - len(base))]
-    for i, x in exceptional.items():
+    vec = [0] * rank
+    for i, x in cls.items():
         vec[i] = x
     return tuple(vec)  # of a list: tuples grown from a generator linger in free lists
 
 
 class PrimeDivisor:
-    """A named irreducible curve: its sparse class ``base``/``exceptional``, and
-    D.D and D.K cached as ``square`` and ``k_degree`` (a strict transform by
-    multiplicity m changes them by exactly -m^2 and +m).  A divisor never
+    """A named irreducible curve: its sparse class ``cls``, one map over all
+    coordinates, and D.D and D.K cached as ``square`` and ``k_degree`` (a
+    strict transform by multiplicity m changes them by exactly -m^2 and +m).  A divisor never
     changes: a blow-up registers its incident curves' strict transforms as new
     objects, so one fetched earlier keeps its old class, whose ``class_vector``
     reads as the total transform (0 on newer coordinates)."""
 
-    __slots__ = ("name", "base", "exceptional", "square", "k_degree", "_basis")
+    __slots__ = ("name", "cls", "square", "k_degree", "_basis")
 
     def __init__(self, name: str, cls: SparseClass, square: int, k_degree: int, basis: list[str]):
-        self.name, (self.base, self.exceptional) = name, cls
+        self.name, self.cls = name, cls
         self.square, self.k_degree = square, k_degree
         self._basis = basis  # the model's labels, so class_vector reads its current rank
 
     @property
     def class_vector(self) -> tuple[int, ...]:
-        return _dense((self.base, self.exceptional), len(self._basis))
+        return _dense(self.cls, len(self._basis))
 
 
 class QDivisor:
@@ -163,10 +162,12 @@ class SurfaceModel:
     def __init__(self, base: str):
         if base not in BASES:
             raise GeometryError(f"unknown base surface {base!r}")
-        labels, self.base_gram, self._k_base = BASES[base]
+        labels, gram, self._k_base = BASES[base]
         self.basis_labels = list(labels)
-        self.base = base
-        self.base_rank = len(self.basis_labels)
+        self.base, self.base_gram, self.base_rank = base, gram, len(labels)
+        # the base block's G + I (for `pairing`) and G K_base (for `k_degree`)
+        self._shifted = [[g + (i == j) for j, g in enumerate(row)] for i, row in enumerate(gram)]
+        self._k_dual = [sum(g * k for g, k in zip(row, self._k_base)) for row in gram]
         self.prime_divisors: dict[str, PrimeDivisor] = {}
 
     # -- construction -----------------------------------------------------
@@ -183,7 +184,7 @@ class SurfaceModel:
             raise GeometryError("curve classes are integral lattice vectors")
         vec = tuple(int(x) for x in class_vector)
         cls = self.sparse_class(vec)
-        if any(x < 0 for x in cls[0]) or not any(vec):
+        if any(x < 0 for x in vec[: self.base_rank]) or not cls:
             raise GeometryError(f"class {vec} is not effective-irreducible on the {self.base} base")
         square, k_degree = self.pairing(cls, cls), self.k_degree(cls)
         genus = Fraction(square + k_degree, 2) + 1
@@ -232,13 +233,13 @@ class SurfaceModel:
         basis.append(exceptional_name)
         for name, m in seen.items():  # strict transforms; no other divisor changes
             old = self.prime_divisors[name]
-            strict = (old.base, {**old.exceptional, index: -m})
+            strict = {**old.cls, index: -m}
             self.prime_divisors[name] = PrimeDivisor(
                 name, strict, old.square - m * m, old.k_degree + m, basis
             )
-        exc = ((0,) * self.base_rank, {index: 1})
-        self.prime_divisors[exceptional_name] = PrimeDivisor(exceptional_name, exc, -1, -1, basis)
-        return self.prime_divisors[exceptional_name]
+        exc = PrimeDivisor(exceptional_name, {index: 1}, -1, -1, basis)
+        self.prime_divisors[exceptional_name] = exc
+        return exc
 
     def _check_fresh(self, name: str) -> None:
         # every exceptional label is also a registered divisor
@@ -276,25 +277,20 @@ class SurfaceModel:
         if isinstance(d, str):
             if (div := self.prime_divisors.get(d)) is None:
                 raise GeometryError(f"unknown divisor name {d!r}")
-            return div.base, div.exceptional
-        if type(d) is tuple and len(d) == 2 and type(d[1]) is dict:
+            return div.cls
+        if type(d) is dict:
             return d
-        r = self.base_rank
         if isinstance(d, QDivisor):
-            residual = ((0,) * r, {}) if d.residual is None else self.sparse_class(d.residual)
-            base, exceptional = list(residual[0]), residual[1]
+            cls = {} if d.residual is None else self.sparse_class(d.residual)
             for name, coeff in d.named.items():
-                named_base, named_exceptional = self.sparse_class(name)
                 c = coeff.numerator if coeff.denominator == 1 else coeff
-                for i, x in enumerate(named_base):
-                    base[i] += c * x
-                for i, x in named_exceptional.items():
-                    exceptional[i] = exceptional.get(i, 0) + c * x
-            return tuple(base), exceptional
+                for i, x in self.sparse_class(name).items():
+                    cls[i] = cls.get(i, 0) + c * x
+            return {i: x for i, x in cls.items() if x}
         vec = [x if type(x) is int else Fraction(x) for x in d]
         if len(vec) != self.rank:
             raise GeometryError(f"class vector of length {len(vec)} on a rank-{self.rank} lattice")
-        return tuple(vec[:r]), {i: x for i, x in enumerate(vec[r:], r) if x}
+        return {i: x for i, x in enumerate(vec) if x}
 
     def total_class(self, d: DivisorLike) -> tuple[int | Fraction, ...]:
         """The dense class vector: `sparse_class` with the zero coordinates filled in."""
@@ -302,20 +298,22 @@ class SurfaceModel:
 
     def pairing(self, u: DivisorLike | SparseClass, v: DivisorLike | SparseClass) -> int | Fraction:
         """Intersection form on two classes (anything `sparse_class` resolves):
-        the base block's form on the base parts minus the dot product of the
-        exceptional parts, walked over the shorter exceptional support.
-        Integral classes give an int."""
-        (ub, ue), (vb, ve) = self.sparse_class(u), self.sparse_class(v)
-        if len(ue) > len(ve):
-            ue, ve = ve, ue
-        base = sum([x * g * y for x, row in zip(ub, self.base_gram) for g, y in zip(row, vb)])
-        return base - sum([x * ve[i] for i, x in ue.items() if i in ve])
+        minus the dot product, walked over the shorter map, plus G_base + I on
+        the base coordinates.  Integral classes give an int."""
+        u, v = self.sparse_class(u), self.sparse_class(v)
+        if len(u) > len(v):
+            u, v = v, u
+        total = -sum([x * v[i] for i, x in u.items() if i in v])
+        for i, row in enumerate(self._shifted):
+            if i in u:
+                total += u[i] * sum([g * v[j] for j, g in enumerate(row) if j in v])
+        return total
 
     def k_degree(self, d: DivisorLike | SparseClass) -> int | Fraction:
-        """D.K for anything `sparse_class` resolves: the base block's form on
-        K's base part, less the exceptional coordinates (K has 1 on each)."""
-        base, exceptional = self.sparse_class(d)
-        return self.pairing((base, {}), (self._k_base, {})) - sum(exceptional.values())
+        """D.K for anything `sparse_class` resolves: G_base K_base on the base
+        coordinates, less the exceptional ones (K has 1 on each)."""
+        k, r = self._k_dual, self.base_rank
+        return sum([x * k[i] if i < r else -x for i, x in self.sparse_class(d).items()])
 
     def intersect(self, a: DivisorLike | SparseClass, b: DivisorLike | SparseClass) -> Fraction:
         """Intersection number of two divisors: `pairing` as a Fraction."""

@@ -513,6 +513,8 @@ class TestSparseClassesAgainstDenseReference:
         assert model.canonical_class == tuple(dense.canonical)
         for name, cls in dense.classes.items():
             div = model.prime_divisors[name]
+            assert type(div.cls) is dict and set(div.cls) <= set(range(model.rank))
+            assert all(div.cls.values())  # only nonzero coordinates are stored
             assert div.class_vector == tuple(cls)
             assert (div.square, div.k_degree) == (dense.pair(cls, cls), dense.pair(cls, dense.canonical))
             assert model.arithmetic_genus(name) == F(dense.twice_genus(cls), 2)

@@ -468,6 +468,25 @@ class TestCli:
         assert main(["run", "--scenario", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oversized_integer_exit_two(self, tmp_path, capsys, fmt):
+        # C.C = 2 * 10**4400 has more digits than the interpreter writes as text
+        raw = {
+            "schema": "blowdown-scenario/1", "name": "huge", "base": "quadric",
+            "curves": [{"name": "C", "class": [10**2200, 10**2200]}],
+            "checks": [{"kind": "intersection-table",
+                        "entries": [{"a": "C", "b": "C", "expect": 0}]}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: checks[0] (intersection-table): ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        with pytest.raises(ScenarioError, match=r"checks\[0\] \(intersection-table\)"):
+            run_scenario(load_scenario(path))
+
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["repro", "--format", "json", "--out", str(out)]) == 0

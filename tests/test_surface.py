@@ -211,3 +211,24 @@ def test_total_class_resolution():
         m.total_class(QDivisor({"missing": 1}))
     with pytest.raises(GeometryError, match="rank"):
         m.total_class(QDivisor({}, residual=(1, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "divisor, expected",
+    [
+        ("C", {0: 1, 1: 3, 2: -1}),
+        (QDivisor({"C": 1, "E": F(1, 2)}), {0: 1, 1: 3, 2: F(-1, 2)}),
+        (QDivisor({"C": 1, "E": 1}, residual=(0, -3, 0)), {0: 1}),  # cancelled entries dropped
+        ((2, 0, F(1, 2)), {0: 2, 2: F(1, 2)}),
+        ({1: 5}, {1: 5}),
+    ],
+    ids=["name", "qdivisor", "qdivisor-residual", "vector", "dict"],
+)
+def test_sparse_class_is_one_map(divisor, expected):
+    m = new_quadric()
+    m.declare_curve("C", (1, 3))
+    m.blow_up("E", [("C", 1)])
+    cls = m.sparse_class(divisor)
+    assert type(cls) is dict and cls == expected
+    if type(divisor) is dict:
+        assert cls is divisor  # a sparse class passes through, not copied
