@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
+from typing import Callable
 
 from .errors import GeometryError, ScenarioError
 from .explorer import explore_frobenius
@@ -58,8 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def emit_report(text: str, json_payload: dict, fmt: str, out: str | None) -> None:
-    payload = canonical_json(json_payload) if fmt == "json" else text
+def emit_report(
+    to_text: Callable[[], str], to_dict: Callable[[], dict], fmt: str, out: str | None
+) -> None:
+    """Write the report in ``fmt``, building only that form of it."""
+    payload = canonical_json(to_dict()) if fmt == "json" else to_text()
     if out is None:
         sys.stdout.write(payload)
     else:
@@ -77,13 +82,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             exploration = explore_frobenius(args.p, args.points)
             emit_report(
-                exploration_to_text(exploration),
-                exploration_to_dict(exploration),
+                partial(exploration_to_text, exploration),
+                partial(exploration_to_dict, exploration),
                 args.format,
                 args.out,
             )
             return 0
-        emit_report(report.to_text(), report.to_dict(), args.format, args.out)
+        emit_report(report.to_text, report.to_dict, args.format, args.out)
         return 0 if report.passed else 1
     except (ScenarioError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

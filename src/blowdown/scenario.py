@@ -8,8 +8,9 @@ serialization is canonical (sorted keys, rationals as "num/den" strings), so
 two runs of the same scenario are byte-identical.
 
 The format is stated once, in the table `DOCUMENT_SCHEMA` (with the fields of
-each check kind in `CHECK_SCHEMAS`), which is its reference; `parse_scenario`
-walks that table once with `_parse_field`.
+each check kind in `CHECK_SCHEMAS`), which is its reference.  At import the
+table is compiled into one parser and one writer per node: `parse_scenario`
+runs the parsers, and `scenario_digest` writes the document with the writers.
 
 Exit-code taxonomy used by the CLI: a malformed scenario or a numerically
 impossible construction is *invalid input*; a check whose computed values
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from .cohomology import (
     verify_h0_anticanonical_zero,
@@ -103,7 +104,9 @@ def _write(obj: Any, newline: str) -> str:
 
 
 def scenario_digest(scenario: "Scenario") -> str:
-    payload = canonical_json(scenario._document()).encode("utf-8")
+    """The sha256 of the scenario document's `canonical_json` bytes, written
+    by the writers compiled from `DOCUMENT_SCHEMA`."""
+    payload = (_write_document(scenario._document()) + "\n").encode("utf-8")
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
@@ -141,6 +144,8 @@ class Scenario:
     #: the build ``load_scenario`` validated, which ``run_scenario`` takes instead
     #: of building again; not part of the document
     _trial: "ScenarioRun | None" = field(default=None, init=False, repr=False, compare=False)
+    #: the file ``load_scenario`` read, which starts the location of a check's error
+    _path: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """The scenario document; its checks are copies the caller may change."""
@@ -233,7 +238,10 @@ class ScenarioRun:
 def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
     """Parse a scenario document against `DOCUMENT_SCHEMA`; every error's
     location starts with ``where``."""
-    doc = _parse_field(DOCUMENT_SCHEMA, raw, where, {CURVE: set(), REF: {"K"}})
+    try:
+        doc = _parse_document(raw, {CURVE: set(), REF: {"K"}})
+    except _Invalid as exc:
+        raise ScenarioError(f"{where}{''.join(reversed(exc.path))}: {exc.message}") from None
     return Scenario(
         name=doc["name"],
         base=doc["base"],
@@ -338,110 +346,206 @@ CHECK_SCHEMAS: dict[str, dict] = {
 }
 
 
-def _parse_field(schema: Any, value: Any, at: Any, names: dict) -> Any:
-    """Check ``value`` against ``schema`` and return it with every leaf parsed.
+class _Invalid(Exception):
+    """A value that breaks the schema.  Each container it leaves on its way out
+    adds its key to ``path``, innermost first; ``shape`` names the container the
+    value should have been, so that an object field can name itself."""
 
-    ``at`` locates the value: the document's own location, or ``(parent, key)``
-    with ``key`` a field name, an item index or a 1-tuple holding a map key;
-    `_error` formats it only for a message.  ``names`` holds the curve and the
-    divisor names declared so far, which ``CURVE`` and ``REF`` accept."""
-    if isinstance(schema, (list, dict)):
-        if not isinstance(value, type(schema)):
-            what = "a list" if isinstance(schema, list) else "an object"
-            if isinstance(at, tuple) and isinstance(at[1], str):  # a field names itself
-                raise _error(at[0], f"'{at[1]}' must be {what}")
-            raise _error(at, f"must be {what}")
-        if isinstance(schema, list):
-            return [_parse_field(schema[0], x, (at, i), names) for i, x in enumerate(value)]
-        if len(schema) == 1 and (key := next(iter(schema)))[0] == "<":  # a map, keyed by a leaf
-            item = schema[key]
-            return {
-                _parse_field(key, k, (at, (k,)), names): _parse_field(item, x, (at, (k,)), names)
-                for k, x in value.items()
-            }
-        for k in value:
-            # a key is a required field's name or an optional one's without its "?"
-            if (k[-1] == "?") if k in schema else (f"{k}?" not in schema):
-                raise _error(at, f"unknown field {k!r}")
-        out = {}
-        for k, item in schema.items():
-            name = k.rstrip("?")
-            # a missing required field is checked as null, which no type accepts
-            if name in value or name == k:
-                out[name] = _parse_field(item, value.get(name), (at, name), names)
-            elif isinstance(item, list):
-                out[name] = []
-        return out
-    if schema == REF:
-        if not isinstance(value, str) or (
-            (v := value.removeprefix("-")) not in names[REF] and v not in names[CURVE]
-        ):
-            raise _error(at, f"unknown divisor reference {value!r}")
-    elif schema == RATIONAL:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise _error(at, f"expected an exact rational, got {value!r}")
-        if isinstance(value, str) and not RATIONAL_STRING.fullmatch(value):
-            raise _error(at, f'bad rational {value!r} (expected a string like "2/3")')
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _error(at, f"bad rational {value!r} ({exc})") from None
-    elif schema in (INT, MULT):
-        # bool is an int subclass, and True == 1 would pass an equality check
-        if not isinstance(value, int) or isinstance(value, bool) or schema == MULT and value < 1:
-            raise _error(at, "must be an integer" if schema == INT else "must be an integer >= 1")
-    elif schema in (STR, NEW_CURVE):
-        if not isinstance(value, str):
-            raise _error(at, "must be a string")
-        if schema == NEW_CURVE:
-            if value == "K" or value[:1] == "-":
-                raise _error(at, "a curve or blow-up name must not be 'K' or start with '-'")
-            names[CURVE].add(value)
-    elif schema == CURVE:
-        if not isinstance(value, str) or value not in names[CURVE]:
-            raise _error(at, f"unknown curve {value!r}")
-    elif schema == NAME:
-        if not isinstance(value, str) or not value:
-            raise _error(at, "must be a nonempty string")
-    elif schema == INTS:
-        if not isinstance(value, list):
-            raise _error(at, "must be a list of integers")
-        return [_parse_field(INT, x, (at, i), names) for i, x in enumerate(value)]
-    elif schema == BOOL:
-        if not isinstance(value, bool):
-            raise _error(at, "must be true or false")
-    elif schema == NEW_DIVISOR:
-        if not isinstance(value, str) or value == "K" or value[:1] == "-" or value in names[CURVE]:
-            raise _error(
-                at, "a divisor name must not be 'K', start with '-' or be a curve or blow-up name"
-            )
-        names[REF].add(value)
-    elif schema == CHECK:
-        if not isinstance(value, dict):
-            raise _error(at, "must be an object")
-        kind = value.get("kind")
-        if not isinstance(kind, str) or kind not in CHECK_SCHEMAS:
-            raise _error(at, f"unknown check kind {kind!r}")
-        body = {k: v for k, v in value.items() if k != "kind"}
-        return {"kind": kind, **_parse_field(CHECK_SCHEMAS[kind], body, at, names)}
-    else:
-        choices = [getattr(c, "value", c) for c in schema]
-        if value not in choices:
-            raise _error(at, f"must be one of {choices}, got {value!r}")
-        return schema(value) if isinstance(schema, type) else value
+    def __init__(self, message: str, shape: str = "") -> None:
+        self.message, self.shape, self.path = message, shape, []
+
+
+def _fail(message: str) -> NoReturn:
+    raise _Invalid(message)
+
+
+def _rational(value: Any, names: dict) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise _Invalid(f"expected an exact rational, got {value!r}")
+    if isinstance(value, str) and not RATIONAL_STRING.fullmatch(value):
+        raise _Invalid(f'bad rational {value!r} (expected a string like "2/3")')
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _Invalid(f"bad rational {value!r} ({exc})") from None
+
+
+def _new_curve(value: Any, names: dict) -> str:
+    if not isinstance(value, str):
+        raise _Invalid("must be a string")
+    if value == "K" or value[:1] == "-":
+        raise _Invalid("a curve or blow-up name must not be 'K' or start with '-'")
+    names[CURVE].add(value)
     return value
 
 
-def _error(at: Any, message: str) -> ScenarioError:
-    """``message`` located at ``at`` (see `_parse_field`)."""
-    keys = []
-    while isinstance(at, tuple):
-        at, key = at
-        if isinstance(key, str):
-            keys.append(f".{key}")
-        else:  # an item index, or a 1-tuple holding a map key
-            keys.append(f"[{key!r}]" if isinstance(key, int) else f"[{key[0]!r}]")
-    return ScenarioError(f"{at}{''.join(reversed(keys))}: {message}")
+def _new_divisor(value: Any, names: dict) -> str:
+    if not isinstance(value, str) or value == "K" or value[:1] == "-" or value in names[CURVE]:
+        raise _Invalid(
+            "a divisor name must not be 'K', start with '-' or be a curve or blow-up name"
+        )
+    names[REF].add(value)
+    return value
+
+
+#: The parser of each leaf, ``(value, names) -> parsed``, which raises _Invalid
+#: with no location; ``names`` holds the curve and divisor names declared so far.
+#: bool is an int subclass, and True == 1 would pass an equality check.
+_LEAVES: dict[str, Callable[[Any, dict], Any]] = {
+    RATIONAL: _rational,
+    INT: lambda v, names: v if type(v) is int or isinstance(v, int) and not isinstance(v, bool)
+    else _fail("must be an integer"),
+    MULT: lambda v, names: v if (type(v) is int or isinstance(v, int) and not isinstance(v, bool))
+    and v >= 1 else _fail("must be an integer >= 1"),
+    BOOL: lambda v, names: v if isinstance(v, bool) else _fail("must be true or false"),
+    STR: lambda v, names: v if isinstance(v, str) else _fail("must be a string"),
+    NAME: lambda v, names: v if isinstance(v, str) and v else _fail("must be a nonempty string"),
+    REF: lambda v, names: v if isinstance(v, str) and (
+        (u := v.removeprefix("-")) in names[REF] or u in names[CURVE]
+    ) else _fail(f"unknown divisor reference {v!r}"),
+    CURVE: lambda v, names: v if isinstance(v, str) and v in names[CURVE]
+    else _fail(f"unknown curve {v!r}"),
+    NEW_CURVE: _new_curve,
+    NEW_DIVISOR: _new_divisor,
+}
+
+
+def _compile(schema: Any, newline: str) -> tuple[Callable, Callable | None]:
+    """The parser, ``(value, names) -> parsed``, and the document writer,
+    ``value -> canonical_json text``, of the schema node ``schema`` whose closing
+    bracket follows ``newline``.  A leaf, a map and a list of leaves have no
+    writer of their own: the object holding them writes them."""
+    inner = newline + "  "
+    if type(schema) is dict and (len(schema) != 1 or next(iter(schema))[0] != "<"):
+        return _object(schema, newline)
+    if schema == CHECK:  # an object with the fields of its kind
+        kinds = {k: _object({"kind": STR, **f}, newline) for k, f in CHECK_SCHEMAS.items()}
+
+        def parse_check(value: Any, names: dict) -> dict:
+            kind = value.get("kind") if isinstance(value, dict) else _fail("must be an object")
+            if not isinstance(kind, str) or kind not in kinds:
+                raise _Invalid(f"unknown check kind {kind!r}")
+            return kinds[kind][0](value, names)
+
+        def write_check(value: Any) -> str:
+            kind = value.get("kind") if type(value) is dict else None
+            if type(kind) is not str or kind not in kinds:
+                return _write(value, newline)
+            return kinds[kind][1](value)
+
+        return parse_check, write_check
+    if type(schema) is dict:  # a map, keyed by a leaf
+        ((key, item),) = schema.items()
+        parse_key, parse_item = _LEAVES[key], _compile(item, inner)[0]
+
+        def parse_map(value: Any, names: dict) -> dict:
+            if type(value) is not dict and not isinstance(value, dict):
+                raise _Invalid("must be an object", "an object")
+            out = {}
+            for k, x in value.items():
+                try:
+                    parsed_key = parse_key(k, names)
+                    out[parsed_key] = parse_item(x, names)
+                except _Invalid as exc:
+                    exc.path.append(f"[{k!r}]")
+                    raise
+            return out
+
+        return parse_map, None
+    if type(schema) is list or schema == INTS:
+        ints = schema == INTS
+        parse_item, write_item = _compile(INT if ints else schema[0], inner)
+        message, shape = ("must be a list of integers", "") if ints else ("must be a list", "a list")
+
+        def parse_list(value: Any, names: dict) -> list:
+            if type(value) is not list and not isinstance(value, list):
+                raise _Invalid(message, shape)
+            out: list = []
+            try:
+                for x in value:
+                    out.append(parse_item(x, names))
+            except _Invalid as exc:
+                exc.path.append(f"[{len(out)}]")
+                raise
+            return out
+
+        def write_list(value: Any) -> str:
+            if type(value) is not list or not value:
+                return _write(value, newline)
+            return "[" + inner + ("," + inner).join([write_item(x) for x in value]) + newline + "]"
+
+        return parse_list, None if write_item is None else write_list
+    if schema in _LEAVES:
+        return _LEAVES[schema], None
+    choices = [getattr(c, "value", c) for c in schema]  # a tuple, or an enum
+    convert = schema if isinstance(schema, type) else lambda value: value
+
+    def parse_choice(value: Any, names: dict) -> Any:
+        if value not in choices:
+            raise _Invalid(f"must be one of {choices}, got {value!r}")
+        return convert(value)
+
+    return parse_choice, None
+
+
+def _object(schema: dict, newline: str) -> tuple[Callable, Callable]:
+    """`_compile` of an object.  Its writer takes the fields in their statically
+    sorted order and writes a leaf of an exact JSON type inline; any other value,
+    and an object that is not a plain dict of known fields, goes to `_write`."""
+    inner = newline + "  "
+    fields = []  # (name, parse, write, required, absent reads as [])
+    for key, item in schema.items():
+        name = key.rstrip("?")
+        fields.append((name, *_compile(item, inner), name == key, type(item) is list))
+    known = frozenset(f[0] for f in fields)
+    parsers = [(name, parse, required, is_list) for name, parse, _, required, is_list in fields]
+    writers = sorted((name, f"{inner}{_encode_str(name)}: ", w) for name, _, w, *_ in fields)
+
+    def parse(value: Any, names: dict) -> dict:
+        if type(value) is not dict and not isinstance(value, dict):
+            raise _Invalid("must be an object", "an object")
+        if not known.issuperset(value):
+            raise _Invalid(f"unknown field {next(k for k in value if k not in known)!r}")
+        out = {}
+        for name, parse_item, required, is_list in parsers:
+            # a missing required field is checked as null, which no type accepts
+            if name in value or required:
+                try:
+                    out[name] = parse_item(value.get(name), names)
+                except _Invalid as exc:
+                    if exc.shape and not exc.path:  # a field names itself
+                        exc.message, exc.shape = f"'{name}' must be {exc.shape}", ""
+                    else:
+                        exc.path.append(f".{name}")
+                    raise
+            elif is_list:
+                out[name] = []
+        return out
+
+    def write(value: Any) -> str:
+        if type(value) is not dict or not known.issuperset(value):
+            return _write(value, newline)
+        parts = []
+        for name, prefix, write_item in writers:
+            if name in value:
+                x = value[name]
+                if write_item is not None:
+                    parts.append(prefix + write_item(x))
+                elif (kind := type(x)) is str:
+                    parts.append(prefix + _encode_str(x))
+                elif kind is int:
+                    parts.append(prefix + int.__repr__(x))
+                else:
+                    parts.append(prefix + _write(x, inner))
+        return "{" + ",".join(parts) + newline + "}" if parts else "{}"
+
+    return parse, write
+
+
+#: `DOCUMENT_SCHEMA` compiled once: its parser and the writer of the document.
+_parse_document, _write_document = _compile(DOCUMENT_SCHEMA, "\n")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -460,6 +564,7 @@ def load_scenario(path: str) -> Scenario:
     except ScenarioError as exc:
         raise ScenarioError(f"{path}.{exc}") from None
     object.__setattr__(scenario, "_trial", run)
+    object.__setattr__(scenario, "_path", path)
     return scenario
 
 
@@ -527,11 +632,12 @@ def _singular_points_json(reports) -> list[dict]:
 def _check_intersection_table(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
     rows = []
+    pairing, sparse_class = run.model.pairing, run.sparse_class
     for entry in spec["entries"]:
         a, b = entry["a"], entry["b"]
-        value = run.model.intersect(run.sparse_class(a), run.sparse_class(b))
+        value = pairing(sparse_class(a), sparse_class(b))  # an int on integral classes
         expect.eq(f"{a}.{b}", value, entry["expect"])
-        rows.append({"a": a, "b": b, "value": rational_str(value)})
+        rows.append({"a": a, "b": b, "value": _text(value)})
     details = {"entries": rows, "count": len(rows)}
     return CheckResult("intersection-table", not expect.mismatches, details, expect.mismatches)
 
@@ -829,7 +935,8 @@ def run_scenario(scenario: Scenario) -> Report:
     A numerical-geometry error raised while evaluating a check (wrong target
     rank, pipeline abort, ...) counts as that check failing, not as invalid
     input: the scenario built fine, its mathematics did not.  A ScenarioError
-    (a number too long to write) gains the check's location.  The trial build
+    (a number too long to write) gains the check's location, after the file
+    path of a scenario that `load_scenario` read.  The trial build
     of `load_scenario`, if not yet used, is used instead of a new one."""
     run = scenario._trial or scenario.build()
     object.__setattr__(scenario, "_trial", None)
@@ -840,7 +947,8 @@ def run_scenario(scenario: Scenario) -> Report:
         except GeometryError as exc:
             result = CheckResult(spec["kind"], False, {"error": str(exc)}, [str(exc)])
         except ScenarioError as exc:
-            raise ScenarioError(f"checks[{i}] ({spec['kind']}): {exc}") from None
+            where = f"{scenario._path}." if scenario._path is not None else ""
+            raise ScenarioError(f"{where}checks[{i}] ({spec['kind']}): {exc}") from None
         checks.append(result)
     return Report(scenario.name, scenario_digest(scenario), checks)
 

@@ -1,4 +1,6 @@
+import collections
 import copy
+import enum
 import hashlib
 import itertools
 import json
@@ -13,6 +15,7 @@ from blowdown import ScenarioError, load_scenario, run_repro, run_scenario
 from blowdown.cli import main
 from blowdown.scenario import (
     BUNDLED_EXPECTED,
+    Report,
     Scenario,
     bundled_scenario,
     canonical_json,
@@ -194,6 +197,7 @@ class TestValidation:
             ("cone", "expect.cm", 0, "expect.cm: must be true or false"),
             ("cone", "expect.class_group_rank", False, "class_group_rank: must be an integer"),
             ("cone", "expect.class_group_torsion", 7, "class_group_torsion: must be a list"),
+            ("kvv-failure", "expect.nef_degrees", 5, "checks[5].expect: 'nef_degrees' must be an"),
             ("cone", "expect.class_group_torsion", [True], "torsion[0]: must be an integer"),
             ("kvv-failure", "expect.not_globally_f_split", 1, "f_split: must be true or false"),
             ("kvv-failure", "expect.h1_nonzero", "yes", "h1_nonzero: must be true or false"),
@@ -482,10 +486,24 @@ class TestCli:
         assert main(["run", "--scenario", str(path), "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: checks[0] (intersection-table): ")
+        # located from the file path on, like the parse and build errors
+        assert captured.err.startswith(f"error: {path}.checks[0] (intersection-table): ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         with pytest.raises(ScenarioError, match=r"checks\[0\] \(intersection-table\)"):
             run_scenario(load_scenario(path))
+
+    @pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_dict")])
+    def test_only_the_written_format_is_built(self, monkeypatch, capsys, fmt, unused):
+        def fail(report):
+            raise AssertionError(f"{unused} called for --format {fmt}")
+
+        monkeypatch.setattr(Report, unused, fail)
+        assert main(["repro", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert out == (DATA / BUNDLED_EXPECTED).read_text()
+        else:
+            assert "result:   PASS (7/7 checks)" in out
 
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -612,6 +630,12 @@ class TestFuzz:
                 parent[path[-1]]["unexpected"] = value
         with tempfile.TemporaryDirectory() as directory:
             assert run_cli(raw, directory) in (0, 1, 2)
+        try:
+            scenario = parse_scenario(raw)
+        except ScenarioError:
+            return
+        # the compiled document writer gives the reference encoder's bytes
+        assert scenario_digest(scenario) == sha256_digest(canonical_json(scenario.to_dict()))
 
 
 def tower_dict(p, n, extra_entries=()):
@@ -647,6 +671,10 @@ def tower_dict(p, n, extra_entries=()):
             }
         ],
     }
+
+
+def sha256_digest(text):
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def stdlib_indent2(text):
@@ -698,4 +726,46 @@ def test_tower_report_bytes_match_stdlib_encoder(tmp_path):
     assert text == stdlib_indent2(text)
     payload = canonical_json(scenario.to_dict())
     assert payload == stdlib_indent2(payload)
-    assert scenario_digest(scenario) == "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
+    assert scenario_digest(scenario) == sha256_digest(payload)
+    stdlib = json.dumps(scenario.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert report.scenario_digest == sha256_digest(stdlib)
+
+
+class Level(enum.IntEnum):
+    THREE = 3
+
+
+class Verdict(str, enum.Enum):
+    klt = "klt"
+    A = "A"
+
+
+def test_library_values_in_raw_checks_keep_their_digest():
+    """A library caller's IntEnum, str Enum and OrderedDict values in the raw
+    checks are written as their base JSON types, so the digest is the golden
+    report's, which the plain values give."""
+    raw = bundled_dict()
+    plain = parse_scenario(copy.deepcopy(raw))
+    pullback, rank_one, census, kvv, cone = (
+        check_of(raw, kind)
+        for kind in (
+            "canonical-pullback", "rank-one-positivity", "singular-points", "kvv-failure", "cone"
+        )
+    )
+    pullback["expect_classification"] = Verdict.klt
+    pullback["expect_coefficients"] = collections.OrderedDict(pullback["expect_coefficients"])
+    rank_one["ample"][0]["divisor"] = Verdict.A
+    rank_one["expect_class_group"]["torsion"] = [Level.THREE] * 3
+    census["expect"][0]["n"] = Level.THREE
+    kvv["expect"] = collections.OrderedDict(reversed(kvv["expect"].items()))
+    raw["checks"][raw["checks"].index(cone)] = collections.OrderedDict(cone)
+    scenario = parse_scenario(raw)
+    assert scenario.specs == plain.specs
+    digest = scenario_digest(scenario)
+    assert digest == scenario_digest(plain) == sha256_digest(canonical_json(scenario.to_dict()))
+    assert digest == json.loads((DATA / BUNDLED_EXPECTED).read_text())["scenario"]["digest"]
+    # the scenario shares the caller's raw checks, so a field added after
+    # parsing is in the document, written by the generic encoder
+    raw["checks"][0]["entries"][0]["note"] = "added after parsing"
+    raw["checks"][1]["note"] = [Level.THREE]
+    assert scenario_digest(scenario) == sha256_digest(canonical_json(scenario.to_dict())) != digest
