@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import GeometryError, NotContractibleError
@@ -118,7 +119,7 @@ class Contraction:
     once, nothing else meets) is ordered once and keeps its continuants,
     which test it (Sylvester) and solve a pullback in O(k) integer steps; any
     other block is tested and inverted densely, and a pullback multiplies by
-    its inverse.
+    its inverse, kept as integers over one denominator.
 
     The class group is the source lattice modulo the contracted classes, read
     from their sparse rows M with a certified chain of steps:
@@ -144,24 +145,11 @@ class Contraction:
         if unknown := [n for n in names if n not in model.prime_divisors]:
             raise GeometryError(f"unknown curve {unknown[0]!r}")
         self._classes = [model.sparse_class(n) for n in names]
-        support: dict[int, list[int]] = {}  # coordinate -> the curves nonzero there
-        for i, cls in enumerate(self._classes):
-            for j in cls:
-                support.setdefault(j, []).append(i)
-        # curves meet only where the form pairs their coordinates (SurfaceModel.pairing)
-        links = [(j, j) for j in support if j >= model.base_rank]
-        links += [(j, k) for j, row in enumerate(model.base_gram) for k, g in enumerate(row) if g]
-        pairs = {(min(a, b), max(a, b)) for j, k in links
-                 for a in support.get(j, ()) for b in support.get(k, ()) if a != b}
-        # sparse Gram rows: the diagonal, then the nonzero entries off it
-        self._rows = [{i: model.prime_divisors[n].square} for i, n in enumerate(names)]
-        for i, j in sorted(pairs):
-            if meets := model.pairing(self._classes[i], self._classes[j]):
-                self._rows[i][j] = self._rows[j][i] = meets
+        self._rows = model.gram_rows(names)  # the diagonal, then the nonzero entries off it
 
-        # a reduced chain keeps its order and continuants, any other block its inverse
+        # a reduced chain keeps its order and continuants, any other block L*(-G)^-1 and L
         self._chains: list[tuple[list[int], list[int], list[int]]] = []
-        self._others: list[tuple[list[int], list[list[Fraction]]]] = []
+        self._others: list[tuple[list[int], list[list[int]], int]] = []
         seen: set[int] = set()
         for start in range(len(names)):
             if start in seen:
@@ -187,7 +175,9 @@ class Contraction:
             else:
                 gram = [[self._rows[i].get(j, 0) for j in block] for i in block]
                 if is_negative_definite(gram):
-                    self._others.append((block, invert(gram)))
+                    inverse = invert(gram)
+                    den = math.lcm(*(x.denominator for row in inverse for x in row))
+                    self._others.append((block, [[int(-x * den) for x in row] for row in inverse], den))
                     continue
             raise NotContractibleError(
                 "not contractible (numerical criterion): the Gram matrix of "
@@ -215,25 +205,28 @@ class Contraction:
         total = self.source.sparse_class(d)
         return [self.source.pairing(total, cls) for cls in self._classes]
 
-    def _corrections(self, d: DivisorLike) -> dict[str, Fraction]:
-        """Coefficients a_j with (D + sum a_j G_j).G_k = 0 for all k.  On a
-        chain, a = (-G)^-1 (D.G) with (-G)^-1_ij = P_i*Q_(j+1)/P_k for i <= j
-        (0-based; P leading and Q trailing continuants): a prefix and a suffix sum."""
+    def _solve(self, d: DivisorLike) -> Iterable[tuple[list[int], list[int], int]]:
+        """Per block, its positions j, integers n_j and q > 0 with a_j = n_j/q
+        solving (D + sum a_j G_j).G_k = 0 for all k, from D.G times its lcm s.
+        A chain has q = s*P_k and (-G)^-1_ij = P_i*Q_(j+1)/P_k for i <= j (0-based;
+        P leading and Q trailing continuants): a prefix and a suffix sum."""
         pairings = self._pairings(d)
-        coeffs: list[Fraction] = [Fraction(0)] * len(self.contracted)
+        s = math.lcm(*(x.denominator for x in pairings))
+        pairings = [int(x * s) for x in pairings]
         for order, lead, trail in self._chains:
             ds = [pairings[i] for i in order]
-            after = [0] * len(ds)  # after[i]: the sum of Q_(j+1)*d_j over j > i
-            for i in range(len(ds) - 1, 0, -1):
-                after[i - 1] = after[i] + trail[i + 1] * ds[i]
-            before = 0  # the sum of P_j*d_j over j <= i
-            for i, x in enumerate(ds):
-                before += lead[i] * x
-                coeffs[order[i]] = Fraction(trail[i + 1] * before + lead[i] * after[i], lead[-1])
-        for block, inverse in self._others:
-            for i, row in zip(block, inverse):
-                coeffs[i] = -sum(g * pairings[j] for g, j in zip(row, block))
-        return dict(zip(self.contracted, coeffs))
+            # after[i] = the sum of Q_(j+1)*d_j over j > i, before[i] of P_j*d_j over j <= i
+            after = [*accumulate(trail[j + 1] * ds[j] for j in range(len(ds) - 1, 0, -1))][::-1]
+            before = accumulate(p * x for p, x in zip(lead, ds))
+            nums = [q * b + p * a for q, b, p, a in zip(trail[1:], before, lead, after + [0])]
+            yield order, nums, s * lead[-1]
+        for block, inverse, den in self._others:
+            yield block, [sum(g * pairings[j] for g, j in zip(row, block)) for row in inverse], s * den
+
+    def _corrections(self, d: DivisorLike) -> dict[str, Fraction]:
+        """The coefficients a_j of `_solve` by curve name."""
+        return {self.contracted[j]: Fraction(n, q)
+                for block, ns, q in self._solve(d) for j, n in zip(block, ns)}
 
     def pullback(self, d_on_target: QDivisor) -> QDivisor:
         """Numerical pullback: the representative plus the unique correction
@@ -245,7 +238,7 @@ class Contraction:
         return QDivisor(named, d_on_target.residual)
 
     def _check_off_contracted(self, d_on_target: QDivisor) -> None:
-        touching = [n for n in self.contracted if d_on_target.coefficient(n) != 0]
+        touching = [n for n in self.contracted if n in d_on_target.named]  # no zeros kept
         if touching:
             raise GeometryError(
                 f"representative has nonzero coefficient on contracted {touching}"
@@ -294,7 +287,7 @@ class Contraction:
                         f"unsupported configuration: {names[i]}.{names[j]} = {meets} "
                         "(only reduced chains are classified)"
                     )
-        for block, _ in self._others[:1]:  # a block that is not a reduced chain
+        for block, *_ in self._others[:1]:  # a block that is not a reduced chain
             raise GeometryError(
                 f"unsupported configuration: component {sorted(names[i] for i in block)} "
                 "is not a chain"
@@ -366,22 +359,25 @@ class Contraction:
 
     def _corrected_witness(self, witness: DivisorLike | None) -> tuple[SparseClass, int]:
         """(L*W*, L): the witness plus its correction on the contracted
-        curves, as an integral sparse class and one denominator L > 0.
-        Cached for a hashable witness (None, a name, a tuple)."""
+        curves, as an integral sparse class and its least denominator L > 0,
+        summed in integers and reduced by one gcd.  Cached for a hashable
+        witness (None, a name, a tuple)."""
         try:
             return self._witnesses[witness]
         except KeyError:
             cache = True
         except TypeError:  # a list or a QDivisor
             cache = False
-        w = {0: 1} if witness is None else witness
-        cls = dict(self.source.sparse_class(w))
-        for g, c in zip(self._classes, self._corrections(w).values()):
-            if c:
-                for j, x in g.items():
-                    cls[j] = cls.get(j, 0) + c * x
-        scale = math.lcm(*(x.denominator for x in cls.values()))
-        result = {j: int(x * scale) for j, x in cls.items() if x}, scale
+        w = self.source.sparse_class({0: 1} if witness is None else witness)
+        terms = [(n, q, self._classes[i]) for block, ns, q in self._solve(w)
+                 for i, n in zip(block, ns) if n]
+        big = math.lcm(*(x.denominator for x in w.values()), *(q for _, q, _ in terms))
+        cls = {j: int(x * big) for j, x in w.items()}  # big*W* = big*W + sum (big/q)*n_j*G_j
+        for n, q, g in terms:
+            for j, x in g.items():
+                cls[j] = cls.get(j, 0) + big // q * n * x
+        g = math.gcd(big, *cls.values())  # lowest terms: lcm_j(B/gcd(c_j, B)) = B/gcd_j(c_j, B)
+        result = {j: x // g for j, x in cls.items() if x}, big // g
         if cache:
             self._witnesses[witness] = result
         return result

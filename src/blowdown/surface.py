@@ -13,11 +13,13 @@ sound on a rational surface (torsion-free Picard group).
 Only the base block is stored, and classes are sparse: a *sparse class* is
 one dict ``{coordinate index: nonzero value}``, base coordinates included.
 No other module splits a class into base and exceptional parts.  A blow-up
-adds one entry to each incident curve's map, and a pairing walks the shorter
-map, so both cost O(support), not O(rank).  Dense vectors (``class_vector``,
-``total_class``, ``gram``, ``canonical_class``) are built on demand.  The
-canonical class is stored as its base part: each of its exceptional
-coordinates is 1.
+adds one entry to each incident curve's map and updates the kept nonzero
+*exceptional parts* E(X, Y) = -sum X_c*Y_c (c exceptional) of the names'
+pairings: by -m_X*m_Y for incident X, Y, and E(E, X) = m_X for the new curve.
+So two names pair in O(1), a blow-up costs O(incidences^2), and other classes
+walk the shorter map.  Dense vectors (``class_vector``, ``total_class``,
+``gram``, ``canonical_class``) are built on demand.  The canonical class is
+stored as its base part: each of its exceptional coordinates is 1.
 
 Conventions:
   * quadric base: basis starts with the two ruling fibre classes ``f_x``,
@@ -56,9 +58,9 @@ class PrimeDivisor:
     """A named irreducible curve: its sparse class ``cls``, one map over all
     coordinates, and D.D and D.K cached as ``square`` and ``k_degree`` (a
     strict transform by multiplicity m changes them by exactly -m^2 and +m).  A divisor never
-    changes: a blow-up registers its incident curves' strict transforms as new
-    objects, so one fetched earlier keeps its old class, whose ``class_vector``
-    reads as the total transform (0 on newer coordinates)."""
+    changes: a blow-up registers the strict transforms as new objects (those that
+    pairing by name reads), so one fetched earlier keeps its old class, whose
+    ``class_vector`` reads as the total transform (0 on newer coordinates)."""
 
     __slots__ = ("name", "cls", "square", "k_degree", "_basis")
 
@@ -165,10 +167,11 @@ class SurfaceModel:
         labels, gram, self._k_base = BASES[base]
         self.basis_labels = list(labels)
         self.base, self.base_gram, self.base_rank = base, gram, len(labels)
-        # the base block's G + I (for `pairing`) and G K_base (for `k_degree`)
-        self._shifted = [[g + (i == j) for j, g in enumerate(row)] for i, row in enumerate(gram)]
+        # the base block's nonzero entries (for `pairing`) and G K_base (for `k_degree`)
+        self._links = [(i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g]
         self._k_dual = [sum(g * k for g, k in zip(row, self._k_base)) for row in gram]
         self.prime_divisors: dict[str, PrimeDivisor] = {}
+        self._exceptional: dict[str, dict[str, int]] = {}  # name -> {name: nonzero E(X, Y)}
 
     # -- construction -----------------------------------------------------
 
@@ -177,7 +180,8 @@ class SurfaceModel:
 
         Rejects classes no irreducible curve can have: the arithmetic genus
         must be a nonnegative integer and the base-degree part nonnegative
-        and nonzero (numerical effectivity screen).
+        and nonzero (numerical effectivity screen).  Exceptional entries are
+        paired once with every registered divisor: only this costs O(#divisors).
         """
         self._check_fresh(name)
         if any(x != int(x) for x in class_vector):
@@ -187,11 +191,14 @@ class SurfaceModel:
         if any(x < 0 for x in vec[: self.base_rank]) or not cls:
             raise GeometryError(f"class {vec} is not effective-irreducible on the {self.base} base")
         square, k_degree = self.pairing(cls, cls), self.k_degree(cls)
-        genus = Fraction(square + k_degree, 2) + 1
-        if genus.denominator != 1 or genus < 0:
-            raise GeometryError(
-                f"class {vec} has arithmetic genus {genus}; no irreducible curve represents it"
-            )
+        if (twice_genus := square + k_degree + 2) % 2 or twice_genus < 0:
+            raise GeometryError(f"class {vec} has arithmetic genus {Fraction(twice_genus, 2)}; "
+                                "no irreducible curve represents it")
+        row = self._exceptional[name] = {}
+        if exc := [(i, x) for i, x in cls.items() if i >= self.base_rank]:
+            for other, div in self.prime_divisors.items():
+                if meets := -sum([x * div.cls[i] for i, x in exc if i in div.cls]):
+                    row[other] = self._exceptional[other][name] = meets
         self.prime_divisors[name] = PrimeDivisor(name, cls, square, k_degree, self.basis_labels)
         return self.prime_divisors[name]
 
@@ -200,45 +207,53 @@ class SurfaceModel:
     ) -> PrimeDivisor:
         """Blow up a point specified by its incident curves and multiplicities.
 
-        Validates the intersection budget `X.Y >= m_X*m_Y` for every pair of
-        incident curves and the genus budget `p_a(X) >= m(m-1)/2` for every
-        multiplicity.  Appends a new (-1) basis class and takes strict
+        Validates the intersection budget `X.Y >= m_X*m_Y` (read in O(1)) for
+        every pair of incident curves and the genus budget `p_a(X) >= m(m-1)/2`
+        for every multiplicity.  Appends a new (-1) basis class and takes strict
         transforms of the incident curves; the canonical class gains a 1 on
         the new class.
         """
         self._check_fresh(exceptional_name)
+        divisors, parts = self.prime_divisors, self._exceptional
         seen: dict[str, int] = {}
+        kept = []  # (x, y, E(x, y) after the blow-up) for each incident pair
         for x, mx in incident:
-            if x not in self.prime_divisors:
+            if (dx := divisors.get(x)) is None:
                 raise GeometryError(f"unknown curve {x!r} in incidence list")
             if x in seen:
                 raise GeometryError(f"curve {x!r} listed twice in incidence list")
-            if not isinstance(mx, int) or mx < 1:
+            if type(mx) is not int or mx < 1:  # a bool is no multiplicity
                 raise GeometryError(f"multiplicity of {x!r} must be an integer >= 1")
-            dx = self.prime_divisors[x]
             if (twice_genus := dx.square + dx.k_degree + 2) < mx * (mx - 1):
                 raise GeometryError(
                     f"curve {x!r} cannot have a point of multiplicity {mx} "
                     f"(genus budget {Fraction(twice_genus, 2)})"
                 )
+            cx, row = dx.cls, parts[x]
             for y, my in seen.items():
-                if (meets := self.pairing(y, x)) < my * mx:
+                e = row.get(y, 0)
+                if (meets := e + self._base_part(cx, divisors[y].cls)) < my * mx:
                     raise GeometryError(
                         f"incidence budget violated: {y}.{x} = {meets} "
                         f"< {my}*{mx}; the declared point cannot exist numerically"
                     )
+                kept.append((x, y, e - mx * my))
             seen[x] = mx
 
         index, basis = self.rank, self.basis_labels
         basis.append(exceptional_name)
+        for x, y, e in kept:
+            if e:
+                parts[x][y] = parts[y][x] = e
+            else:
+                del parts[x][y], parts[y][x]
         for name, m in seen.items():  # strict transforms; no other divisor changes
-            old = self.prime_divisors[name]
+            old = divisors[name]
             strict = {**old.cls, index: -m}
-            self.prime_divisors[name] = PrimeDivisor(
-                name, strict, old.square - m * m, old.k_degree + m, basis
-            )
-        exc = PrimeDivisor(exceptional_name, {index: 1}, -1, -1, basis)
-        self.prime_divisors[exceptional_name] = exc
+            divisors[name] = PrimeDivisor(name, strict, old.square - m * m, old.k_degree + m, basis)
+            parts[name][exceptional_name] = m
+        parts[exceptional_name] = dict(seen)
+        exc = divisors[exceptional_name] = PrimeDivisor(exceptional_name, {index: 1}, -1, -1, basis)
         return exc
 
     def _check_fresh(self, name: str) -> None:
@@ -298,16 +313,40 @@ class SurfaceModel:
 
     def pairing(self, u: DivisorLike | SparseClass, v: DivisorLike | SparseClass) -> int | Fraction:
         """Intersection form on two classes (anything `sparse_class` resolves):
-        minus the dot product, walked over the shorter map, plus G_base + I on
-        the base coordinates.  Integral classes give an int."""
+        two names give ``square`` or their base part plus the kept E part, in
+        O(1); other classes their base part less the exceptional dot product,
+        walked over the shorter map.  Integral classes give an int."""
+        parts = self._exceptional
+        if type(u) is str and type(v) is str and u in parts and v in parts:
+            if u == v:
+                return self.prime_divisors[u].square
+            divisors = self.prime_divisors
+            return parts[u].get(v, 0) + self._base_part(divisors[u].cls, divisors[v].cls)
         u, v = self.sparse_class(u), self.sparse_class(v)
         if len(u) > len(v):
             u, v = v, u
-        total = -sum([x * v[i] for i, x in u.items() if i in v])
-        for i, row in enumerate(self._shifted):
-            if i in u:
-                total += u[i] * sum([g * v[j] for j, g in enumerate(row) if j in v])
-        return total
+        r = self.base_rank
+        return self._base_part(u, v) - sum([x * v[i] for i, x in u.items() if i >= r and i in v])
+
+    def _base_part(self, x: SparseClass, y: SparseClass) -> int | Fraction:
+        """G_base on the base coordinates of two classes: at most base_rank^2 products."""
+        return sum([g * x[i] * y[j] for i, j, g in self._links if i in x and j in y])
+
+    def gram_rows(self, names: Sequence[str]) -> list[dict[int, int]]:
+        """Sparse Gram rows of distinct registered curves (row i maps j to
+        names[i].names[j] if nonzero, its diagonal first), pairing only curves
+        with a kept exceptional part or base coordinates that G_base links."""
+        where = {n: i for i, n in enumerate(names)}
+        classes = [self.prime_divisors[n].cls for n in names]
+        on_base = [[i for i, cls in enumerate(classes) if k in cls] for k in range(self.base_rank)]
+        rows = [{i: self.prime_divisors[n].square} for i, n in enumerate(names)]
+        for i, (n, cls) in enumerate(zip(names, classes)):
+            linked = {where[m] for m in self._exceptional[n] if m in where}
+            linked.update(j for k, l, _ in self._links if k in cls for j in on_base[l])
+            for j in sorted(linked):
+                if j > i and (meets := self.pairing(n, names[j])):
+                    rows[i][j] = rows[j][i] = meets
+        return rows
 
     def k_degree(self, d: DivisorLike | SparseClass) -> int | Fraction:
         """D.K for anything `sparse_class` resolves: G_base K_base on the base

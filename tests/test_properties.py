@@ -4,6 +4,7 @@ import collections
 import enum
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction as F
 
@@ -538,6 +539,58 @@ class TestSparseClassesAgainstDenseReference:
             assert model.arithmetic_genus(d2) == F(dense.twice_genus(v), 2)
 
 
+class TestPairingsByName:
+    """The exceptional parts the model keeps up to date: on the random
+    declare/blow-up sequences of `TestSparseClassesAgainstDenseReference`
+    (curves declared after blow-ups with exceptional entries included), two
+    names pair like the dense reference after every step, and the sparse Gram
+    rows of a random set of curves are its dense Gram matrix."""
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
+    def test_pairings_and_gram_rows_match_dense_reference(self, base, data):
+        model = new_quadric() if base == "quadric" else new_plane()
+        dense = DenseLattice(base)
+        for name, cls in SPARSE_START[base].items():
+            model.declare_curve(name, cls)
+            dense.classes[name] = list(cls)
+        for step in range(data.draw(st.integers(1, 7))):
+            if data.draw(st.booleans()):
+                TestSparseClassesAgainstDenseReference._declare(model, dense, f"D{step}", data)
+            else:
+                TestSparseClassesAgainstDenseReference._blow_up(model, dense, f"X{step}", data)
+            assert sorted(model.prime_divisors) == sorted(dense.classes)
+            for a, u in dense.classes.items():
+                for b, v in dense.classes.items():
+                    value = model.pairing(a, b)
+                    assert type(value) is int and value == dense.pair(u, v)
+        names = data.draw(st.lists(st.sampled_from(sorted(dense.classes)), unique=True))
+        gram = [[dense.pair(dense.classes[a], dense.classes[b]) for b in names] for a in names]
+        assert model.gram_rows(names) == [
+            {j: x for j, x in enumerate(row) if x or i == j} for i, row in enumerate(gram)
+        ]
+        if is_negative_definite(gram):
+            assert contract(model, names).gram == tuple(tuple(row) for row in gram)
+
+    def test_a_curve_declared_after_blow_ups_meets_the_exceptional_curves(self):
+        model = new_quadric()
+        model.declare_curve("C", (1, 1))
+        model.blow_up("E1", [("C", 1)])
+        model.blow_up("E2")
+        model.declare_curve("D", (1, 1, -1, -1))  # through both blown-up points
+        assert [model.pairing("D", x) for x in ("C", "E1", "E2", "D")] == [1, 1, 1, 0]
+        model.blow_up("E3", [("C", 1), ("D", 1)])
+        assert [model.pairing("D", x) for x in ("C", "E1", "E2", "E3")] == [0, 1, 1, 1]
+
+    def test_unknown_name_raises(self):
+        model = new_quadric()
+        model.declare_curve("C", (1, 1))
+        with pytest.raises(GeometryError, match="unknown divisor name 'X'"):
+            model.pairing("C", "X")
+        with pytest.raises(GeometryError, match="unknown divisor name 'X'"):
+            model.pairing("X", "X")
+
+
 def _blocks(gram):
     """Connected blocks of the curves that ``gram`` pairs, as index lists."""
     seen, blocks = set(), []
@@ -896,6 +949,36 @@ def _check_degrees(con, extra_witnesses):
             expected = model.intersect(pulled, (1,) + (0,) * (model.rank - 1) if w is None else w)
             assert con.degree_against(d, w) == expected
             assert con.degree_against(d, w) == expected
+
+
+@pytest.mark.parametrize("source", ["bundled", "explorer-5-4"])
+def test_degree_against_rational_and_uncached_witnesses(source):
+    """The integer witness correction on rational input: divisors with a 1/2
+    coefficient on a surviving curve, against a QDivisor witness with one (not
+    cached) and a tuple witness holding a Fraction entry (cached), each asked
+    twice.  The cached pair is the corrected witness W* in lowest terms, with
+    W* solved here from the dense Gram matrix."""
+    con = bundled_scenario().build().contraction if source == "bundled" else (
+        explore_frobenius(5, 4).contraction)
+    model = con.source
+    survivor = next(n for n in sorted(model.prime_divisors) if n not in con.contracted)
+    k_target = con.pushforward(model.canonical_divisor())
+    half = QDivisor({survivor: F(1, 2)})
+    rational = (F(1, 2), F(-1, 3)) + (0,) * (model.rank - 2)
+    for d in (half, k_target + half, k_target.scaled(3) - half.scaled(5)):
+        pulled = con.pullback(d)
+        for w in (half, rational):
+            expected = model.intersect(pulled, w)
+            assert con.degree_against(d, w) == expected
+            assert con.degree_against(d, w) == expected
+    assert rational in con._witnesses
+    for w in (half, rational):
+        coeffs = solve_linear(con.gram, [-model.intersect(w, g) for g in con.contracted])
+        star = list(model.total_class(w))
+        for c, g in zip(coeffs, con.contracted):
+            star = [x + c * y for x, y in zip(star, model.prime_divisors[g].class_vector)]
+        scale = math.lcm(*(F(x).denominator for x in star))
+        assert con._corrected_witness(w) == ({j: int(x * scale) for j, x in enumerate(star) if x}, scale)
 
 
 def test_class_group_closed_form_at_rank_1002():

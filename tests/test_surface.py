@@ -142,6 +142,15 @@ def test_blow_up_validation_errors():
         m.blow_up("E", [])
 
 
+@pytest.mark.parametrize("mult", [True, False, 1.0, "1"])
+def test_blow_up_rejects_a_multiplicity_that_is_not_an_int(mult):
+    m = new_quadric()
+    m.declare_curve("C", (1, 3))
+    with pytest.raises(GeometryError, match=r"multiplicity of 'C' must be an integer >= 1"):
+        m.blow_up("E", [("C", mult)])
+    assert m.rank == 2 and "E" not in m.prime_divisors and m.pairing("C", "C") == 6
+
+
 def test_multiplicity_two_on_positive_genus_curve():
     m = new_quadric()
     m.declare_curve("N", (2, 2))  # genus (2-1)(2-1) = 1
