@@ -49,7 +49,7 @@ class AnticanonicalSectionsReport:
     """Result of the anticanonical-section check on a blown-up quadric."""
 
     identity_holds: bool
-    difference_class: tuple[Fraction, ...] | None
+    difference_class: tuple[int, ...] | None
     base_bidegree: tuple[int, int]
     h0: int
 
@@ -69,19 +69,19 @@ def verify_h0_anticanonical_zero(
     then count sections of the base part on the quadric.
 
     An identity failure is reported (with the differing class), not raised:
-    it signals a scenario-encoding bug, which is data for the caller.
+    it signals a scenario-encoding bug, which is data for the caller.  Every
+    class summed is integral, so the sums stay ints.
     """
     model = contraction.source
     if model.base != "quadric":
         raise GeometryError("anticanonical-section check requires a quadric base")
-    neg_k = tuple(-x for x in model.canonical_class)
-    lhs = list(Fraction(x) for x in neg_k)
+    lhs = [-x for x in model.canonical_class]
     for name in fibers + [curve]:
         for i, x in enumerate(model.total_class(name)):
             lhs[i] -= x
 
-    bidegree = (int(lhs[0]), int(lhs[1]))
-    rhs = [Fraction(0)] * model.rank
+    bidegree = (lhs[0], lhs[1])
+    rhs = [0] * model.rank
     rhs[0], rhs[1] = lhs[0], lhs[1]  # pullback of the base part
     for tower in towers:
         for weight, name in enumerate(tower, start=1):
@@ -140,16 +140,16 @@ def verify_kvv_failure(contraction: Contraction, a: QDivisor) -> KvvFailureRepor
             f"(negative degrees {bad})"
         )
     cls = model.sparse_class(floor)
-    k_dot, squared = Fraction(model.k_degree(cls)), model.intersect(cls, cls)
-    chi = model.chi_structure_sheaf + (squared - k_dot) / 2  # Riemann-Roch; the floor is integral
+    k_dot, squared = model.k_degree(cls), model.pairing(cls, cls)  # ints: the floor is integral
+    chi = model.chi_structure_sheaf + Fraction(squared - k_dot, 2)  # Riemann-Roch
     h1_nonzero = chi <= -1
     return KvvFailureReport(
         pullback_expansion=expansion,
         floor=floor,
         relatively_nef=nef,
         nef_degrees=degrees,
-        k_dot_floor=k_dot,
-        floor_squared=squared,
+        k_dot_floor=Fraction(k_dot),
+        floor_squared=Fraction(squared),
         euler_char=chi,
         h1_nonzero=h1_nonzero,
         not_globally_f_split=h1_nonzero,

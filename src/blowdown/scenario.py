@@ -29,10 +29,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any, Callable, NoReturn
 
-from .cohomology import (
-    verify_h0_anticanonical_zero,
-    verify_kvv_failure,
-)
+from .cohomology import KvvFailureReport, verify_h0_anticanonical_zero, verify_kvv_failure
 from .cone import build_cone, local_cohomology_certificate
 from .contraction import Contraction, SingClass, contract, singular_point_census
 from .errors import GeometryError, ScenarioError
@@ -114,8 +111,15 @@ def scenario_digest(scenario: "Scenario") -> str:
 RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def rational_str(value: Fraction | int) -> str:
-    return _text(Fraction(value))
+def rational_str(value: int | Fraction) -> str:
+    """An exact rational as "n" or "n/d"; a float or a bool (a stray ``int / int``
+    or a flag) raises TypeError instead of being written as a number."""
+    kind = type(value)
+    if kind is not int and kind is not Fraction:
+        if isinstance(value, (bool, float)):
+            raise TypeError(f"not an exact rational: {value!r}")
+        value = Fraction(value)
+    return _text(value)
 
 
 def _text(value: Any) -> str:
@@ -137,7 +141,8 @@ class Scenario:
     curves: tuple[tuple[str, tuple[int, ...]], ...]
     blowups: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
     contraction: tuple[str, ...]
-    divisors: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...]
+    #: each coefficient an ``int`` if written as an integer, else a ``Fraction``
+    divisors: tuple[tuple[str, tuple[tuple[str, int | Fraction], ...]], ...]
     checks: tuple[dict, ...]
     #: the checks parsed against ``CHECK_SCHEMAS``; ``to_dict`` keeps the raw ones
     specs: tuple[dict, ...]
@@ -203,15 +208,19 @@ class Scenario:
 class ScenarioRun:
     """A built scenario: its model, contraction and declared divisors.
 
-    ``sparse_class`` caches the class of each divisor reference for the run.
-    The model is complete before any check runs and pairing never changes a
-    class, so every check may share the cached classes."""
+    ``sparse_class`` caches the class of each divisor reference for the run,
+    and ``kvv`` the vanishing-failure report of each multiple of one.  The
+    model is complete before any check runs and pairing never changes a
+    class, so every check may share the cached values."""
 
     scenario: Scenario
     model: SurfaceModel
     contraction: Contraction
     divisors: dict[str, QDivisor]
     _classes: dict[str, SparseClass] = field(default_factory=dict, init=False, repr=False)
+    _kvv: dict[tuple[str, int], KvvFailureReport] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def sparse_class(self, ref: str) -> SparseClass:
         """The model's sparse class of ``resolve(ref)``, resolved once per
@@ -220,6 +229,16 @@ class ScenarioRun:
         if cls is None:
             cls = self._classes[ref] = self.model.sparse_class(self.resolve(ref))
         return cls
+
+    def kvv(self, ref: str, multiple: int) -> KvvFailureReport:
+        """`verify_kvv_failure` of ``multiple`` times ``resolve(ref)``, computed
+        once per (reference string, multiple); an error is raised again by
+        each call, never cached."""
+        report = self._kvv.get((ref, multiple))
+        if report is None:
+            divisor = self.resolve(ref).scaled(multiple)
+            report = self._kvv[ref, multiple] = verify_kvv_failure(self.contraction, divisor)
+        return report
 
     def resolve(self, ref: str) -> QDivisor:
         """Divisor references in checks: 'K', a declared divisor name, a
@@ -259,10 +278,11 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
 
 # -- the document schema ------------------------------------------------------------
 
-# Leaf types.  A rational is an integer or a "num/den" string and parses to a
-# Fraction; ``INTS`` is a list of integers, ``MULT`` an integer >= 1, ``NAME`` a
-# nonempty string.  A ``REF`` is a divisor reference (see
-# ``ScenarioRun.resolve``) and a ``CURVE`` a declared curve or blow-up name.
+# Leaf types.  A rational is an integer or a "num/den" string; it parses to an
+# int if it is an integer or an integer string, else to a Fraction.  ``INTS``
+# is a list of integers, ``MULT`` an integer >= 1, ``NAME`` a nonempty string.
+# A ``REF`` is a divisor reference (see ``ScenarioRun.resolve``) and a
+# ``CURVE`` a declared curve or blow-up name.
 # ``NEW_CURVE`` declares a curve or blow-up name, which must not be 'K' or start
 # with '-', and ``NEW_DIVISOR`` a divisor name, which must also not be a curve
 # or blow-up name (resolve() would read it as K, a negation or the curve).
@@ -359,15 +379,19 @@ def _fail(message: str) -> NoReturn:
     raise _Invalid(message)
 
 
-def _rational(value: Any, names: dict) -> Fraction:
+def _rational(value: Any, names: dict) -> int | Fraction:
+    """An int for an integer or an integer string, a Fraction for "num/den"."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise _Invalid(f"expected an exact rational, got {value!r}")
-    if isinstance(value, str) and not RATIONAL_STRING.fullmatch(value):
+    if isinstance(value, int):  # a subclass, such as an IntEnum
+        return int(value)
+    if not RATIONAL_STRING.fullmatch(value):
         raise _Invalid(f'bad rational {value!r} (expected a string like "2/3")')
+    num, slash, den = value.partition("/")
     try:
-        return Fraction(value)
+        return Fraction(int(num), int(den)) if slash else int(num)
     except (ValueError, ZeroDivisionError) as exc:
         raise _Invalid(f"bad rational {value!r} ({exc})") from None
 
@@ -649,7 +673,7 @@ def _check_canonical_pullback(run: ScenarioRun, spec: dict) -> CheckResult:
     discreps, classification = run.contraction.discrepancies()
     corrections = {n: -a for n, a in discreps.items()}  # psi*K_T = K_S - sum a_j G_j
     for name, value in spec.get("expect_coefficients", {}).items():
-        expect.eq(f"coefficient of {name}", corrections.get(name, Fraction(0)), value)
+        expect.eq(f"coefficient of {name}", corrections.get(name, 0), value)
     if "expect_classification" in spec:
         expect.eq("classification", classification.value, spec["expect_classification"].value)
     if "expect_min_discrepancy" in spec:
@@ -752,25 +776,24 @@ def _check_anticanonical_sections(run: ScenarioRun, spec: dict) -> CheckResult:
 
 
 def _compare_coefficient_map(
-    expect: "_Expect", label: str, actual: QDivisor, expected: dict[str, Fraction]
+    expect: "_Expect", label: str, actual: QDivisor, expected: dict[str, int | Fraction]
 ) -> None:
     """Exact comparison of a divisor's nonzero coefficients with a spec map."""
     expected = {n: v for n, v in expected.items() if v != 0}
     for name in sorted(set(expected) | set(actual.named)):
-        expect.eq(f"{label}[{name}]", actual.coefficient(name), expected.get(name, Fraction(0)))
+        expect.eq(f"{label}[{name}]", actual.coefficient(name), expected.get(name, 0))
 
 
 def _check_kvv_failure(run: ScenarioRun, spec: dict) -> CheckResult:
     expect = _Expect()
-    divisor = run.resolve(spec["divisor"])
-    report = verify_kvv_failure(run.contraction, divisor)
+    report = run.kvv(spec["divisor"], 1)
     want = spec.get("expect", {})
     if "expansion" in want:
         _compare_coefficient_map(expect, "expansion", report.pullback_expansion, want["expansion"])
     if "floor" in want:
         _compare_coefficient_map(expect, "floor", report.floor, want["floor"])
     for name, value in want.get("nef_degrees", {}).items():
-        expect.eq(f"nef degree against {name}", report.nef_degrees.get(name, Fraction(0)), value)
+        expect.eq(f"nef degree against {name}", report.nef_degrees.get(name, 0), value)
     expect.present(
         want,
         (
@@ -807,7 +830,7 @@ def _check_cone(run: ScenarioRun, spec: dict) -> CheckResult:
     divisor = run.resolve(spec["divisor"])
     cone = build_cone(run.contraction, divisor)
     certificate_m = spec.get("certificate_m", -1)
-    kvv = verify_kvv_failure(run.contraction, divisor.scaled(-certificate_m))
+    kvv = run.kvv(spec["divisor"], -certificate_m)
     cone = local_cohomology_certificate(cone, certificate_m, kvv.h1_nonzero)
     group = cone.class_group
     expect.present(

@@ -74,6 +74,9 @@ class PrimeDivisor:
         return _dense(self.cls, len(self._basis))
 
 
+_ZERO = Fraction(0)
+
+
 class QDivisor:
     """Formal rational combination of named prime divisors, plus an integral
     residual lattice class for divisors (like the canonical class) that have
@@ -87,14 +90,14 @@ class QDivisor:
 
     def __init__(self, named: Mapping[str, int | Fraction | str] | None = None,
                  residual: Sequence[int] | None = None):
-        coeffs = {name: Fraction(c) for name, c in (named or {}).items()}
+        coeffs = {n: c if type(c) is Fraction else Fraction(c) for n, c in (named or {}).items()}
         self.named: dict[str, Fraction] = {name: c for name, c in coeffs.items() if c}
         if residual is not None and any(x != int(x) for x in residual):
             raise GeometryError("residual class must be integral")
         self.residual = None if residual is None else tuple(int(x) for x in residual)
 
     def coefficient(self, name: str) -> Fraction:
-        return self.named.get(name, Fraction(0))
+        return self.named.get(name, _ZERO)
 
     @property
     def is_integral(self) -> bool:
@@ -108,7 +111,7 @@ class QDivisor:
     def _combine(self, other: "QDivisor", sign: int) -> "QDivisor":
         named = dict(self.named)
         for n, c in other.named.items():
-            named[n] = named.get(n, Fraction(0)) + sign * c
+            named[n] = named.get(n, 0) + sign * c
         res = None
         if self.residual is not None or other.residual is not None:
             a = self.residual or (0,) * len(other.residual)

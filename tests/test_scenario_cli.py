@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blowdown.scenario as scenario_module
 from blowdown import ScenarioError, load_scenario, run_repro, run_scenario
 from blowdown.cli import main
 from blowdown.scenario import (
@@ -20,6 +21,7 @@ from blowdown.scenario import (
     bundled_scenario,
     canonical_json,
     parse_scenario,
+    rational_str,
     scenario_digest,
 )
 
@@ -301,11 +303,35 @@ class TestValidation:
         assert run_cli(raw, tmp_path) == 2
         assert "divisors['A']['E1']: bad rational" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value, expected", [("-1", -1), ("+2/4", F(1, 2)), (3, 3)])
+    # an integral value parses to an int, any other to a Fraction
+    @pytest.mark.parametrize(
+        "value, expected", [("-1", -1), ("+2/4", F(1, 2)), (3, 3), ("-4", -4), ("+3", 3), ("4/2", F(2))]
+    )
     def test_rational_forms_accepted(self, value, expected):
         raw = bundled_dict()
         raw["divisors"]["A"]["E1"] = value
-        assert dict(dict(parse_scenario(raw).divisors)["A"])["E1"] == expected
+        parsed = dict(dict(parse_scenario(raw).divisors)["A"])["E1"]
+        assert parsed == expected
+        assert type(parsed) is type(expected)
+
+    # past the interpreter's digit limit for reading an integer from text
+    @pytest.mark.parametrize("value", ["1" * 5000, "-" + "7" * 5000 + "/3"], ids=["integer", "fraction"])
+    def test_rational_string_past_digit_limit_rejected(self, tmp_path, capsys, value):
+        raw = bundled_dict()
+        raw["divisors"]["A"]["E1"] = value
+        assert run_cli(raw, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "divisors['A']['E1']: bad rational" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_rational_string_subclass_still_matched(self):
+        class Text(str):
+            pass
+
+        raw = bundled_dict()
+        raw["divisors"]["A"]["E1"] = Text("1.5")
+        with pytest.raises(ScenarioError, match=r"divisors\['A'\]\['E1'\]: bad rational"):
+            parse_scenario(raw)
 
     # beyond the interpreter's integer digit limit, or not UTF-8
     @pytest.mark.parametrize(
@@ -442,6 +468,65 @@ class TestFailureModes:
         assert run_cli(raw, tmp_path) == 1
         report = run_scenario(parse_scenario(raw))
         assert report.first_failure == "rank-one-positivity: class group rank: expected 2, got 1"
+
+
+class TestKvvOncePerRun:
+    """The kvv-failure check and the cone's certificate share one vanishing-
+    failure report per (divisor reference, multiple) in a run."""
+
+    @pytest.fixture
+    def kvv_calls(self, monkeypatch):
+        calls = []
+        verify = scenario_module.verify_kvv_failure
+
+        def counted(contraction, divisor):
+            calls.append(divisor)
+            return verify(contraction, divisor)
+
+        monkeypatch.setattr(scenario_module, "verify_kvv_failure", counted)
+        return calls
+
+    def test_one_call_per_bundled_run(self, kvv_calls):
+        assert canonical_json(run_repro().to_dict()) == (DATA / BUNDLED_EXPECTED).read_text()
+        assert len(kvv_calls) == 1
+
+    def test_other_certificate_multiple_adds_a_call(self, kvv_calls):
+        raw = bundled_dict()
+        check_of(raw, "cone")["certificate_m"] = -2
+        scenario = parse_scenario(raw)
+        report = run_scenario(scenario)
+        cone = next(c for c in report.checks if c.kind == "cone")
+        assert len(kvv_calls) == 2
+        assert kvv_calls[1] == scenario.build().resolve("A").scaled(2)
+        # chi(floor(-psi*2A)) > -1 certifies nothing, so the verdict stays open
+        assert (cone.details["cm"], cone.details["certificate_m"]) == (None, None)
+        assert cone.mismatches == ["Cohen-Macaulay: expected False, got None"]
+
+    def test_cone_before_kvv_gives_identical_checks(self, kvv_calls):
+        raw = bundled_dict()
+        kinds = [c["kind"] for c in raw["checks"]]
+        i, j = kinds.index("kvv-failure"), kinds.index("cone")
+        raw["checks"][i], raw["checks"][j] = raw["checks"][j], raw["checks"][i]
+        swapped = {c.kind: c.to_dict() for c in run_scenario(parse_scenario(raw)).checks}
+        assert swapped == {c.kind: c.to_dict() for c in run_repro().checks}
+        assert len(kvv_calls) == 2  # one per run
+
+    def test_floor_not_relatively_nef_fails_both_checks(self, kvv_calls):
+        raw = bundled_dict()
+        raw["divisors"]["A"] = {"E1": -2, "E2": -2, "E3": "3/2"}
+        report = run_scenario(parse_scenario(raw))
+        kvv, cone = (next(c for c in report.checks if c.kind == k) for k in ("kvv-failure", "cone"))
+        assert not kvv.passed and not cone.passed
+        assert kvv.mismatches == cone.mismatches
+        assert kvv.mismatches[0].startswith("Leray degeneration hypothesis fails")
+        assert len(kvv_calls) == 2  # an error is not cached
+
+
+# a stray int / int gives a float, which must not be written as its binary fraction
+@pytest.mark.parametrize("value", [0.5, 2.0, True, False])
+def test_rational_str_rejects_float_and_bool(value):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        rational_str(value)
 
 
 class TestCli:
