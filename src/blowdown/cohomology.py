@@ -19,8 +19,8 @@ what Riemann-Roch and nonnegativity force.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contraction import Contraction
 from .errors import GeometryError, LerayHypothesisError
@@ -44,8 +44,7 @@ def h0_on_quadric(a: int, b: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class AnticanonicalSectionsReport:
+class AnticanonicalSectionsReport(NamedTuple):
     """Result of the anticanonical-section check on a blown-up quadric."""
 
     identity_holds: bool
@@ -98,8 +97,7 @@ def verify_h0_anticanonical_zero(
     )
 
 
-@dataclass(frozen=True)
-class KvvFailureReport:
+class KvvFailureReport(NamedTuple):
     """Everything the vanishing-failure pipeline establishes for a divisor A
     on the rank-one target: the expansion of -psi*A, its floor, the relative
     nef degrees, the Riemann-Roch inputs, and the h^1 != 0 verdict with its
@@ -134,7 +132,7 @@ def verify_kvv_failure(contraction: Contraction, a: QDivisor) -> KvvFailureRepor
     floor = expansion.floor()
     nef, degrees = contraction.is_relatively_nef(floor)
     if not nef:
-        bad = {n: d for n, d in degrees.items() if d < 0}
+        bad = ", ".join(f"{n}: {d}" for n, d in degrees.items() if d < 0)
         raise LerayHypothesisError(
             f"Leray degeneration hypothesis fails: floor is not relatively nef "
             f"(negative degrees {bad})"

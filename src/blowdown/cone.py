@@ -17,9 +17,8 @@ caveat; ConeModel.klt_note records it for report emission.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar
+from typing import NamedTuple
 
 from .contraction import ClassGroupReport, Contraction
 from .errors import GeometryError
@@ -31,8 +30,7 @@ KLT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ConeModel:
+class ConeModel(NamedTuple):
     """Polarized-cone data over a rank-one target."""
 
     base_contraction: Contraction
@@ -45,7 +43,7 @@ class ConeModel:
     cm: bool | None = None
     cm_certificate_m: int | None = None
 
-    klt_note: ClassVar[str] = KLT_NOTE
+    klt_note = KLT_NOTE  # not annotated, so not a field
 
 
 def build_cone(contraction: Contraction, polarization: QDivisor) -> ConeModel:
@@ -94,7 +92,7 @@ def local_cohomology_certificate(
     """
     if not h1_nonzero:
         return cone
-    return replace(cone, cm=False, cm_certificate_m=m)
+    return cone._replace(cm=False, cm_certificate_m=m)
 
 
 class PairClass(enum.Enum):
@@ -116,8 +114,7 @@ CHAR_ZERO_CAVEAT = (
 UNDETERMINED = "undetermined by the cone singularity decision table"
 
 
-@dataclass(frozen=True)
-class KltDecision:
+class KltDecision(NamedTuple):
     conclusion: str  # "terminal" | "klt" | "dlt" | UNDETERMINED
     rows_applied: tuple[int, ...]
     caveats: tuple[str, ...]

@@ -16,10 +16,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GeometryError, NotContractibleError
 from .exactlin import (
@@ -48,8 +47,7 @@ class ChainLabel(enum.Enum):
     WEIGHTED_CYCLIC = "weighted_cyclic"
 
 
-@dataclass(frozen=True)
-class SingularPointReport:
+class SingularPointReport(NamedTuple):
     """One contracted chain and its cyclic quotient type 1/n(1, q).
 
     ``n/q`` is the continued fraction b1 - 1/(b2 - 1/(...)) of the negated
@@ -64,8 +62,7 @@ class SingularPointReport:
     label: ChainLabel
 
 
-@dataclass(frozen=True)
-class ClassGroupReport:
+class ClassGroupReport(NamedTuple):
     """Finitely generated abelian group: free rank plus invariant factors."""
 
     rank: int

@@ -39,7 +39,6 @@ giving a wrong group:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -198,24 +197,40 @@ def signature(g: Sequence[Sequence[RationalLike]]) -> tuple[int, int, int]:
     return len(signs) - minus, minus, len(pivots) - len(signs)
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, entries in row-major order."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(isinstance(e, int) for e in entries):
             raise ValueError("entries must be integers")
+        self.rows, self.cols, self.entries = rows, cols, entries
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, name):  # each field is set once, by __init__ or a copy
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -253,8 +268,7 @@ class IntMatrix:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """U*M*V = D with U, V unimodular and D in Smith normal form."""
 
     u: IntMatrix

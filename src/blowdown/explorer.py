@@ -18,8 +18,8 @@ pattern and is labelled as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contraction import Contraction, SingularPointReport, contract, singular_point_census
 from .errors import GeometryError
@@ -48,8 +48,7 @@ def tower_names(p: int, point_index: int) -> list[str]:
     return names
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """A built surface together with the names the contraction needs."""
 
     model: SurfaceModel
@@ -92,8 +91,7 @@ def frobenius_construction(p: int, n_points: int) -> Construction:
     return Construction(model, "C", fibers, towers)
 
 
-@dataclass(frozen=True)
-class ExplorationReport:
+class ExplorationReport(NamedTuple):
     p: int
     n_points: int
     target_rank: int

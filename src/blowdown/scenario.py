@@ -24,7 +24,6 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Any, Callable, NoReturn
@@ -134,23 +133,63 @@ def _text(value: Any) -> str:
 # -- scenario data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _Record:
+    """``==`` field by field between records of one type, and the repr
+    ``Name(field=value, ...)``, over the names in ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Scenario(_Record):
+    """A parsed scenario document; its fields cannot be reassigned, and it
+    hashes and compares by them alone.
+
+    ``divisors`` holds each coefficient as an ``int`` if written as an integer,
+    else a ``Fraction``; ``specs`` the checks parsed against ``CHECK_SCHEMAS``
+    (``to_dict`` keeps the raw ``checks``).  ``_trial`` is the build
+    ``load_scenario`` validated, which ``run_scenario`` takes instead of
+    building again, and ``_path`` the file it read, which starts the location
+    of a check's error; neither is part of the document."""
+
+    _fields = ("name", "base", "curves", "blowups", "contraction", "divisors", "checks", "specs")
+    __slots__ = _fields + ("_trial", "_path")
     name: str
     base: str
     curves: tuple[tuple[str, tuple[int, ...]], ...]
     blowups: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
     contraction: tuple[str, ...]
-    #: each coefficient an ``int`` if written as an integer, else a ``Fraction``
     divisors: tuple[tuple[str, tuple[tuple[str, int | Fraction], ...]], ...]
     checks: tuple[dict, ...]
-    #: the checks parsed against ``CHECK_SCHEMAS``; ``to_dict`` keeps the raw ones
     specs: tuple[dict, ...]
-    #: the build ``load_scenario`` validated, which ``run_scenario`` takes instead
-    #: of building again; not part of the document
-    _trial: "ScenarioRun | None" = field(default=None, init=False, repr=False, compare=False)
-    #: the file ``load_scenario`` read, which starts the location of a check's error
-    _path: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(self, name, base, curves, blowups, contraction, divisors, checks, specs) -> None:
+        values = (name, base, curves, blowups, contraction, divisors, checks, specs)
+        for f, value in zip(self._fields, values):
+            setattr(self, f, value)
+        self._trial: ScenarioRun | None = None
+        self._path: str | None = None
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name in self._fields and hasattr(self, name):  # set once, by __init__ or a copy
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def to_dict(self) -> dict:
         """The scenario document; its checks are copies the caller may change."""
@@ -204,8 +243,7 @@ class Scenario:
         return ScenarioRun(self, model, con, divisors)
 
 
-@dataclass
-class ScenarioRun:
+class ScenarioRun(_Record):
     """A built scenario: its model, contraction and declared divisors.
 
     ``sparse_class`` caches the class of each divisor reference for the run,
@@ -213,14 +251,15 @@ class ScenarioRun:
     model is complete before any check runs and pairing never changes a
     class, so every check may share the cached values."""
 
-    scenario: Scenario
-    model: SurfaceModel
-    contraction: Contraction
-    divisors: dict[str, QDivisor]
-    _classes: dict[str, SparseClass] = field(default_factory=dict, init=False, repr=False)
-    _kvv: dict[tuple[str, int], KvvFailureReport] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _fields = ("scenario", "model", "contraction", "divisors")
+    __slots__ = _fields + ("_classes", "_kvv")
+
+    def __init__(self, scenario: Scenario, model: SurfaceModel, contraction: Contraction,
+                 divisors: dict[str, QDivisor]) -> None:
+        self.scenario, self.model, self.contraction = scenario, model, contraction
+        self.divisors = divisors
+        self._classes: dict[str, SparseClass] = {}
+        self._kvv: dict[tuple[str, int], KvvFailureReport] = {}
 
     def sparse_class(self, ref: str) -> SparseClass:
         """The model's sparse class of ``resolve(ref)``, resolved once per
@@ -587,8 +626,7 @@ def load_scenario(path: str) -> Scenario:
         run = scenario.build()  # surfaces incidence-budget violations with locations
     except ScenarioError as exc:
         raise ScenarioError(f"{path}.{exc}") from None
-    object.__setattr__(scenario, "_trial", run)
-    object.__setattr__(scenario, "_path", path)
+    scenario._trial, scenario._path = run, path
     return scenario
 
 
@@ -601,12 +639,14 @@ def bundled_scenario() -> Scenario:
 # -- checks ---------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    kind: str
-    passed: bool
-    details: dict
-    mismatches: list[str] = field(default_factory=list)
+class CheckResult(_Record):
+    _fields = __slots__ = ("kind", "passed", "details", "mismatches")
+
+    def __init__(
+        self, kind: str, passed: bool, details: dict, mismatches: list[str] | None = None
+    ) -> None:
+        self.kind, self.passed, self.details = kind, passed, details
+        self.mismatches = [] if mismatches is None else mismatches
 
     def to_dict(self) -> dict:
         return {
@@ -876,11 +916,12 @@ CHECKS: dict[str, Callable[[ScenarioRun, dict], CheckResult]] = {
 # -- reports ----------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    scenario_name: str
-    scenario_digest: str
-    checks: list[CheckResult]
+class Report(_Record):
+    _fields = __slots__ = ("scenario_name", "scenario_digest", "checks")
+
+    def __init__(self, scenario_name: str, scenario_digest: str, checks: list[CheckResult]) -> None:
+        self.scenario_name, self.scenario_digest = scenario_name, scenario_digest
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -964,7 +1005,7 @@ def run_scenario(scenario: Scenario) -> Report:
     path of a scenario that `load_scenario` read.  The trial build
     of `load_scenario`, if not yet used, is used instead of a new one."""
     run = scenario._trial or scenario.build()
-    object.__setattr__(scenario, "_trial", None)
+    scenario._trial = None
     checks = []
     for i, spec in enumerate(scenario.specs):
         try:

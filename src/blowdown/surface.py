@@ -92,9 +92,13 @@ class QDivisor:
                  residual: Sequence[int] | None = None):
         coeffs = {n: c if type(c) is Fraction else Fraction(c) for n, c in (named or {}).items()}
         self.named: dict[str, Fraction] = {name: c for name, c in coeffs.items() if c}
-        if residual is not None and any(x != int(x) for x in residual):
-            raise GeometryError("residual class must be integral")
-        self.residual = None if residual is None else tuple(int(x) for x in residual)
+        if residual is not None:
+            residual = tuple(residual)
+            if {*map(type, residual)} - {int}:  # an all-int residual is kept as it is
+                if any(x != int(x) for x in residual):
+                    raise GeometryError("residual class must be integral")
+                residual = tuple(map(int, residual))
+        self.residual = residual
 
     def coefficient(self, name: str) -> Fraction:
         return self.named.get(name, _ZERO)

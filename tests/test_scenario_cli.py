@@ -521,6 +521,16 @@ class TestKvvOncePerRun:
         assert kvv.mismatches[0].startswith("Leray degeneration hypothesis fails")
         assert len(kvv_calls) == 2  # an error is not cached
 
+    def test_leray_message_writes_degrees_exactly(self):
+        raw = bundled_dict()
+        raw["divisors"]["A"] = {"E1": -2, "E2": -2, "E3": "3/2"}
+        report = run_scenario(parse_scenario(raw))
+        kvv = next(c for c in report.checks if c.kind == "kvv-failure")
+        assert kvv.mismatches == [
+            "Leray degeneration hypothesis fails: floor is not relatively nef "
+            "(negative degrees H3: -1)"
+        ]
+
 
 # a stray int / int gives a float, which must not be written as its binary fraction
 @pytest.mark.parametrize("value", [0.5, 2.0, True, False])

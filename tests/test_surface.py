@@ -202,6 +202,26 @@ class TestQDivisor:
         with pytest.raises(GeometryError):
             a.scaled(F(1, 2))
 
+    @pytest.mark.parametrize(
+        "residual, stored",
+        [
+            ((1, -2), (1, -2)),
+            ([3, 0], (3, 0)),
+            ((), ()),
+            ((F(2), 2.0, True), (2, 2, 1)),
+            ((1, F(-4, 2)), (1, -2)),
+        ],
+    )
+    def test_residual_stored_as_exact_ints(self, residual, stored):
+        kept = QDivisor({}, residual=residual).residual
+        assert kept == stored
+        assert all(type(x) is int for x in kept)
+
+    @pytest.mark.parametrize("residual", [(F(1, 2),), (1, 0.5), (2, F(-3, 2), 0)])
+    def test_non_integral_residual_rejected(self, residual):
+        with pytest.raises(GeometryError, match="residual class must be integral"):
+            QDivisor({}, residual=residual)
+
     def test_is_integral(self):
         assert QDivisor({"A": 2}).is_integral
         assert not QDivisor({"A": F(1, 3)}).is_integral
