@@ -141,8 +141,9 @@ class Contraction:
             raise GeometryError("contracted curve names must be distinct")
         if unknown := [n for n in names if n not in model.prime_divisors]:
             raise GeometryError(f"unknown curve {unknown[0]!r}")
-        self._classes = [model.sparse_class(n) for n in names]
-        self._rows = model.gram_rows(names)  # the diagonal, then the nonzero entries off it
+        # a copy: a later blow-up of the model updates the registered classes in place
+        self._classes = [dict(model.sparse_class(n)) for n in names]
+        rows = self._rows = model.gram_rows(names)  # the diagonal, then the nonzero entries off it
 
         # a reduced chain keeps its order and continuants, any other block L*(-G)^-1 and L
         self._chains: list[tuple[list[int], list[int], list[int]]] = []
@@ -151,26 +152,28 @@ class Contraction:
         for start in range(len(names)):
             if start in seen:
                 continue
-            block = [start]
+            block, entries, reduced = [start], 0, True
             seen.add(start)
             for cur in block:  # grows while it is walked
-                new = [j for j in self._rows[cur] if j not in seen]
+                row = rows[cur]
+                new = [j for j in row if j not in seen]
                 seen.update(new)
                 block += new
+                entries += len(row)
+                # a reduced chain's row: its diagonal, then 1 for each of at most two neighbours
+                reduced = reduced and (*row.values(),)[1:] in ((), (1,), (1, 1))
             block.sort()
-            degrees = [len(self._rows[i]) - 1 for i in block]  # a row holds its diagonal
-            if (max(degrees) <= 2 and sum(degrees) == 2 * len(block) - 2
-                    and all(m == 1 for i in block for j, m in self._rows[i].items() if j != i)):
-                order = [min(i for i, d in zip(block, degrees) if d <= 1)]
+            if reduced and entries == 3 * len(block) - 2:  # k - 1 edges: a tree, so a path
+                order = [min(i for i in block if len(rows[i]) <= 2)]
                 while len(order) < len(block):
-                    order.append(next(j for j in self._rows[order[-1]] if j not in order[-2:]))
-                bs = [-self._rows[i][i] for i in order]
+                    order.append(next(j for j in rows[order[-1]] if j not in order[-2:]))
+                bs = [-rows[i][i] for i in order]
                 lead = _continuants(bs)
                 if min(lead) > 0:  # Sylvester: every leading minor of -G is positive
                     self._chains.append((order, lead, _continuants(bs[::-1])[::-1]))
                     continue
             else:
-                gram = [[self._rows[i].get(j, 0) for j in block] for i in block]
+                gram = [[rows[i].get(j, 0) for j in block] for i in block]
                 if is_negative_definite(gram):
                     inverse = invert(gram)
                     den = math.lcm(*(x.denominator for row in inverse for x in row))
@@ -235,11 +238,8 @@ class Contraction:
         return QDivisor(named, d_on_target.residual)
 
     def _check_off_contracted(self, d_on_target: QDivisor) -> None:
-        touching = [n for n in self.contracted if n in d_on_target.named]  # no zeros kept
-        if touching:
-            raise GeometryError(
-                f"representative has nonzero coefficient on contracted {touching}"
-            )
+        if touching := [n for n in self.contracted if n in d_on_target.named]:  # no zeros kept
+            raise GeometryError(f"representative has nonzero coefficient on contracted {touching}")
 
     def pushforward(self, d: QDivisor) -> QDivisor:
         """Drop coefficients on contracted curves, keep everything else."""
@@ -280,15 +280,11 @@ class Contraction:
         for i, row in enumerate(rows):
             for j, meets in row.items():
                 if i < j and meets != 1:
-                    raise GeometryError(
-                        f"unsupported configuration: {names[i]}.{names[j]} = {meets} "
-                        "(only reduced chains are classified)"
-                    )
+                    raise GeometryError(f"unsupported configuration: {names[i]}.{names[j]} = "
+                                        f"{meets} (only reduced chains are classified)")
         for block, *_ in self._others[:1]:  # a block that is not a reduced chain
-            raise GeometryError(
-                f"unsupported configuration: component {sorted(names[i] for i in block)} "
-                "is not a chain"
-            )
+            raise GeometryError(f"unsupported configuration: component "
+                                f"{sorted(names[i] for i in block)} is not a chain")
         reports = []
         for order, lead, _ in self._chains:
             n_val, q_val = _hj_pair(lead[-1], lead[-2])
@@ -297,10 +293,8 @@ class Contraction:
             chain = tuple(names[i] for i in order)
             bs = tuple(-rows[i][i] for i in order)
             if any(b < 2 for b in bs):
-                raise GeometryError(
-                    f"unsupported configuration: chain {list(chain)} mixes a "
-                    "(-1)-curve into a singular contraction"
-                )
+                raise GeometryError(f"unsupported configuration: chain {list(chain)} mixes a "
+                                    "(-1)-curve into a singular contraction")
             label = ChainLabel.A_N_CHAIN if all(b == 2 for b in bs) else ChainLabel.WEIGHTED_CYCLIC
             reports.append(SingularPointReport(chain, bs, (n_val, q_val), label))
         return reports
@@ -344,10 +338,8 @@ class Contraction:
         corrected witness W*; the default W is the pullback class of a
         general fibre of the first ruling, the line on the plane)."""
         if self.target_rank != 1:
-            raise GeometryError(
-                f"target Picard rank is {self.target_rank}, not 1; "
-                "rank-one degree undefined"
-            )
+            raise GeometryError(f"target Picard rank is {self.target_rank}, not 1; "
+                                "rank-one degree undefined")
         if isinstance(witness, str) and witness in self.contracted:
             raise GeometryError(f"witness curve {witness!r} is contracted")
         self._check_off_contracted(d_on_target)

@@ -13,13 +13,14 @@ sound on a rational surface (torsion-free Picard group).
 Only the base block is stored, and classes are sparse: a *sparse class* is
 one dict ``{coordinate index: nonzero value}``, base coordinates included.
 No other module splits a class into base and exceptional parts.  A blow-up
-adds one entry to each incident curve's map and updates the kept nonzero
-*exceptional parts* E(X, Y) = -sum X_c*Y_c (c exceptional) of the names'
-pairings: by -m_X*m_Y for incident X, Y, and E(E, X) = m_X for the new curve.
-So two names pair in O(1), a blow-up costs O(incidences^2), and other classes
-walk the shorter map.  Dense vectors (``class_vector``, ``total_class``,
-``gram``, ``canonical_class``) are built on demand.  The canonical class is
-stored as its base part: each of its exceptional coordinates is 1.
+updates each incident curve in place (one entry added to its map, D.D and D.K
+adjusted) and the kept nonzero *exceptional parts* E(X, Y) = -sum X_c*Y_c
+(c exceptional) of the names' pairings: by -m_X*m_Y for incident X, Y, and
+E(E, X) = m_X for the new curve.  So two names pair in O(1) (one kernel per
+base gives the base part), a blow-up costs O(incidences^2) and copies no map,
+and other classes walk the shorter map.  Dense vectors (``class_vector``,
+``total_class``, ``gram``, ``canonical_class``) are built on demand.  The
+canonical class is stored as its base part: each exceptional coordinate is 1.
 
 Conventions:
   * quadric base: basis starts with the two ruling fibre classes ``f_x``,
@@ -47,6 +48,22 @@ BASES = {QUADRIC: (("f_x", "f_y"), ((0, 1), (1, 0)), (-2, -2)), PLANE: (("l",), 
 SparseClass = dict[int, Union[int, Fraction]]
 
 
+def _kernel(links: list[tuple[int, int, int]]):
+    """G_base on the base coordinates of sparse classes x, y: one closure per
+    nonzero entry (i, j, g) of the block, so a call builds no list."""
+    (i, j, g), *rest = links
+    if not rest:
+        return lambda x, y: g * x.get(i, 0) * y.get(j, 0)
+    tail = _kernel(rest)
+    return lambda x, y: g * x.get(i, 0) * y.get(j, 0) + tail(x, y)
+
+
+#: the nonzero entries (i, j, g) of each base's Gram block, and its kernel
+_LINKS = {base: [(i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g]
+          for base, (_, gram, _) in BASES.items()}
+_BASE_PART = {base: _kernel(links) for base, links in _LINKS.items()}
+
+
 def _dense(cls: SparseClass, rank: int) -> tuple[int | Fraction, ...]:
     vec = [0] * rank
     for i, x in cls.items():
@@ -56,11 +73,10 @@ def _dense(cls: SparseClass, rank: int) -> tuple[int | Fraction, ...]:
 
 class PrimeDivisor:
     """A named irreducible curve: its sparse class ``cls``, one map over all
-    coordinates, and D.D and D.K cached as ``square`` and ``k_degree`` (a
-    strict transform by multiplicity m changes them by exactly -m^2 and +m).  A divisor never
-    changes: a blow-up registers the strict transforms as new objects (those that
-    pairing by name reads), so one fetched earlier keeps its old class, whose
-    ``class_vector`` reads as the total transform (0 on newer coordinates)."""
+    coordinates, and D.D and D.K cached as ``square`` and ``k_degree``.  It is
+    updated in place by a blow-up through it, to the strict transform (-m on the
+    new coordinate, D.D - m^2, D.K + m), so ``sparse_class(name)`` returns the
+    live map: a caller who needs a fixed class copies it."""
 
     __slots__ = ("name", "cls", "square", "k_degree", "_basis")
 
@@ -174,9 +190,7 @@ class SurfaceModel:
         labels, gram, self._k_base = BASES[base]
         self.basis_labels = list(labels)
         self.base, self.base_gram, self.base_rank = base, gram, len(labels)
-        # the base block's nonzero entries (for `pairing`) and G K_base (for `k_degree`)
-        self._links = [(i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g]
-        self._k_dual = [sum(g * k for g, k in zip(row, self._k_base)) for row in gram]
+        self._k_dual = [sum(g * k for g, k in zip(row, self._k_base)) for row in gram]  # G K_base
         self.prime_divisors: dict[str, PrimeDivisor] = {}
         self._exceptional: dict[str, dict[str, int]] = {}  # name -> {name: nonzero E(X, Y)}
 
@@ -221,7 +235,7 @@ class SurfaceModel:
         the new class.
         """
         self._check_fresh(exceptional_name)
-        divisors, parts = self.prime_divisors, self._exceptional
+        divisors, parts, base_part = self.prime_divisors, self._exceptional, _BASE_PART[self.base]
         seen: dict[str, int] = {}
         kept = []  # (x, y, E(x, y) after the blow-up) for each incident pair
         for x, mx in incident:
@@ -232,18 +246,14 @@ class SurfaceModel:
             if type(mx) is not int or mx < 1:  # a bool is no multiplicity
                 raise GeometryError(f"multiplicity of {x!r} must be an integer >= 1")
             if (twice_genus := dx.square + dx.k_degree + 2) < mx * (mx - 1):
-                raise GeometryError(
-                    f"curve {x!r} cannot have a point of multiplicity {mx} "
-                    f"(genus budget {Fraction(twice_genus, 2)})"
-                )
+                raise GeometryError(f"curve {x!r} cannot have a point of multiplicity {mx} "
+                                    f"(genus budget {Fraction(twice_genus, 2)})")
             cx, row = dx.cls, parts[x]
             for y, my in seen.items():
                 e = row.get(y, 0)
-                if (meets := e + self._base_part(cx, divisors[y].cls)) < my * mx:
-                    raise GeometryError(
-                        f"incidence budget violated: {y}.{x} = {meets} "
-                        f"< {my}*{mx}; the declared point cannot exist numerically"
-                    )
+                if (meets := e + base_part(cx, divisors[y].cls)) < my * mx:
+                    raise GeometryError(f"incidence budget violated: {y}.{x} = {meets} < "
+                                        f"{my}*{mx}; the declared point cannot exist numerically")
                 kept.append((x, y, e - mx * my))
             seen[x] = mx
 
@@ -254,10 +264,10 @@ class SurfaceModel:
                 parts[x][y] = parts[y][x] = e
             else:
                 del parts[x][y], parts[y][x]
-        for name, m in seen.items():  # strict transforms; no other divisor changes
-            old = divisors[name]
-            strict = {**old.cls, index: -m}
-            divisors[name] = PrimeDivisor(name, strict, old.square - m * m, old.k_degree + m, basis)
+        for name, m in seen.items():  # strict transforms, in place; no other divisor changes
+            div = divisors[name]
+            div.cls[index] = -m
+            div.square, div.k_degree = div.square - m * m, div.k_degree + m
             parts[name][exceptional_name] = m
         parts[exceptional_name] = dict(seen)
         exc = divisors[exceptional_name] = PrimeDivisor(exceptional_name, {index: 1}, -1, -1, basis)
@@ -265,7 +275,7 @@ class SurfaceModel:
 
     def _check_fresh(self, name: str) -> None:
         # every exceptional label is also a registered divisor
-        if name in self.prime_divisors or name in self.basis_labels[: self.base_rank]:
+        if name in self.prime_divisors or name in BASES[self.base][0]:
             raise GeometryError(f"name {name!r} already in use")
 
     # -- queries ----------------------------------------------------------
@@ -293,7 +303,7 @@ class SurfaceModel:
 
     def sparse_class(self, d: DivisorLike | SparseClass) -> SparseClass:
         """Resolve a divisor to its sparse class: a registered name gives its stored
-        class (shared, not copied), a QDivisor its residual plus its named classes
+        class (the live map, not a copy), a QDivisor its residual plus its named classes
         (an integral coefficient stays an ``int``), a class vector its nonzero
         entries, and a sparse class itself.  Entries are ``int`` or ``Fraction``."""
         if isinstance(d, str):
@@ -328,16 +338,12 @@ class SurfaceModel:
             if u == v:
                 return self.prime_divisors[u].square
             divisors = self.prime_divisors
-            return parts[u].get(v, 0) + self._base_part(divisors[u].cls, divisors[v].cls)
+            return parts[u].get(v, 0) + _BASE_PART[self.base](divisors[u].cls, divisors[v].cls)
         u, v = self.sparse_class(u), self.sparse_class(v)
         if len(u) > len(v):
             u, v = v, u
-        r = self.base_rank
-        return self._base_part(u, v) - sum([x * v[i] for i, x in u.items() if i >= r and i in v])
-
-    def _base_part(self, x: SparseClass, y: SparseClass) -> int | Fraction:
-        """G_base on the base coordinates of two classes: at most base_rank^2 products."""
-        return sum([g * x[i] * y[j] for i, j, g in self._links if i in x and j in y])
+        r, base_part = self.base_rank, _BASE_PART[self.base]
+        return base_part(u, v) - sum([x * v[i] for i, x in u.items() if i >= r and i in v])
 
     def gram_rows(self, names: Sequence[str]) -> list[dict[int, int]]:
         """Sparse Gram rows of distinct registered curves (row i maps j to
@@ -349,7 +355,7 @@ class SurfaceModel:
         rows = [{i: self.prime_divisors[n].square} for i, n in enumerate(names)]
         for i, (n, cls) in enumerate(zip(names, classes)):
             linked = {where[m] for m in self._exceptional[n] if m in where}
-            linked.update(j for k, l, _ in self._links if k in cls for j in on_base[l])
+            linked.update(j for k, l, _ in _LINKS[self.base] if k in cls for j in on_base[l])
             for j in sorted(linked):
                 if j > i and (meets := self.pairing(n, names[j])):
                     rows[i][j] = rows[j][i] = meets

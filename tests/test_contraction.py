@@ -10,6 +10,7 @@ from blowdown import (
     QDivisor,
     SingClass,
     contract,
+    frobenius_construction,
     hirzebruch_jung_type,
     new_quadric,
 )
@@ -55,6 +56,25 @@ def test_blocks_from_the_base_form_alone():
     m.blow_up("Z")
     with pytest.raises(NotContractibleError, match=r"not contractible.*block \['F', 'G', 'H'\] is"):
         contract(m, ["Z", "F", "G", "H"])
+
+
+def test_contraction_keeps_its_classes_across_a_later_blow_up():
+    # a blow-up updates the model's classes in place, so a contraction copies
+    # its curves' classes: blowing up a point on C afterwards adds one free
+    # coordinate to the lattice and changes nothing else it reports
+    def results(con, model):
+        pullback = con.pullback(con.pushforward(model.canonical_divisor()))
+        return con.gram, pullback.named, con.discrepancies(), con.class_group()
+
+    built = [frobenius_construction(3, 3) for _ in range(2)]
+    queried, fresh = [contract(b.model, b.contracted_names) for b in built]
+    gram, named, discrepancies, group = results(queried, built[0].model)
+    for b in built:
+        b.model.blow_up("Z", [("C", 1)])
+    for con, b in ((queried, built[0]), (fresh, built[1])):
+        assert results(con, b.model) == (gram, named, discrepancies, group._replace(rank=group.rank + 1))
+        assert con.pullback(con.pushforward(b.model.canonical_divisor())).residual == b.model.canonical_class
+    assert built[0].model.intersect("C", "C") == gram[0][0] - 1  # the model itself moved on
 
 
 def test_contract_validation():

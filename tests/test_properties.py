@@ -39,6 +39,7 @@ from blowdown.exactlin import (
     sparse_pivot_pass,
 )
 from blowdown.scenario import bundled_scenario, canonical_json
+from blowdown.surface import _BASE_PART
 
 ints = st.integers(min_value=-9, max_value=9)
 small_rationals = st.fractions(
@@ -383,6 +384,28 @@ class TestBaseBlockPairing:
 
     @given(st.sampled_from(sorted(BASES)), st.data())
     @settings(deadline=None)
+    def test_kernel_matches_gram_block(self, base, data):
+        # random sparse classes with int and Fraction entries, each base
+        # coordinate present or absent, against u.G.v from the dense `gram`
+        model = new_quadric() if base == "quadric" else new_plane()
+        for i in range(data.draw(st.integers(0, 3))):
+            model.blow_up(f"E{i}")
+        n, r, gram = model.rank, model.base_rank, model.gram
+        entries = st.one_of(ints.filter(bool), small_rationals.filter(bool))
+        classes = st.dictionaries(st.integers(0, n - 1), entries)
+        for _ in range(5):
+            u, v = data.draw(classes), data.draw(classes)
+            du, dv = model.total_class(u), model.total_class(v)
+            assert _BASE_PART[base](u, v) == sum(
+                du[i] * gram[i][j] * dv[j] for i in range(r) for j in range(r)
+            )
+            value = model.pairing(u, v)
+            assert value == sum(du[i] * gram[i][j] * dv[j] for i in range(n) for j in range(n))
+            if {*map(type, u.values()), *map(type, v.values())} <= {int}:
+                assert type(value) is int
+
+    @given(st.sampled_from(sorted(BASES)), st.data())
+    @settings(deadline=None)
     def test_k_degree_matches_dense_canonical(self, base, data):
         model = random_tower(base, data)
         divisors = self._divisors(model)
@@ -458,8 +481,10 @@ SPARSE_START = {
 
 class TestSparseClassesAgainstDenseReference:
     """Random declare/blow-up sequences on the sparse model agree entry for
-    entry with a dense reference, and an object fetched before a blow-up keeps
-    its old class (read as the total transform)."""
+    entry with a dense reference.  A blow-up updates the registered divisors
+    in place: an object fetched before it is the registered one and reads as
+    the strict transform, and a curve off the blown-up point keeps the same
+    map with the same contents."""
 
     @given(st.sampled_from(sorted(BASES)), st.data())
     @settings(deadline=None)
@@ -500,14 +525,16 @@ class TestSparseClassesAgainstDenseReference:
                 model.blow_up(name, incident)
             return
         fetched = dict(model.prime_divisors)
-        before = {n: list(cls) for n, cls in dense.classes.items()}
+        off = {n: (div.cls, dict(div.cls)) for n, div in fetched.items() if n not in dict(incident)}
         model.blow_up(name, incident)
         dense.blow_up(name, incident)
-        for n, div in fetched.items():  # the total transform: 0 on the new coordinate
-            assert div.class_vector == tuple(before[n]) + (0,)
-            assert (div.square, div.k_degree) == (
-                dense.pair(before[n], before[n]), dense.pair(before[n], dense.canonical[:-1])
-            )
+        for n, div in fetched.items():  # the strict transform, in the registered object
+            cls = dense.classes[n]
+            assert model.prime_divisors[n] is div
+            assert div.class_vector == tuple(cls)
+            assert (div.square, div.k_degree) == (dense.pair(cls, cls), dense.pair(cls, dense.canonical))
+        for n, (cls, contents) in off.items():
+            assert model.prime_divisors[n].cls is cls and cls == contents
 
     @staticmethod
     def _compare_classes(model, dense):
