@@ -164,9 +164,13 @@ class Contraction:
                 reduced = reduced and (*row.values(),)[1:] in ((), (1,), (1, 1))
             block.sort()
             if reduced and entries == 3 * len(block) - 2:  # k - 1 edges: a tree, so a path
-                order = [min(i for i in block if len(rows[i]) <= 2)]
-                while len(order) < len(block):
-                    order.append(next(j for j in rows[order[-1]] if j not in order[-2:]))
+                # from an end, step to the neighbour that is not the previous curve
+                prev, cur = -1, min(i for i in block if len(rows[i]) <= 2)
+                order = [cur]
+                for _ in range(len(block) - 1):
+                    keys = (*rows[cur],)  # the diagonal, then one or two neighbours
+                    prev, cur = cur, keys[2] if keys[1] == prev else keys[1]
+                    order.append(cur)
                 bs = [-rows[i][i] for i in order]
                 lead = _continuants(bs)
                 if min(lead) > 0:  # Sylvester: every leading minor of -G is positive

@@ -11,6 +11,11 @@ The format is stated once, in the table `DOCUMENT_SCHEMA` (with the fields of
 each check kind in `CHECK_SCHEMAS`), which is its reference.  At import the
 table is compiled into one parser and one writer per node: `parse_scenario`
 runs the parsers, and `scenario_digest` writes the document with the writers.
+The outputs have shapes beside it, which name the fields of each object and
+nest only objects and lists of objects: `REPORT_SHAPE` (with the details of
+each check kind in `DETAILS_SHAPES`) and `EXPLORATION_SHAPE`.  Nothing reads
+the outputs back, so their shapes are compiled into writers only, and
+`canonical_json` picks the writer by the output's "schema" tag.
 
 Exit-code taxonomy used by the CLI: a malformed scenario or a numerically
 impossible construction is *invalid input*; a check whose computed values
@@ -63,7 +68,12 @@ def canonical_json(obj: Any) -> str:
     This writer exists because any ``indent`` makes ``json.dumps`` leave its C
     encoder for its pure-Python one, which took more time than the checks on
     a large intersection table.  Strings still go through the stdlib's C
-    string encoder and floats through ``json.dumps``."""
+    string encoder and floats through ``json.dumps``.  A plain dict tagged
+    with the report or exploration "schema" goes to the writer compiled from
+    its shape, any other value (a scenario document too) to the generic
+    `_write`: the bytes are the same."""
+    if type(obj) is dict and type(tag := obj.get("schema")) is str and tag in _WRITERS:
+        return _WRITERS[tag](obj) + "\n"
     return _write(obj, "\n") + "\n"
 
 
@@ -325,11 +335,13 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
 # ``NEW_CURVE`` declares a curve or blow-up name, which must not be 'K' or start
 # with '-', and ``NEW_DIVISOR`` a divisor name, which must also not be a curve
 # or blow-up name (resolve() would read it as K, a negation or the curve).
-# ``CHECK`` is a check, parsed against the ``CHECK_SCHEMAS`` entry of its kind.
-# A tuple, or an enum such as ``SingClass``, takes one of its values.
+# ``CHECK`` is a check, parsed against the ``CHECK_SCHEMAS`` entry of its kind,
+# and ``RESULT`` a check's result, whose details take the ``DETAILS_SHAPES``
+# entry of its kind.  A tuple, or an enum such as ``SingClass``, takes one of
+# its values.
 RATIONAL, INT, BOOL, INTS, MULT = "<rational>", "<int>", "<bool>", "<ints>", "<mult>"
 STR, NAME, REF, CURVE = "<str>", "<name>", "<ref>", "<curve>"
-NEW_CURVE, NEW_DIVISOR, CHECK = "<new curve>", "<new divisor>", "<check>"
+NEW_CURVE, NEW_DIVISOR, CHECK, RESULT = "<new curve>", "<new divisor>", "<check>", "<result>"
 
 # A key ending in "?" is optional, and an absent optional list reads as empty.
 # ``[item]`` is a list of items, ``{leaf: item}`` a map whose keys are that
@@ -405,6 +417,70 @@ CHECK_SCHEMAS: dict[str, dict] = {
 }
 
 
+# The output shapes state what the writers behind `canonical_json` need of the
+# report, each check kind's details and the exploration: the names of each
+# object's fields, and which of them hold an object or a list of objects.  Any
+# other field is a ``VALUE``, which the object holding it writes itself; the
+# code that builds the output (`Report.to_dict`, the ``_check_*`` functions,
+# `exploration_to_dict`) is what gives it its type.  Nothing reads these
+# outputs back, so they are compiled to writers only.
+VALUE = "<value>"
+
+
+def _fields(*names: str, **nested: Any) -> dict:
+    """An output object whose fields ``names`` hold a ``VALUE`` and whose fields
+    ``nested`` hold the object or list of objects given."""
+    return {**dict.fromkeys(names, VALUE), **nested}
+
+
+#: The report of a run (`Report.to_dict`).
+REPORT_SHAPE = _fields(
+    "schema", "passed", "first_failure", scenario=_fields("name", "digest"), checks=[RESULT]
+)
+
+_POINT = _fields("component", "self_intersections", "type", "label")  # a singular point
+_DIVISOR = _fields("coefficients", "residual")  # a QDivisor
+_CLASS_GROUP = _fields("rank", "torsion")
+
+#: The details of each check kind's result.  A check that raised GeometryError
+#: has "error", its message, and no other field.
+DETAILS_SHAPES: dict[str, dict] = {
+    "intersection-table": _fields("count", "error", entries=[_fields("a", "b", "value")]),
+    "canonical-pullback": _fields(
+        "pullback_corrections", "discrepancies", "classification", "min_discrepancy", "error"
+    ),
+    "rank-one-positivity": _fields(
+        "target_rank", "degrees", "proportionality", "ample", "error", class_group=_CLASS_GROUP
+    ),
+    "singular-points": _fields("total", "error", census=[_fields("n", "q", "count")], points=[_POINT]),
+    "anticanonical-sections": _fields("identity_holds", "base_bidegree", "h0", "difference_class", "error"),
+    "kvv-failure": _fields(
+        "relatively_nef", "nef_degrees", "k_dot_floor", "floor_squared", "euler_characteristic",
+        "h1_nonzero", "not_globally_f_split", "no_w2_liftable_log_resolution", "nef_hypothesis_note",
+        "error", expansion=_DIVISOR, floor=_DIVISOR,
+    ),
+    "cone": _fields(
+        "r", "section_discrepancy", "q_gorenstein", "crepant_partial_resolution", "cm",
+        "certificate_m", "klt_note", "error", class_group=_CLASS_GROUP,
+    ),
+}
+
+#: The exploration of one (p, n) pair (`exploration_to_dict`).
+EXPLORATION_SHAPE = _fields(
+    "schema", "p", "points", "target_rank", "anticanonical_degree", "verdict", "census", "provenance",
+    singular_points=[_POINT],
+)
+
+#: The objects a tagged node stands for, keyed by their "kind".
+_TAGGED: dict[str, dict[str, dict]] = {
+    CHECK: {kind: {"kind": STR, **fields} for kind, fields in CHECK_SCHEMAS.items()},
+    RESULT: {
+        kind: _fields("kind", "passed", "mismatches", details=details)
+        for kind, details in DETAILS_SHAPES.items()
+    },
+}
+
+
 class _Invalid(Exception):
     """A value that breaks the schema.  Each container it leaves on its way out
     adds its key to ``path``, innermost first; ``shape`` names the container the
@@ -475,33 +551,28 @@ _LEAVES: dict[str, Callable[[Any, dict], Any]] = {
 }
 
 
-def _compile(schema: Any, newline: str) -> tuple[Callable, Callable | None]:
-    """The parser, ``(value, names) -> parsed``, and the document writer,
-    ``value -> canonical_json text``, of the schema node ``schema`` whose closing
-    bracket follows ``newline``.  A leaf, a map and a list of leaves have no
-    writer of their own: the object holding them writes them."""
-    inner = newline + "  "
-    if type(schema) is dict and (len(schema) != 1 or next(iter(schema))[0] != "<"):
-        return _object(schema, newline)
+def _is_object(schema: Any) -> bool:
+    """An object node: a dict that is not a map keyed by a leaf."""
+    return type(schema) is dict and (len(schema) != 1 or next(iter(schema))[0] != "<")
+
+
+def _parser(schema: Any) -> Callable:
+    """The parser, ``(value, names) -> parsed``, of the schema node ``schema``."""
+    if _is_object(schema):
+        return _parse_object(schema)
     if schema == CHECK:  # an object with the fields of its kind
-        kinds = {k: _object({"kind": STR, **f}, newline) for k, f in CHECK_SCHEMAS.items()}
+        kinds = {kind: _parse_object(fields) for kind, fields in _TAGGED[CHECK].items()}
 
         def parse_check(value: Any, names: dict) -> dict:
             kind = value.get("kind") if isinstance(value, dict) else _fail("must be an object")
             if not isinstance(kind, str) or kind not in kinds:
                 raise _Invalid(f"unknown check kind {kind!r}")
-            return kinds[kind][0](value, names)
+            return kinds[kind](value, names)
 
-        def write_check(value: Any) -> str:
-            kind = value.get("kind") if type(value) is dict else None
-            if type(kind) is not str or kind not in kinds:
-                return _write(value, newline)
-            return kinds[kind][1](value)
-
-        return parse_check, write_check
+        return parse_check
     if type(schema) is dict:  # a map, keyed by a leaf
         ((key, item),) = schema.items()
-        parse_key, parse_item = _LEAVES[key], _compile(item, inner)[0]
+        parse_key, parse_item = _LEAVES[key], _parser(item)
 
         def parse_map(value: Any, names: dict) -> dict:
             if type(value) is not dict and not isinstance(value, dict):
@@ -516,10 +587,10 @@ def _compile(schema: Any, newline: str) -> tuple[Callable, Callable | None]:
                     raise
             return out
 
-        return parse_map, None
+        return parse_map
     if type(schema) is list or schema == INTS:
         ints = schema == INTS
-        parse_item, write_item = _compile(INT if ints else schema[0], inner)
+        parse_item = _parser(INT if ints else schema[0])
         message, shape = ("must be a list of integers", "") if ints else ("must be a list", "a list")
 
         def parse_list(value: Any, names: dict) -> list:
@@ -534,14 +605,9 @@ def _compile(schema: Any, newline: str) -> tuple[Callable, Callable | None]:
                 raise
             return out
 
-        def write_list(value: Any) -> str:
-            if type(value) is not list or not value:
-                return _write(value, newline)
-            return "[" + inner + ("," + inner).join([write_item(x) for x in value]) + newline + "]"
-
-        return parse_list, None if write_item is None else write_list
+        return parse_list
     if schema in _LEAVES:
-        return _LEAVES[schema], None
+        return _LEAVES[schema]
     choices = [getattr(c, "value", c) for c in schema]  # a tuple, or an enum
     convert = schema if isinstance(schema, type) else lambda value: value
 
@@ -550,21 +616,16 @@ def _compile(schema: Any, newline: str) -> tuple[Callable, Callable | None]:
             raise _Invalid(f"must be one of {choices}, got {value!r}")
         return convert(value)
 
-    return parse_choice, None
+    return parse_choice
 
 
-def _object(schema: dict, newline: str) -> tuple[Callable, Callable]:
-    """`_compile` of an object.  Its writer takes the fields in their statically
-    sorted order and writes a leaf of an exact JSON type inline; any other value,
-    and an object that is not a plain dict of known fields, goes to `_write`."""
-    inner = newline + "  "
-    fields = []  # (name, parse, write, required, absent reads as [])
+def _parse_object(schema: dict) -> Callable:
+    """`_parser` of an object: it takes exactly the given fields, in the order given."""
+    fields = []  # (name, parse, required, absent reads as [])
     for key, item in schema.items():
         name = key.rstrip("?")
-        fields.append((name, *_compile(item, inner), name == key, type(item) is list))
+        fields.append((name, _parser(item), name == key, type(item) is list))
     known = frozenset(f[0] for f in fields)
-    parsers = [(name, parse, required, is_list) for name, parse, _, required, is_list in fields]
-    writers = sorted((name, f"{inner}{_encode_str(name)}: ", w) for name, _, w, *_ in fields)
 
     def parse(value: Any, names: dict) -> dict:
         if type(value) is not dict and not isinstance(value, dict):
@@ -572,7 +633,7 @@ def _object(schema: dict, newline: str) -> tuple[Callable, Callable]:
         if not known.issuperset(value):
             raise _Invalid(f"unknown field {next(k for k in value if k not in known)!r}")
         out = {}
-        for name, parse_item, required, is_list in parsers:
+        for name, parse_item, required, is_list in fields:
             # a missing required field is checked as null, which no type accepts
             if name in value or required:
                 try:
@@ -587,11 +648,58 @@ def _object(schema: dict, newline: str) -> tuple[Callable, Callable]:
                 out[name] = []
         return out
 
+    return parse
+
+
+def _writer(schema: Any, newline: str) -> Callable | None:
+    """The writer, ``value -> canonical_json text``, of the schema node ``schema``
+    whose closing bracket follows ``newline``: of the document, whose nodes also
+    have parsers (`_parser`), or of an output shape, whose nodes have writers
+    only.  A leaf, a map and a list of leaves have no writer of their own: the
+    object holding them writes them.  Every writer gives `_write`'s bytes for
+    any value: one that breaks the shape (not a plain dict or list, an unknown
+    field or kind) goes to `_write` whole."""
+    if _is_object(schema):
+        return _write_object(schema, newline)
+    if type(schema) is str and schema in _TAGGED:  # an object with the fields of its kind
+        kinds = {kind: _write_object(fields, newline) for kind, fields in _TAGGED[schema].items()}
+
+        def write_tagged(value: Any) -> str:
+            kind = value.get("kind") if type(value) is dict else None
+            if type(kind) is not str or kind not in kinds:
+                return _write(value, newline)
+            return kinds[kind](value)
+
+        return write_tagged
+    if type(schema) is list and (write_item := _writer(schema[0], newline + "  ")) is not None:
+        inner = newline + "  "
+
+        def write_list(value: Any) -> str:
+            if type(value) is not list or not value:
+                return _write(value, newline)
+            return "[" + inner + ("," + inner).join([write_item(x) for x in value]) + newline + "]"
+
+        return write_list
+    return None
+
+
+def _write_object(schema: dict, newline: str) -> Callable:
+    """`_writer` of an object.  It takes the fields in their statically sorted
+    order and writes a str, int, bool or None inline; any other value without a
+    writer of its own goes to `_write`."""
+    inner = newline + "  "
+    fields = []  # (name, its line's start, writer)
+    for key, item in schema.items():
+        name = key.rstrip("?")
+        fields.append((name, f"{inner}{_encode_str(name)}: ", _writer(item, inner)))
+    fields.sort()
+    known = frozenset(f[0] for f in fields)
+
     def write(value: Any) -> str:
         if type(value) is not dict or not known.issuperset(value):
             return _write(value, newline)
         parts = []
-        for name, prefix, write_item in writers:
+        for name, prefix, write_item in fields:
             if name in value:
                 x = value[name]
                 if write_item is not None:
@@ -600,15 +708,25 @@ def _object(schema: dict, newline: str) -> tuple[Callable, Callable]:
                     parts.append(prefix + _encode_str(x))
                 elif kind is int:
                     parts.append(prefix + int.__repr__(x))
+                elif kind is bool:
+                    parts.append(prefix + ("true" if x else "false"))
+                elif x is None:
+                    parts.append(prefix + "null")
                 else:
                     parts.append(prefix + _write(x, inner))
         return "{" + ",".join(parts) + newline + "}" if parts else "{}"
 
-    return parse, write
+    return write
 
 
-#: `DOCUMENT_SCHEMA` compiled once: its parser and the writer of the document.
-_parse_document, _write_document = _compile(DOCUMENT_SCHEMA, "\n")
+#: `DOCUMENT_SCHEMA` compiled once into its parser and writer, and each output
+#: shape into its writer, by the "schema" tag `canonical_json` reads.
+_parse_document = _parser(DOCUMENT_SCHEMA)
+_write_document = _writer(DOCUMENT_SCHEMA, "\n")
+_WRITERS: dict[str, Callable] = {
+    REPORT_SCHEMA: _writer(REPORT_SHAPE, "\n"),
+    EXPLORATION_SCHEMA: _writer(EXPLORATION_SHAPE, "\n"),
+}
 
 
 def load_scenario(path: str) -> Scenario:
@@ -665,7 +783,11 @@ class _Expect:
 
     def eq(self, label: str, actual: Any, expected: Any) -> None:
         if actual != expected:
-            self.mismatches.append(f"{label}: expected {_text(expected)}, got {_text(actual)}")
+            self.miss(label, actual, expected)
+
+    def miss(self, label: str, actual: Any, expected: Any) -> None:
+        """Records ``actual``, which is not ``expected``."""
+        self.mismatches.append(f"{label}: expected {_text(expected)}, got {_text(actual)}")
 
     def present(self, spec: dict, rows: tuple) -> None:
         """``eq`` for each (key, label, actual) row whose key ``spec`` holds."""
@@ -702,7 +824,8 @@ def _check_intersection_table(run: ScenarioRun, spec: dict) -> CheckResult:
     for entry in spec["entries"]:
         a, b = entry["a"], entry["b"]
         value = pairing(a if a in named else sparse_class(a), b if b in named else sparse_class(b))
-        expect.eq(f"{a}.{b}", value, entry["expect"])
+        if value != entry["expect"]:  # the label is built for a mismatch only
+            expect.miss(f"{a}.{b}", value, entry["expect"])
         rows.append({"a": a, "b": b, "value": _text(value)})
     details = {"entries": rows, "count": len(rows)}
     return CheckResult("intersection-table", not expect.mismatches, details, expect.mismatches)

@@ -203,20 +203,37 @@ class SurfaceModel:
         must be a nonnegative integer and the base-degree part nonnegative
         and nonzero (numerical effectivity screen).  Exceptional entries are
         paired once with every registered divisor: only this costs O(#divisors).
+        One pass makes the class integral and sparse; D.D is the base kernel
+        less the exceptional squares, and D.K is G_base K_base less their sum.
         """
         self._check_fresh(name)
-        if any(x != int(x) for x in class_vector):
-            raise GeometryError("curve classes are integral lattice vectors")
-        vec = tuple(int(x) for x in class_vector)
-        cls = self.sparse_class(vec)
-        if any(x < 0 for x in vec[: self.base_rank]) or not cls:
-            raise GeometryError(f"class {vec} is not effective-irreducible on the {self.base} base")
-        square, k_degree = self.pairing(cls, cls), self.k_degree(cls)
+        cls, exc, r, k_dual = {}, [], self.base_rank, self._k_dual
+        i, negative, exc_square, k_degree = -1, False, 0, 0
+        for i, x in enumerate(class_vector):
+            if type(x) is not int:
+                if x != int(x):
+                    raise GeometryError("curve classes are integral lattice vectors")
+                x = int(x)
+            if not x:
+                continue
+            cls[i] = x
+            if i < r:
+                negative = negative or x < 0
+                k_degree += k_dual[i] * x
+            else:
+                exc.append((i, x))
+                exc_square, k_degree = exc_square + x * x, k_degree - x
+        if i + 1 != self.rank:
+            raise GeometryError(f"class vector of length {i + 1} on a rank-{self.rank} lattice")
+        if negative or not cls:
+            raise GeometryError(f"class {_dense(cls, i + 1)} is not effective-irreducible "
+                                f"on the {self.base} base")
+        square = _BASE_PART[self.base](cls, cls) - exc_square
         if (twice_genus := square + k_degree + 2) % 2 or twice_genus < 0:
-            raise GeometryError(f"class {vec} has arithmetic genus {Fraction(twice_genus, 2)}; "
-                                "no irreducible curve represents it")
+            raise GeometryError(f"class {_dense(cls, i + 1)} has arithmetic genus "
+                                f"{Fraction(twice_genus, 2)}; no irreducible curve represents it")
         row = self._exceptional[name] = {}
-        if exc := [(i, x) for i, x in cls.items() if i >= self.base_rank]:
+        if exc:
             for other, div in self.prime_divisors.items():
                 if meets := -sum([x * div.cls[i] for i, x in exc if i in div.cls]):
                     row[other] = self._exceptional[other][name] = meets

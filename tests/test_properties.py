@@ -38,7 +38,17 @@ from blowdown.exactlin import (
     invert,
     sparse_pivot_pass,
 )
-from blowdown.scenario import bundled_scenario, canonical_json
+from blowdown.scenario import (
+    DETAILS_SHAPES,
+    EXPLORATION_SCHEMA,
+    EXPLORATION_SHAPE,
+    REPORT_SCHEMA,
+    REPORT_SHAPE,
+    RESULT,
+    VALUE,
+    bundled_scenario,
+    canonical_json,
+)
 from blowdown.surface import _BASE_PART
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -1138,3 +1148,71 @@ class TestCanonicalJson:
             self.stdlib(value)
         with pytest.raises(ValueError):
             canonical_json(value)
+
+
+# perturbations of a value of an output shape, each given the value and a junk
+# JSON value; a perturbation that does not apply leaves the value as it is
+PERTURBATIONS = (
+    lambda v, junk: {**v, "zz-extra": junk} if type(v) is dict else v,  # an extra key
+    lambda v, junk: {k: v[k] for k in sorted(v)[1:]} if type(v) is dict else v,  # a missing key
+    lambda v, junk: junk,  # a wrong type
+    lambda v, junk: bool(v % 2) if type(v) is int else v,  # a bool where an int goes
+    lambda v, junk: Colour.RED if type(v) is int else v,  # an IntEnum
+    lambda v, junk: Shade.DARK if type(v) is str else v,  # a str Enum
+    lambda v, junk: collections.OrderedDict(reversed(v.items())) if type(v) is dict else v,
+    lambda v, junk: Pair(*v) if type(v) is list and len(v) == 2 else v,  # a namedtuple
+    lambda v, junk: {**v, "kind": "zz-unknown"} if type(v) is dict and "kind" in v else v,
+)
+
+
+def perturbed(strategy):
+    """``strategy``, with about one value in five perturbed."""
+
+    def pick(i):
+        if i >= len(PERTURBATIONS):
+            return strategy
+        return st.tuples(strategy, json_values).map(lambda t: PERTURBATIONS[i](*t))
+
+    return st.integers(0, 4 * len(PERTURBATIONS)).flatmap(pick)
+
+
+def shaped(node):
+    """Values of the output shape ``node``, each object holding any of its
+    fields, any node of which may be perturbed; a check result's details may
+    instead be the ``{"error": ...}`` of a check that raised."""
+    if node == VALUE:
+        strategy = json_values
+    elif node == RESULT:
+        strategy = st.one_of([
+            st.fixed_dictionaries({
+                "kind": st.just(kind),
+                "passed": st.booleans(),
+                "details": shaped(details) | st.fixed_dictionaries({"error": json_text}),
+                "mismatches": st.lists(json_text, max_size=2),
+            })
+            for kind, details in DETAILS_SHAPES.items()
+        ])
+    elif type(node) is list:
+        strategy = st.lists(shaped(node[0]), max_size=3)
+    else:  # an object
+        strategy = st.fixed_dictionaries({}, optional={k: shaped(v) for k, v in node.items()})
+    return perturbed(strategy)
+
+
+def tagged(node, tag):
+    """`shaped` values of ``node`` that carry ``tag`` as their "schema", but for
+    about one in ten."""
+    return st.tuples(shaped(node), st.integers(0, 9)).map(
+        lambda t: {**t[0], "schema": tag} if t[1] and type(t[0]) is dict else t[0]
+    )
+
+
+class TestCompiledOutputWriters:
+    """The writers compiled from the report and exploration shapes, chosen by
+    the "schema" tag, give the stdlib's ``indent=2`` bytes for values of those
+    shapes and for any perturbation of them."""
+
+    @given(tagged(REPORT_SHAPE, REPORT_SCHEMA) | tagged(EXPLORATION_SHAPE, EXPLORATION_SCHEMA))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_stdlib_bytes(self, value):
+        assert canonical_json(value) == TestCanonicalJson.stdlib(value)

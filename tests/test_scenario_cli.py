@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blowdown.scenario as scenario_module
-from blowdown import ScenarioError, load_scenario, run_repro, run_scenario
+from blowdown import GeometryError, ScenarioError, explore_frobenius, load_scenario, run_repro, run_scenario
 from blowdown.cli import main
 from blowdown.scenario import (
     BUNDLED_EXPECTED,
@@ -864,3 +864,96 @@ def test_library_values_in_raw_checks_keep_their_digest():
     raw["checks"][0]["entries"][0]["note"] = "added after parsing"
     raw["checks"][1]["note"] = [Level.THREE]
     assert scenario_digest(scenario) == sha256_digest(canonical_json(scenario.to_dict())) != digest
+
+
+def shape_misfits(value, node, path="$"):
+    """Where ``value`` leaves the output shape ``node`` so that its compiled
+    writer hands it to the generic `_write`: a dict with a field its object
+    lacks, a result of an unknown kind, a container of another type.  None
+    fits any node (a field such as the cone's "class_group" may be null)."""
+    if value is None:
+        return
+    if node == scenario_module.RESULT:
+        kind = value.get("kind") if type(value) is dict else None
+        if kind not in scenario_module.DETAILS_SHAPES:
+            yield path
+            return
+        node = {"kind": "", "passed": "", "details": scenario_module.DETAILS_SHAPES[kind], "mismatches": ""}
+    if type(node) is dict and (len(node) != 1 or next(iter(node))[0] != "<"):  # an object
+        if type(value) is not dict:
+            yield path
+            return
+        fields = {key.rstrip("?"): item for key, item in node.items()}
+        for key, item in value.items():
+            if key not in fields:
+                yield f"{path}.{key}"
+            else:
+                yield from shape_misfits(item, fields[key], f"{path}.{key}")
+    elif type(node) is list:
+        if type(value) is not list:
+            yield path
+            return
+        for i, item in enumerate(value):
+            yield from shape_misfits(item, node[0], f"{path}[{i}]")
+
+
+class TestOutputShapesAreComplete:
+    """Every report field a check writes, passing, failing or raising, and every
+    exploration field, is in its output shape: no real output falls back to
+    the generic writer."""
+
+    def failing_dict(self):
+        raw = bundled_dict()
+        table, pullback, rank_one, census, sections, kvv, cone = raw["checks"]
+        table["entries"][0]["expect"] = "5"
+        pullback["expect_min_discrepancy"] = "7"
+        rank_one["expect_rank"] = 2
+        census["expect_total"] = 99
+        sections["fibers"].pop()  # the class identity fails: a difference class
+        kvv["divisor"] = "K"  # an expansion with a residual class
+        cone["expect"]["r"] = "99"
+        return raw
+
+    def results(self, monkeypatch):
+        passing = run_repro().checks
+        failing = run_scenario(parse_scenario(self.failing_dict())).checks
+        partial = bundled_dict()
+        partial["contraction"] = partial["contraction"][:4]  # kvv-failure and cone raise
+        failing += run_scenario(parse_scenario(partial)).checks
+        for kind in scenario_module.CHECKS:
+            monkeypatch.setitem(scenario_module.CHECKS, kind, self.raise_geometry_error)
+        raising = run_scenario(bundled_scenario()).checks
+        return passing, failing, raising
+
+    @staticmethod
+    def raise_geometry_error(run, spec):
+        raise GeometryError(f"{spec['kind']} cannot be evaluated")
+
+    def test_every_check_kind_fits_its_shape(self, monkeypatch):
+        passing, failing, raising = self.results(monkeypatch)
+        kinds = set(scenario_module.DETAILS_SHAPES)
+        assert kinds == set(scenario_module.CHECKS) == set(scenario_module.CHECK_SCHEMAS)
+        assert {c.kind for c in passing if c.passed} == kinds
+        assert {c.kind for c in failing if not c.passed and "error" not in c.details} == kinds
+        assert {c.kind for c in raising if set(c.details) == {"error"}} == kinds
+        optional = {c.kind: c.details for c in failing[:len(kinds)]}  # the fields written on occasion
+        assert "difference_class" in optional["anticanonical-sections"]
+        assert "residual" in optional["kvv-failure"]["expansion"]
+        for checks in (passing, failing, raising):
+            report = Report("shapes", "sha256:0", checks).to_dict()
+            assert list(shape_misfits(report, scenario_module.REPORT_SHAPE)) == []
+            assert canonical_json(report) == stdlib_indent2(json.dumps(report))
+
+    def test_exploration_fits_its_shape(self):
+        for p, n in ((3, 3), (5, 5), (2, 4)):
+            exploration = scenario_module.exploration_to_dict(explore_frobenius(p, n))
+            assert list(shape_misfits(exploration, scenario_module.EXPLORATION_SHAPE)) == []
+
+    def test_misfits_are_found(self):
+        report = run_repro().to_dict()
+        report["checks"][0]["details"]["entries"][1]["note"] = "x"
+        report["checks"][1]["kind"] = "unknown"
+        report["checks"][2]["details"]["class_group"] = ["rank", 1]
+        assert list(shape_misfits(report, scenario_module.REPORT_SHAPE)) == [
+            "$.checks[0].details.entries[1].note", "$.checks[1]", "$.checks[2].details.class_group",
+        ]

@@ -51,6 +51,57 @@ def test_declare_curve_rejections():
         m.declare_curve("D", (1, 0, 0))
 
 
+def _blown_up_quadric():
+    """The quadric with fibres F, G of the two rulings, each blown up once: rank 4."""
+    m = new_quadric()
+    m.declare_curve("F", (1, 0))
+    m.declare_curve("G", (0, 1))
+    m.blow_up("E1", [("F", 1)])
+    m.blow_up("E2", [("G", 1)])
+    return m
+
+
+@pytest.mark.parametrize(
+    "name, vector, message",
+    [
+        ("F", (0.5,), "name 'F' already in use"),
+        ("D", (1, 0.5, 0, 0), "curve classes are integral lattice vectors"),
+        ("D", (F(1, 2), 0), "curve classes are integral lattice vectors"),
+        ("D", (1, 0), "class vector of length 2 on a rank-4 lattice"),
+        ("D", (), "class vector of length 0 on a rank-4 lattice"),
+        ("D", (-1, 0), "class vector of length 2 on a rank-4 lattice"),
+        ("D", (-1, 1, 0, 0), "class (-1, 1, 0, 0) is not effective-irreducible on the quadric base"),
+        ("D", (-1.0, 0, 0, 0), "class (-1, 0, 0, 0) is not effective-irreducible on the quadric base"),
+        ("D", (0, 0, 0, 0), "class (0, 0, 0, 0) is not effective-irreducible on the quadric base"),
+        ("D", (2, 0, 0, 0), "class (2, 0, 0, 0) has arithmetic genus -1; no irreducible curve represents it"),
+        ("D", (1, 1, 1, 0), "class (1, 1, 1, 0) has arithmetic genus -1; no irreducible curve represents it"),
+        ("D", (F(2), 0, 0, 0), "class (2, 0, 0, 0) has arithmetic genus -1; no irreducible curve represents it"),
+    ],
+)
+def test_declare_curve_messages_in_order(name, vector, message):
+    """Each rejection's message, the first one that applies in the order: name,
+    non-integral entry, length, negative base entry or zero class, genus."""
+    m = _blown_up_quadric()
+    with pytest.raises(GeometryError) as info:
+        m.declare_curve(name, vector)
+    assert str(info.value) == message
+    assert set(m.prime_divisors) == {"F", "G", "E1", "E2"}  # nothing registered
+
+
+@pytest.mark.parametrize("vector", [(2, 1, -1, 0), (F(2), True, -1.0, F(0)), (0, 0, 1, 0), (1, 1, -1, -1)])
+def test_declare_curve_accepts_integral_values_and_pairs_exceptional_entries(vector):
+    """A Fraction(2), a bool or a float with an integral value is accepted as an
+    int; D.D, D.K and the pairing with every registered divisor are those of
+    the dense class."""
+    m = _blown_up_quadric()
+    d = m.declare_curve("D", vector)
+    dense = tuple(int(x) for x in vector)
+    assert d.class_vector == dense and all(type(x) is int for x in d.cls.values())
+    assert (d.square, d.k_degree) == (m.pairing(dense, dense), m.k_degree(dense))
+    for other in ("F", "G", "E1", "E2"):
+        assert m.pairing("D", other) == m.pairing(other, "D") == m.pairing(dense, m.sparse_class(other))
+
+
 def nine_blowup_model():
     m = new_quadric()
     m.declare_curve("C", (1, 3))
