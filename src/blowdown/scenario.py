@@ -25,12 +25,11 @@ differ from the expectations is a *mathematical failure*.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 from typing import Any, Callable, NoReturn
 
 from .cohomology import KvvFailureReport, verify_h0_anticanonical_zero, verify_kvv_failure
@@ -45,6 +44,16 @@ EXPLORATION_SCHEMA = "blowdown-exploration/1"
 
 BUNDLED_SCENARIO = "keel-mckernan-p3.json"
 BUNDLED_EXPECTED = "keel-mckernan-p3.expected.json"
+
+# hashlib loads OpenSSL, a few MB and ms on every start; as in CPython's own
+# `random`, try the interpreter's lean module first (_sha2 from 3.12 on)
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 # -- canonical JSON -----------------------------------------------------------
@@ -111,9 +120,22 @@ def _write(obj: Any, newline: str) -> str:
 
 def scenario_digest(scenario: "Scenario") -> str:
     """The sha256 of the scenario document's `canonical_json` bytes, written
-    by the writers compiled from `DOCUMENT_SCHEMA`."""
-    payload = (_write_document(scenario._document()) + "\n").encode("utf-8")
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
+    by the writers compiled from `DOCUMENT_SCHEMA`.
+
+    The hash is the interpreter's own SHA-256 module (``_sha2`` or ``_sha256``),
+    and ``hashlib`` only where neither is built: ``import hashlib`` loads
+    OpenSSL, which costs every command about 3.5 MB of peak memory and 3-4 ms,
+    while the built-in hash takes about 0.1 ms more on a large document.  The
+    bytes hashed, and so the digest, are the same.  A string holding a lone
+    surrogate (the JSON escape ``"\\ud800"``) is not text and has no UTF-8
+    bytes: ScenarioError."""
+    text = _write_document(scenario._document()) + "\n"
+    try:
+        payload = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        char = ascii(exc.object[exc.start])
+        raise ScenarioError(f"a string holds the lone surrogate {char}, which is not text") from None
+    return "sha256:" + _sha256(payload).hexdigest()
 
 
 #: A rational string: an integer or "num/den", no exponent, point or space.
@@ -163,7 +185,8 @@ class _Record:
 
 class Scenario(_Record):
     """A parsed scenario document; its fields cannot be reassigned, and it
-    hashes and compares by them alone.
+    compares by them alone.  It hashes by them only while it has no check:
+    ``hash()`` raises TypeError otherwise, because the raw ``checks`` are dicts.
 
     ``divisors`` holds each coefficient as an ``int`` if written as an integer,
     else a ``Fraction``; ``specs`` the checks parsed against ``CHECK_SCHEMAS``
@@ -749,9 +772,11 @@ def load_scenario(path: str) -> Scenario:
 
 
 def bundled_scenario() -> Scenario:
-    data = resources.files("blowdown").joinpath("data", BUNDLED_SCENARIO)
-    scenario = parse_scenario(json.loads(data.read_text(encoding="utf-8")))
-    return scenario
+    """The bundled reference scenario, read by this module's own loader from
+    the package's data directory (as ``pkgutil.get_data`` does, without
+    importing ``importlib.resources``, which costs about 24 ms and 4 MB)."""
+    path = os.path.join(os.path.dirname(__file__), "data", BUNDLED_SCENARIO)
+    return parse_scenario(json.loads(__loader__.get_data(path).decode("utf-8")))
 
 
 # -- checks ---------------------------------------------------------------------
@@ -1125,8 +1150,9 @@ def run_scenario(scenario: Scenario) -> Report:
     rank, pipeline abort, ...) counts as that check failing, not as invalid
     input: the scenario built fine, its mathematics did not.  A ScenarioError
     (a number too long to write) gains the check's location, after the file
-    path of a scenario that `load_scenario` read.  The trial build
-    of `load_scenario`, if not yet used, is used instead of a new one."""
+    path of a scenario that `load_scenario` read; one from `scenario_digest`
+    (a lone surrogate) gains that path.  The trial build of `load_scenario`,
+    if not yet used, is used instead of a new one."""
     run = scenario._trial or scenario.build()
     scenario._trial = None
     checks = []
@@ -1139,7 +1165,13 @@ def run_scenario(scenario: Scenario) -> Report:
             where = f"{scenario._path}." if scenario._path is not None else ""
             raise ScenarioError(f"{where}checks[{i}] ({spec['kind']}): {exc}") from None
         checks.append(result)
-    return Report(scenario.name, scenario_digest(scenario), checks)
+    try:
+        digest = scenario_digest(scenario)
+    except ScenarioError as exc:
+        if scenario._path is None:
+            raise
+        raise ScenarioError(f"{scenario._path}: {exc}") from None
+    return Report(scenario.name, digest, checks)
 
 
 def run_repro() -> Report:

@@ -5,9 +5,9 @@ and stderr.
 The inputs are mutations of the bundled scenario and of a rank-8 tower, plus
 hand-written cases: numbers past the interpreter's digit limit, nested wrong
 types, 'K' and '-X' names, nesting past the recursion limit, oversized
-integers, "n/d" forms, and checks that raise, whose report holds
-``{"error": ...}`` details.  Everything comes from one seeded
-``random.Random``, so the inputs are the same bytes on every run.
+integers, "n/d" forms, checks that raise, whose report holds
+``{"error": ...}`` details, and lone surrogates.  Everything comes from one
+seeded ``random.Random``, so the inputs are the same bytes on every run.
 
 ``tests/test_outcomes.py`` regenerates the inputs and compares their outcomes
 with ``tests/data/outcomes.json``.  A change that is meant to change outcomes
@@ -225,6 +225,11 @@ def _targeted(bundled: dict, small: dict):
                    {"kind": "cone", "divisor": "L"}, {"kind": "kvv-failure", "divisor": "-L"}],
     }
     yield "contracted-witness", _with(small, ("checks", 2, "degrees", 0, "divisor"), "C")
+    # a lone surrogate, the valid JSON escape "\ud800", is not text: written
+    # escaped, since it has no UTF-8 bytes
+    yield "lone-surrogate-name", json.dumps(_with(bundled, ("name",), "\ud800")).encode("ascii")
+    surrogate_divisor = _with(bundled, ("divisors", "\udfff"), {"E1": "1"})
+    yield "lone-surrogate-divisor", json.dumps(surrogate_divisor).encode("ascii")
     yield "bundled", bundled
     yield "tower", small
 

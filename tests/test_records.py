@@ -3,6 +3,7 @@ and repr, for the value records (``NamedTuple``s) and the plain classes alike;
 and the start-up imports of the command line."""
 
 import copy
+import importlib.util
 import json
 import os
 import pickle
@@ -303,3 +304,23 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     added = set(result.stdout.split())
     assert "blowdown.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added & {"dataclasses", "inspect"})
+
+
+def test_lean_start_up_loads_neither_openssl_nor_importlib_resources():
+    # `import hashlib` loads OpenSSL and `importlib.resources` pulls in
+    # tempfile, shutil and pathlib: MB and ms on every start.  Under -S no
+    # .pth file in site-packages can import either before blowdown does
+    code = (
+        "import sys; before = set(sys.modules); import blowdown.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(result.stdout.split())
+    assert "blowdown.cli" in added
+    unwanted = {"importlib.resources"}
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        unwanted |= {"hashlib", "_hashlib"}  # else the digest needs hashlib's SHA-256
+    assert not added & unwanted, sorted(added & unwanted)

@@ -4,6 +4,10 @@ import enum
 import hashlib
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -587,6 +591,32 @@ class TestCli:
         with pytest.raises(ScenarioError, match=r"checks\[0\] \(intersection-table\)"):
             run_scenario(load_scenario(path))
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lone_surrogate_exit_two(self, tmp_path, capsys, fmt):
+        # the valid JSON escape "\ud800" is not text: it has no UTF-8 bytes
+        raw = bundled_dict()
+        raw["name"] = "\ud800"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "a string holds the lone surrogate '\\ud800', which is not text"
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_lone_surrogate_raises_scenario_error(self, tmp_path):
+        raw = bundled_dict()
+        raw["divisors"]["\udfff"] = {"E1": "1"}
+        message = "a string holds the lone surrogate '\\udfff', which is not text"
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(parse_scenario(raw))
+        assert str(info.value) == message
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(load_scenario(str(path)))
+        assert str(info.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_dict")])
     def test_only_the_written_format_is_built(self, monkeypatch, capsys, fmt, unused):
         def fail(report):
@@ -824,6 +854,36 @@ def test_tower_report_bytes_match_stdlib_encoder(tmp_path):
     assert scenario_digest(scenario) == sha256_digest(payload)
     stdlib = json.dumps(scenario.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     assert report.scenario_digest == sha256_digest(stdlib)
+
+
+class TestDigestHash:
+    """`scenario_digest` hashes with the interpreter's own SHA-256 module where
+    it has one, and with hashlib's where not: the same digest either way."""
+
+    def test_matches_hashlib_on_random_payloads(self):
+        rng = random.Random(1919)
+        # the block edges of SHA-256's 64-byte blocks and its 56-byte length rule
+        sizes = [0, 1, 55, 56, 63, 64, 65, 100_000] + [rng.randrange(100_001) for _ in range(40)]
+        for size in sizes:
+            payload = rng.randbytes(size)
+            expected = hashlib.sha256(payload).hexdigest()
+            assert scenario_module._sha256(payload).hexdigest() == expected, size
+
+    def test_falls_back_to_hashlib(self):
+        # neither built-in module importable: the digest comes from hashlib
+        code = (
+            "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "import blowdown.cli; from blowdown.scenario import run_repro; "
+            "print('hashlib' in sys.modules, run_repro().scenario_digest)"
+        )
+        src = str(DATA.parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        golden = json.loads((DATA / BUNDLED_EXPECTED).read_text())
+        assert result.stdout.split() == ["True", golden["scenario"]["digest"]]
 
 
 class Level(enum.IntEnum):
