@@ -88,7 +88,11 @@ def hirzebruch_jung_type(bs: Sequence[int]) -> tuple[int, int]:
     """(n, q) with n/q = b1 - 1/(b2 - 1/(...)), canonicalized as documented
     on SingularPointReport.  n = 1 means the chain contracts to a smooth
     point (reported as (1, 0)).  n and q are the continuants of b1..bk and
-    b2..bk; a zero continuant of a shorter tail makes the fraction degenerate."""
+    b2..bk; a zero continuant of a shorter tail makes the fraction degenerate.
+    A self-intersection that is not an integer (2.5, 5/2, nan) raises GeometryError."""
+    bs = list(bs)
+    if any(b % 1 for b in bs):  # nonzero, or nan for nan and inf
+        raise GeometryError(f"chain {bs} has a self-intersection that is not an integer")
     bs = [int(b) for b in bs]
     if not bs:
         raise GeometryError("empty chain")

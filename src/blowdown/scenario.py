@@ -11,11 +11,8 @@ The format is stated once, in the table `DOCUMENT_SCHEMA` (with the fields of
 each check kind in `CHECK_SCHEMAS`), which is its reference.  At import the
 table is compiled into one parser and one writer per node: `parse_scenario`
 runs the parsers, and `scenario_digest` writes the document with the writers.
-The outputs have shapes beside it, which name the fields of each object and
-nest only objects and lists of objects: `REPORT_SHAPE` (with the details of
-each check kind in `DETAILS_SHAPES`) and `EXPLORATION_SHAPE`.  Nothing reads
-the outputs back, so their shapes are compiled into writers only, and
-`canonical_json` picks the writer by the output's "schema" tag.
+The outputs (the report and the exploration) have no schema: the code that
+builds them states their fields, and `canonical_json` writes any value.
 
 Exit-code taxonomy used by the CLI: a malformed scenario or a numerically
 impossible construction is *invalid input*; a check whose computed values
@@ -77,45 +74,57 @@ def canonical_json(obj: Any) -> str:
     This writer exists because any ``indent`` makes ``json.dumps`` leave its C
     encoder for its pure-Python one, which took more time than the checks on
     a large intersection table.  Strings still go through the stdlib's C
-    string encoder and floats through ``json.dumps``.  A plain dict tagged
-    with the report or exploration "schema" goes to the writer compiled from
-    its shape, any other value (a scenario document too) to the generic
-    `_write`: the bytes are the same."""
-    if type(obj) is dict and type(tag := obj.get("schema")) is str and tag in _WRITERS:
-        return _WRITERS[tag](obj) + "\n"
-    return _write(obj, "\n") + "\n"
+    string encoder and floats through ``json.dumps``."""
+    return _write(obj, "\n", {}) + "\n"
 
 
-def _write(obj: Any, newline: str) -> str:
-    """`canonical_json` of ``obj`` at the indent that ``newline`` ends with."""
+def _write(obj: Any, newline: str, keys: dict) -> str:
+    """`canonical_json` of ``obj`` at the indent that ``newline`` ends with.
+
+    A str, int, bool or None member of a dict or list is written inline.
+    ``keys`` holds, for one call, the sorted keys of each dict with their
+    written ``"key": `` prefixes, by the dict's key tuple: the rows of a
+    table share theirs."""
     kind = type(obj)
-    if kind is str:
-        return _encode_str(obj)
     if kind is dict or kind is list or kind is tuple:
         if not obj:
             return "{}" if kind is dict else "[]"
         inner = newline + "  "
+        items = []
         if kind is dict:
-            items = [_encode_str(k) + ": " + _write(obj[k], inner) for k in sorted(obj)]
+            if (prefixes := keys.get(names := tuple(obj))) is None:
+                prefixes = keys[names] = [(k, _encode_str(k) + ": ") for k in sorted(obj)]
+            for k, prefix in prefixes:
+                x = obj[k]
+                if (tx := type(x)) is str:
+                    items.append(prefix + _encode_str(x))
+                elif tx is int:
+                    items.append(prefix + int.__repr__(x))
+                elif tx is bool:
+                    items.append(prefix + ("true" if x else "false"))
+                elif x is None:
+                    items.append(prefix + "null")
+                else:
+                    items.append(prefix + _write(x, inner, keys))
             return "{" + inner + ("," + inner).join(items) + newline + "}"
-        items = [_write(x, inner) for x in obj]
+        for x in obj:
+            if (tx := type(x)) is str:
+                items.append(_encode_str(x))
+            elif tx is int:
+                items.append(int.__repr__(x))
+            elif tx is bool:
+                items.append("true" if x else "false")
+            elif x is None:
+                items.append("null")
+            else:
+                items.append(_write(x, inner, keys))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return json.dumps(obj)
     # a subclass, such as a namedtuple or an OrderedDict, is written as its base type
-    if isinstance(obj, str):
-        return _encode_str(obj)
     if isinstance(obj, (list, tuple)):
-        return _write(list(obj), newline)
+        return _write(list(obj), newline, keys)
     if isinstance(obj, dict):
-        return _write(dict(obj.items()), newline)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return _write(dict(obj.items()), newline, keys)
+    return json.dumps(obj, ensure_ascii=False)  # a float, another scalar, or TypeError
 
 
 def scenario_digest(scenario: "Scenario") -> str:
@@ -358,13 +367,11 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
 # ``NEW_CURVE`` declares a curve or blow-up name, which must not be 'K' or start
 # with '-', and ``NEW_DIVISOR`` a divisor name, which must also not be a curve
 # or blow-up name (resolve() would read it as K, a negation or the curve).
-# ``CHECK`` is a check, parsed against the ``CHECK_SCHEMAS`` entry of its kind,
-# and ``RESULT`` a check's result, whose details take the ``DETAILS_SHAPES``
-# entry of its kind.  A tuple, or an enum such as ``SingClass``, takes one of
-# its values.
+# ``CHECK`` is a check, parsed against the ``CHECK_SCHEMAS`` entry of its kind.
+# A tuple, or an enum such as ``SingClass``, takes one of its values.
 RATIONAL, INT, BOOL, INTS, MULT = "<rational>", "<int>", "<bool>", "<ints>", "<mult>"
 STR, NAME, REF, CURVE = "<str>", "<name>", "<ref>", "<curve>"
-NEW_CURVE, NEW_DIVISOR, CHECK, RESULT = "<new curve>", "<new divisor>", "<check>", "<result>"
+NEW_CURVE, NEW_DIVISOR, CHECK = "<new curve>", "<new divisor>", "<check>"
 
 # A key ending in "?" is optional, and an absent optional list reads as empty.
 # ``[item]`` is a list of items, ``{leaf: item}`` a map whose keys are that
@@ -440,68 +447,8 @@ CHECK_SCHEMAS: dict[str, dict] = {
 }
 
 
-# The output shapes state what the writers behind `canonical_json` need of the
-# report, each check kind's details and the exploration: the names of each
-# object's fields, and which of them hold an object or a list of objects.  Any
-# other field is a ``VALUE``, which the object holding it writes itself; the
-# code that builds the output (`Report.to_dict`, the ``_check_*`` functions,
-# `exploration_to_dict`) is what gives it its type.  Nothing reads these
-# outputs back, so they are compiled to writers only.
-VALUE = "<value>"
-
-
-def _fields(*names: str, **nested: Any) -> dict:
-    """An output object whose fields ``names`` hold a ``VALUE`` and whose fields
-    ``nested`` hold the object or list of objects given."""
-    return {**dict.fromkeys(names, VALUE), **nested}
-
-
-#: The report of a run (`Report.to_dict`).
-REPORT_SHAPE = _fields(
-    "schema", "passed", "first_failure", scenario=_fields("name", "digest"), checks=[RESULT]
-)
-
-_POINT = _fields("component", "self_intersections", "type", "label")  # a singular point
-_DIVISOR = _fields("coefficients", "residual")  # a QDivisor
-_CLASS_GROUP = _fields("rank", "torsion")
-
-#: The details of each check kind's result.  A check that raised GeometryError
-#: has "error", its message, and no other field.
-DETAILS_SHAPES: dict[str, dict] = {
-    "intersection-table": _fields("count", "error", entries=[_fields("a", "b", "value")]),
-    "canonical-pullback": _fields(
-        "pullback_corrections", "discrepancies", "classification", "min_discrepancy", "error"
-    ),
-    "rank-one-positivity": _fields(
-        "target_rank", "degrees", "proportionality", "ample", "error", class_group=_CLASS_GROUP
-    ),
-    "singular-points": _fields("total", "error", census=[_fields("n", "q", "count")], points=[_POINT]),
-    "anticanonical-sections": _fields("identity_holds", "base_bidegree", "h0", "difference_class", "error"),
-    "kvv-failure": _fields(
-        "relatively_nef", "nef_degrees", "k_dot_floor", "floor_squared", "euler_characteristic",
-        "h1_nonzero", "not_globally_f_split", "no_w2_liftable_log_resolution", "nef_hypothesis_note",
-        "error", expansion=_DIVISOR, floor=_DIVISOR,
-    ),
-    "cone": _fields(
-        "r", "section_discrepancy", "q_gorenstein", "crepant_partial_resolution", "cm",
-        "certificate_m", "klt_note", "error", class_group=_CLASS_GROUP,
-    ),
-}
-
-#: The exploration of one (p, n) pair (`exploration_to_dict`).
-EXPLORATION_SHAPE = _fields(
-    "schema", "p", "points", "target_rank", "anticanonical_degree", "verdict", "census", "provenance",
-    singular_points=[_POINT],
-)
-
-#: The objects a tagged node stands for, keyed by their "kind".
-_TAGGED: dict[str, dict[str, dict]] = {
-    CHECK: {kind: {"kind": STR, **fields} for kind, fields in CHECK_SCHEMAS.items()},
-    RESULT: {
-        kind: _fields("kind", "passed", "mismatches", details=details)
-        for kind, details in DETAILS_SHAPES.items()
-    },
-}
+#: The fields of each check kind, "kind" included, for its parser and writer.
+_CHECK_FIELDS = {kind: {"kind": STR, **fields} for kind, fields in CHECK_SCHEMAS.items()}
 
 
 class _Invalid(Exception):
@@ -584,7 +531,7 @@ def _parser(schema: Any) -> Callable:
     if _is_object(schema):
         return _parse_object(schema)
     if schema == CHECK:  # an object with the fields of its kind
-        kinds = {kind: _parse_object(fields) for kind, fields in _TAGGED[CHECK].items()}
+        kinds = {kind: _parse_object(fields) for kind, fields in _CHECK_FIELDS.items()}
 
         def parse_check(value: Any, names: dict) -> dict:
             kind = value.get("kind") if isinstance(value, dict) else _fail("must be an object")
@@ -675,31 +622,30 @@ def _parse_object(schema: dict) -> Callable:
 
 
 def _writer(schema: Any, newline: str) -> Callable | None:
-    """The writer, ``value -> canonical_json text``, of the schema node ``schema``
-    whose closing bracket follows ``newline``: of the document, whose nodes also
-    have parsers (`_parser`), or of an output shape, whose nodes have writers
-    only.  A leaf, a map and a list of leaves have no writer of their own: the
-    object holding them writes them.  Every writer gives `_write`'s bytes for
-    any value: one that breaks the shape (not a plain dict or list, an unknown
-    field or kind) goes to `_write` whole."""
+    """The writer, ``value -> canonical_json text``, of the document's schema
+    node ``schema`` whose closing bracket follows ``newline``.  A leaf, a map
+    and a list of leaves have no writer of their own: the object holding them
+    writes them.  Every writer gives `_write`'s bytes for any value: one that
+    breaks the schema (not a plain dict or list, an unknown field or kind)
+    goes to `_write` whole."""
     if _is_object(schema):
         return _write_object(schema, newline)
-    if type(schema) is str and schema in _TAGGED:  # an object with the fields of its kind
-        kinds = {kind: _write_object(fields, newline) for kind, fields in _TAGGED[schema].items()}
+    if schema == CHECK:  # an object with the fields of its kind
+        kinds = {kind: _write_object(fields, newline) for kind, fields in _CHECK_FIELDS.items()}
 
-        def write_tagged(value: Any) -> str:
+        def write_check(value: Any) -> str:
             kind = value.get("kind") if type(value) is dict else None
             if type(kind) is not str or kind not in kinds:
-                return _write(value, newline)
+                return _write(value, newline, {})
             return kinds[kind](value)
 
-        return write_tagged
+        return write_check
     if type(schema) is list and (write_item := _writer(schema[0], newline + "  ")) is not None:
         inner = newline + "  "
 
         def write_list(value: Any) -> str:
             if type(value) is not list or not value:
-                return _write(value, newline)
+                return _write(value, newline, {})
             return "[" + inner + ("," + inner).join([write_item(x) for x in value]) + newline + "]"
 
         return write_list
@@ -720,7 +666,7 @@ def _write_object(schema: dict, newline: str) -> Callable:
 
     def write(value: Any) -> str:
         if type(value) is not dict or not known.issuperset(value):
-            return _write(value, newline)
+            return _write(value, newline, {})
         parts = []
         for name, prefix, write_item in fields:
             if name in value:
@@ -736,20 +682,15 @@ def _write_object(schema: dict, newline: str) -> Callable:
                 elif x is None:
                     parts.append(prefix + "null")
                 else:
-                    parts.append(prefix + _write(x, inner))
+                    parts.append(prefix + _write(x, inner, {}))
         return "{" + ",".join(parts) + newline + "}" if parts else "{}"
 
     return write
 
 
-#: `DOCUMENT_SCHEMA` compiled once into its parser and writer, and each output
-#: shape into its writer, by the "schema" tag `canonical_json` reads.
+#: `DOCUMENT_SCHEMA` compiled once into its parser and writer.
 _parse_document = _parser(DOCUMENT_SCHEMA)
 _write_document = _writer(DOCUMENT_SCHEMA, "\n")
-_WRITERS: dict[str, Callable] = {
-    REPORT_SCHEMA: _writer(REPORT_SHAPE, "\n"),
-    EXPLORATION_SCHEMA: _writer(EXPLORATION_SHAPE, "\n"),
-}
 
 
 def load_scenario(path: str) -> Scenario:

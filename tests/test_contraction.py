@@ -172,6 +172,24 @@ def test_discrepancy_single_minus_two_curve():
     assert classification is SingClass.CANONICAL
 
 
+@pytest.mark.parametrize(
+    "bidegree, points, discrepancy, classification",
+    [((2, 2), 9, -1, SingClass.LC), ((3, 3), 19, -7, SingClass.NOT_LC)],
+)
+def test_discrepancy_of_a_curve_of_higher_genus(bidegree, points, discrepancy, classification):
+    # a (d, d) curve on the quadric has genus (d - 1)^2 and C^2 = 2d^2; blown up
+    # at that many points less one, C^2 = -1, K.C = 2g - 2 - C^2 and the
+    # discrepancy is a = K.C / C^2: g = 1 gives -1 (lc), g = 4 gives -7 (not lc)
+    m = new_quadric()
+    m.declare_curve("C", bidegree)
+    for step in range(points):
+        m.blow_up(f"P{step}", [("C", 1)])
+    assert m.intersect("C", "C") == -1
+    discreps, cls = contract(m, ["C"]).discrepancies()
+    assert discreps == {"C": m.intersect(m.canonical_divisor(), "C") / F(-1)} == {"C": discrepancy}
+    assert cls is classification
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_discrepancy_single_minus_n_curve(n):
     # fiber blown up n times becomes a (-n)-curve; adjunction oracle:
@@ -240,6 +258,19 @@ class TestClassifySingularities:
         with pytest.raises(GeometryError, match="not a chain"):
             con.classify_singularities()
 
+    def test_minus_one_curve_in_a_singular_chain_rejected(self):
+        # F(-1) - E1(-3): continuant 1*3 - 1 = 2, so the chain contracts to a
+        # singular point, but a (-1)-curve inside it is not a minimal resolution
+        m = new_quadric()
+        m.declare_curve("F", (1, 0))
+        m.blow_up("E1", [("F", 1)])
+        m.blow_up("E2", [("E1", 1)])
+        m.blow_up("E3", [("E1", 1)])
+        con = contract(m, ["F", "E1"])
+        assert con.gram == ((-1, 1), (1, -3))
+        with pytest.raises(GeometryError, match=r"chain \['F', 'E1'\] mixes a \(-1\)-curve"):
+            con.classify_singularities()
+
     def test_double_intersection_rejected(self):
         m = new_quadric()
         m.declare_curve("D1", (1, 1))
@@ -269,6 +300,17 @@ class TestHirzebruchJung:
     def test_empty_chain_rejected(self):
         with pytest.raises(GeometryError):
             hirzebruch_jung_type([])
+
+    @pytest.mark.parametrize(
+        "bs", [[2.5, 2], [F(5, 2), 2], [2, F(7, 3)], [float("nan"), 2], [2, float("inf")]]
+    )
+    def test_non_integral_entry_rejected(self, bs):
+        # int() would read 2.5 and 5/2 as 2, and [2, 2] is the chain of type (3, 2)
+        with pytest.raises(GeometryError, match="not an integer"):
+            hirzebruch_jung_type(bs)
+
+    def test_integral_entries_of_any_type_accepted(self):
+        assert hirzebruch_jung_type([F(2), 3.0]) == hirzebruch_jung_type([2, 3]) == (5, 2)
 
 
 def test_class_group_reference(ref):

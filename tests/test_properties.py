@@ -38,17 +38,7 @@ from blowdown.exactlin import (
     invert,
     sparse_pivot_pass,
 )
-from blowdown.scenario import (
-    DETAILS_SHAPES,
-    EXPLORATION_SCHEMA,
-    EXPLORATION_SHAPE,
-    REPORT_SCHEMA,
-    REPORT_SHAPE,
-    RESULT,
-    VALUE,
-    bundled_scenario,
-    canonical_json,
-)
+from blowdown.scenario import EXPLORATION_SCHEMA, REPORT_SCHEMA, bundled_scenario, canonical_json
 from blowdown.surface import _BASE_PART
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -1127,6 +1117,11 @@ class TestCanonicalJson:
     @example([float("inf"), float("-inf"), -0.0, 1e300])
     @example({"\ud800": "\x00\x1f\x7f\u2028\"\\", "": [], "a": {}, "b": ()})
     @example([Colour.RED, Shade.DARK, Ratio(0.5), Pair(1, "x"), collections.OrderedDict(b=1, a=())])
+    # the keys of each dict are sorted once per call, by its key tuple: one key
+    # set in two insertion orders, at two depths, and in an OrderedDict
+    @example([{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": [5], "a": None}])
+    @example({"b": {"b": {"a": 1, "b": "x"}, "a": [{"b": True, "a": {}}]}, "a": 2})
+    @example([collections.OrderedDict(b=1, a=2), {"b": 3, "a": 4}, {"a": 5, "b": 6}])
     @settings(max_examples=500)
     def test_matches_stdlib_bytes(self, value):
         assert canonical_json(value) == self.stdlib(value)
@@ -1148,6 +1143,57 @@ class TestCanonicalJson:
             self.stdlib(value)
         with pytest.raises(ValueError):
             canonical_json(value)
+
+
+# The shapes of the report (`Report.to_dict`, with each check kind's details)
+# and of the exploration (`exploration_to_dict`), for generating values like
+# them: the names of each object's fields, and which of them hold an object or
+# a list of objects.  Any other field holds a ``VALUE``, any JSON value, and a
+# ``RESULT`` is a check's result, whose details take its kind's shape.
+VALUE, RESULT = "<value>", "<result>"
+
+
+def fields(*names, **nested):
+    """An object whose fields ``names`` hold a ``VALUE`` and whose fields
+    ``nested`` hold the object or list of objects given."""
+    return {**dict.fromkeys(names, VALUE), **nested}
+
+
+REPORT_SHAPE = fields(
+    "schema", "passed", "first_failure", scenario=fields("name", "digest"), checks=[RESULT]
+)
+POINT_SHAPE = fields("component", "self_intersections", "type", "label")
+DIVISOR_SHAPE = fields("coefficients", "residual")
+CLASS_GROUP_SHAPE = fields("rank", "torsion")
+# a check that raised GeometryError has "error", its message, and no other field
+DETAILS_SHAPES = {
+    "intersection-table": fields("count", "error", entries=[fields("a", "b", "value")]),
+    "canonical-pullback": fields(
+        "pullback_corrections", "discrepancies", "classification", "min_discrepancy", "error"
+    ),
+    "rank-one-positivity": fields(
+        "target_rank", "degrees", "proportionality", "ample", "error", class_group=CLASS_GROUP_SHAPE
+    ),
+    "singular-points": fields(
+        "total", "error", census=[fields("n", "q", "count")], points=[POINT_SHAPE]
+    ),
+    "anticanonical-sections": fields(
+        "identity_holds", "base_bidegree", "h0", "difference_class", "error"
+    ),
+    "kvv-failure": fields(
+        "relatively_nef", "nef_degrees", "k_dot_floor", "floor_squared", "euler_characteristic",
+        "h1_nonzero", "not_globally_f_split", "no_w2_liftable_log_resolution", "nef_hypothesis_note",
+        "error", expansion=DIVISOR_SHAPE, floor=DIVISOR_SHAPE,
+    ),
+    "cone": fields(
+        "r", "section_discrepancy", "q_gorenstein", "crepant_partial_resolution", "cm",
+        "certificate_m", "klt_note", "error", class_group=CLASS_GROUP_SHAPE,
+    ),
+}
+EXPLORATION_SHAPE = fields(
+    "schema", "p", "points", "target_rank", "anticanonical_degree", "verdict", "census",
+    "provenance", singular_points=[POINT_SHAPE],
+)
 
 
 # perturbations of a value of an output shape, each given the value and a junk
@@ -1208,9 +1254,9 @@ def tagged(node, tag):
 
 
 class TestCompiledOutputWriters:
-    """The writers compiled from the report and exploration shapes, chosen by
-    the "schema" tag, give the stdlib's ``indent=2`` bytes for values of those
-    shapes and for any perturbation of them."""
+    """`canonical_json` gives the stdlib's ``indent=2`` bytes for values shaped
+    like a report or an exploration, tagged with their "schema" or not, and
+    for any perturbation of them."""
 
     @given(tagged(REPORT_SHAPE, REPORT_SCHEMA) | tagged(EXPLORATION_SHAPE, EXPLORATION_SCHEMA))
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -926,41 +926,10 @@ def test_library_values_in_raw_checks_keep_their_digest():
     assert scenario_digest(scenario) == sha256_digest(canonical_json(scenario.to_dict())) != digest
 
 
-def shape_misfits(value, node, path="$"):
-    """Where ``value`` leaves the output shape ``node`` so that its compiled
-    writer hands it to the generic `_write`: a dict with a field its object
-    lacks, a result of an unknown kind, a container of another type.  None
-    fits any node (a field such as the cone's "class_group" may be null)."""
-    if value is None:
-        return
-    if node == scenario_module.RESULT:
-        kind = value.get("kind") if type(value) is dict else None
-        if kind not in scenario_module.DETAILS_SHAPES:
-            yield path
-            return
-        node = {"kind": "", "passed": "", "details": scenario_module.DETAILS_SHAPES[kind], "mismatches": ""}
-    if type(node) is dict and (len(node) != 1 or next(iter(node))[0] != "<"):  # an object
-        if type(value) is not dict:
-            yield path
-            return
-        fields = {key.rstrip("?"): item for key, item in node.items()}
-        for key, item in value.items():
-            if key not in fields:
-                yield f"{path}.{key}"
-            else:
-                yield from shape_misfits(item, fields[key], f"{path}.{key}")
-    elif type(node) is list:
-        if type(value) is not list:
-            yield path
-            return
-        for i, item in enumerate(value):
-            yield from shape_misfits(item, node[0], f"{path}[{i}]")
-
-
 class TestOutputShapesAreComplete:
-    """Every report field a check writes, passing, failing or raising, and every
-    exploration field, is in its output shape: no real output falls back to
-    the generic writer."""
+    """Every check kind's report, passing, failing or raising, with the fields
+    written only on occasion, and the exploration at several sizes, are
+    written with the bytes of the stdlib's ``indent=2`` encoder."""
 
     def failing_dict(self):
         raw = bundled_dict()
@@ -991,8 +960,8 @@ class TestOutputShapesAreComplete:
 
     def test_every_check_kind_fits_its_shape(self, monkeypatch):
         passing, failing, raising = self.results(monkeypatch)
-        kinds = set(scenario_module.DETAILS_SHAPES)
-        assert kinds == set(scenario_module.CHECKS) == set(scenario_module.CHECK_SCHEMAS)
+        kinds = set(scenario_module.CHECKS)
+        assert kinds == set(scenario_module.CHECK_SCHEMAS)
         assert {c.kind for c in passing if c.passed} == kinds
         assert {c.kind for c in failing if not c.passed and "error" not in c.details} == kinds
         assert {c.kind for c in raising if set(c.details) == {"error"}} == kinds
@@ -1001,19 +970,9 @@ class TestOutputShapesAreComplete:
         assert "residual" in optional["kvv-failure"]["expansion"]
         for checks in (passing, failing, raising):
             report = Report("shapes", "sha256:0", checks).to_dict()
-            assert list(shape_misfits(report, scenario_module.REPORT_SHAPE)) == []
             assert canonical_json(report) == stdlib_indent2(json.dumps(report))
 
     def test_exploration_fits_its_shape(self):
         for p, n in ((3, 3), (5, 5), (2, 4)):
             exploration = scenario_module.exploration_to_dict(explore_frobenius(p, n))
-            assert list(shape_misfits(exploration, scenario_module.EXPLORATION_SHAPE)) == []
-
-    def test_misfits_are_found(self):
-        report = run_repro().to_dict()
-        report["checks"][0]["details"]["entries"][1]["note"] = "x"
-        report["checks"][1]["kind"] = "unknown"
-        report["checks"][2]["details"]["class_group"] = ["rank", 1]
-        assert list(shape_misfits(report, scenario_module.REPORT_SHAPE)) == [
-            "$.checks[0].details.entries[1].note", "$.checks[1]", "$.checks[2].details.class_group",
-        ]
+            assert canonical_json(exploration) == stdlib_indent2(json.dumps(exploration))
