@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input (parse error, unknown name, numerically impossible construction,
-unwritable output path).
+unwritable output path), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

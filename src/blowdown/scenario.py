@@ -7,12 +7,14 @@ the construction, evaluates every check, and produces a report whose JSON
 serialization is canonical (sorted keys, rationals as "num/den" strings), so
 two runs of the same scenario are byte-identical.
 
-The format is stated once, in the table `DOCUMENT_SCHEMA` (with the fields of
-each check kind in `CHECK_SCHEMAS`), which is its reference.  At import the
-table is compiled into one parser and one writer per node: `parse_scenario`
-runs the parsers, and `scenario_digest` writes the document with the writers.
-The outputs (the report and the exploration) have no schema: the code that
-builds them states their fields, and `canonical_json` writes any value.
+The format is stated once, in the table `DOCUMENT_SCHEMA`, which is its
+reference.  Each check kind is declared once, by its entry in `CHECK_KINDS`:
+its fields, its evaluator and its text lines.  `CHECK_SCHEMAS` and `CHECKS`
+are read from that table, and at import the schema is compiled into one
+parser per node, which `parse_scenario` runs.  The outputs (the report and
+the exploration) have no schema: the code that builds them states their
+fields.  `canonical_json` is the one JSON writer: it writes the document
+that `scenario_digest` hashes, the report and the exploration.
 
 Exit-code taxonomy used by the CLI: a malformed scenario or a numerically
 impossible construction is *invalid input*; a check whose computed values
@@ -27,7 +29,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from .cohomology import KvvFailureReport, verify_h0_anticanonical_zero, verify_kvv_failure
 from .cone import build_cone, local_cohomology_certificate
@@ -128,8 +130,7 @@ def _write(obj: Any, newline: str, keys: dict) -> str:
 
 
 def scenario_digest(scenario: "Scenario") -> str:
-    """The sha256 of the scenario document's `canonical_json` bytes, written
-    by the writers compiled from `DOCUMENT_SCHEMA`.
+    """The sha256 of the scenario document's `canonical_json` bytes.
 
     The hash is the interpreter's own SHA-256 module (``_sha2`` or ``_sha256``),
     and ``hashlib`` only where neither is built: ``import hashlib`` loads
@@ -138,9 +139,8 @@ def scenario_digest(scenario: "Scenario") -> str:
     bytes hashed, and so the digest, are the same.  A string holding a lone
     surrogate (the JSON escape ``"\\ud800"``) is not text and has no UTF-8
     bytes: ScenarioError."""
-    text = _write_document(scenario._document()) + "\n"
     try:
-        payload = text.encode("utf-8")
+        payload = canonical_json(scenario._document()).encode("utf-8")
     except UnicodeEncodeError as exc:
         char = ascii(exc.object[exc.start])
         raise ScenarioError(f"a string holds the lone surrogate {char}, which is not text") from None
@@ -367,7 +367,7 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
 # ``NEW_CURVE`` declares a curve or blow-up name, which must not be 'K' or start
 # with '-', and ``NEW_DIVISOR`` a divisor name, which must also not be a curve
 # or blow-up name (resolve() would read it as K, a negation or the curve).
-# ``CHECK`` is a check, parsed against the ``CHECK_SCHEMAS`` entry of its kind.
+# ``CHECK`` is a check, parsed against the fields of its kind in ``CHECK_KINDS``.
 # A tuple, or an enum such as ``SingClass``, takes one of its values.
 RATIONAL, INT, BOOL, INTS, MULT = "<rational>", "<int>", "<bool>", "<ints>", "<mult>"
 STR, NAME, REF, CURVE = "<str>", "<name>", "<ref>", "<curve>"
@@ -390,66 +390,6 @@ DOCUMENT_SCHEMA: dict = {
     "divisors?": {NEW_DIVISOR: {CURVE: RATIONAL}},
     "checks?": [CHECK],
 }
-
-#: The fields of each check kind besides "kind".
-CHECK_SCHEMAS: dict[str, dict] = {
-    "intersection-table": {
-        "entries?": [{"a": REF, "b": REF, "expect": RATIONAL}],
-    },
-    "canonical-pullback": {
-        "expect_coefficients?": {CURVE: RATIONAL},
-        "expect_min_discrepancy?": RATIONAL,
-        "expect_classification?": SingClass,
-    },
-    "rank-one-positivity": {
-        "degrees?": [{"divisor": REF, "expect": RATIONAL}],
-        "proportionality?": [{"d1": REF, "d2": REF, "expect": RATIONAL}],
-        "ample?": [{"divisor": REF, "expect": BOOL}],
-        "expect_rank?": INT,
-        "expect_class_group?": {"rank?": INT, "torsion?": INTS},
-    },
-    "singular-points": {
-        "expect?": [{"n": INT, "q": INT, "count": INT}],
-        "expect_total?": INT,
-    },
-    "anticanonical-sections": {
-        "fibers": [CURVE],
-        "curve": CURVE,
-        "towers": [[CURVE]],
-        "expect_bidegree?": INTS,
-        "expect_h0?": INT,
-    },
-    "kvv-failure": {
-        "divisor": REF,
-        "expect?": {
-            "expansion?": {CURVE: RATIONAL},
-            "floor?": {CURVE: RATIONAL},
-            "nef_degrees?": {CURVE: RATIONAL},
-            "k_dot_floor?": RATIONAL,
-            "floor_squared?": RATIONAL,
-            "euler_characteristic?": RATIONAL,
-            "h1_nonzero?": BOOL,
-            "not_globally_f_split?": BOOL,
-            "no_w2_liftable_log_resolution?": BOOL,
-        },
-    },
-    "cone": {
-        "divisor": REF,
-        "certificate_m?": INT,
-        "expect?": {
-            "r?": RATIONAL,
-            "section_discrepancy?": RATIONAL,
-            "class_group_rank?": INT,
-            "class_group_torsion?": INTS,
-            "cm?": BOOL,
-        },
-    },
-}
-
-
-#: The fields of each check kind, "kind" included, for its parser and writer.
-_CHECK_FIELDS = {kind: {"kind": STR, **fields} for kind, fields in CHECK_SCHEMAS.items()}
-
 
 class _Invalid(Exception):
     """A value that breaks the schema.  Each container it leaves on its way out
@@ -531,7 +471,7 @@ def _parser(schema: Any) -> Callable:
     if _is_object(schema):
         return _parse_object(schema)
     if schema == CHECK:  # an object with the fields of its kind
-        kinds = {kind: _parse_object(fields) for kind, fields in _CHECK_FIELDS.items()}
+        kinds = {kind: _parse_object({"kind": STR, **f}) for kind, f in CHECK_SCHEMAS.items()}
 
         def parse_check(value: Any, names: dict) -> dict:
             kind = value.get("kind") if isinstance(value, dict) else _fail("must be an object")
@@ -619,78 +559,6 @@ def _parse_object(schema: dict) -> Callable:
         return out
 
     return parse
-
-
-def _writer(schema: Any, newline: str) -> Callable | None:
-    """The writer, ``value -> canonical_json text``, of the document's schema
-    node ``schema`` whose closing bracket follows ``newline``.  A leaf, a map
-    and a list of leaves have no writer of their own: the object holding them
-    writes them.  Every writer gives `_write`'s bytes for any value: one that
-    breaks the schema (not a plain dict or list, an unknown field or kind)
-    goes to `_write` whole."""
-    if _is_object(schema):
-        return _write_object(schema, newline)
-    if schema == CHECK:  # an object with the fields of its kind
-        kinds = {kind: _write_object(fields, newline) for kind, fields in _CHECK_FIELDS.items()}
-
-        def write_check(value: Any) -> str:
-            kind = value.get("kind") if type(value) is dict else None
-            if type(kind) is not str or kind not in kinds:
-                return _write(value, newline, {})
-            return kinds[kind](value)
-
-        return write_check
-    if type(schema) is list and (write_item := _writer(schema[0], newline + "  ")) is not None:
-        inner = newline + "  "
-
-        def write_list(value: Any) -> str:
-            if type(value) is not list or not value:
-                return _write(value, newline, {})
-            return "[" + inner + ("," + inner).join([write_item(x) for x in value]) + newline + "]"
-
-        return write_list
-    return None
-
-
-def _write_object(schema: dict, newline: str) -> Callable:
-    """`_writer` of an object.  It takes the fields in their statically sorted
-    order and writes a str, int, bool or None inline; any other value without a
-    writer of its own goes to `_write`."""
-    inner = newline + "  "
-    fields = []  # (name, its line's start, writer)
-    for key, item in schema.items():
-        name = key.rstrip("?")
-        fields.append((name, f"{inner}{_encode_str(name)}: ", _writer(item, inner)))
-    fields.sort()
-    known = frozenset(f[0] for f in fields)
-
-    def write(value: Any) -> str:
-        if type(value) is not dict or not known.issuperset(value):
-            return _write(value, newline, {})
-        parts = []
-        for name, prefix, write_item in fields:
-            if name in value:
-                x = value[name]
-                if write_item is not None:
-                    parts.append(prefix + write_item(x))
-                elif (kind := type(x)) is str:
-                    parts.append(prefix + _encode_str(x))
-                elif kind is int:
-                    parts.append(prefix + int.__repr__(x))
-                elif kind is bool:
-                    parts.append(prefix + ("true" if x else "false"))
-                elif x is None:
-                    parts.append(prefix + "null")
-                else:
-                    parts.append(prefix + _write(x, inner, {}))
-        return "{" + ",".join(parts) + newline + "}" if parts else "{}"
-
-    return write
-
-
-#: `DOCUMENT_SCHEMA` compiled once into its parser and writer.
-_parse_document = _parser(DOCUMENT_SCHEMA)
-_write_document = _writer(DOCUMENT_SCHEMA, "\n")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -781,7 +649,7 @@ def _singular_points_json(reports) -> list[dict]:
     ]
 
 
-def _check_intersection_table(run: ScenarioRun, spec: dict) -> CheckResult:
+def _check_intersection_table(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
     expect = _Expect()
     rows = []
     pairing, sparse_class, prime = run.model.pairing, run.sparse_class, run.model.prime_divisors
@@ -794,10 +662,10 @@ def _check_intersection_table(run: ScenarioRun, spec: dict) -> CheckResult:
             expect.miss(f"{a}.{b}", value, entry["expect"])
         rows.append({"a": a, "b": b, "value": _text(value)})
     details = {"entries": rows, "count": len(rows)}
-    return CheckResult("intersection-table", not expect.mismatches, details, expect.mismatches)
+    return details, expect.mismatches
 
 
-def _check_canonical_pullback(run: ScenarioRun, spec: dict) -> CheckResult:
+def _check_canonical_pullback(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
     expect = _Expect()
     discreps, classification = run.contraction.discrepancies()
     corrections = {n: -a for n, a in discreps.items()}  # psi*K_T = K_S - sum a_j G_j
@@ -816,10 +684,10 @@ def _check_canonical_pullback(run: ScenarioRun, spec: dict) -> CheckResult:
         "classification": classification.value,
         "min_discrepancy": rational_str(min(discreps.values())) if discreps else None,
     }
-    return CheckResult("canonical-pullback", not expect.mismatches, details, expect.mismatches)
+    return details, expect.mismatches
 
 
-def _check_rank_one_positivity(run: ScenarioRun, spec: dict) -> CheckResult:
+def _check_rank_one_positivity(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
     expect = _Expect()
     con = run.contraction
     details: dict[str, Any] = {"target_rank": con.target_rank}
@@ -861,10 +729,10 @@ def _check_rank_one_positivity(run: ScenarioRun, spec: dict) -> CheckResult:
             ),
         )
         details["class_group"] = {"rank": group.rank, "torsion": list(group.torsion)}
-    return CheckResult("rank-one-positivity", not expect.mismatches, details, expect.mismatches)
+    return details, expect.mismatches
 
 
-def _check_singular_points(run: ScenarioRun, spec: dict) -> CheckResult:
+def _check_singular_points(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
     expect = _Expect()
     reports = run.contraction.classify_singularities()
     census = list(singular_point_census(reports))
@@ -876,10 +744,10 @@ def _check_singular_points(run: ScenarioRun, spec: dict) -> CheckResult:
         "census": [{"n": n, "q": q, "count": c} for n, q, c in census],
         "points": _singular_points_json(reports),
     }
-    return CheckResult("singular-points", not expect.mismatches, details, expect.mismatches)
+    return details, expect.mismatches
 
 
-def _check_anticanonical_sections(run: ScenarioRun, spec: dict) -> CheckResult:
+def _check_anticanonical_sections(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
     expect = _Expect()
     report = verify_h0_anticanonical_zero(
         run.contraction, fibers=spec["fibers"], curve=spec["curve"], towers=spec["towers"]
@@ -899,9 +767,7 @@ def _check_anticanonical_sections(run: ScenarioRun, spec: dict) -> CheckResult:
     }
     if report.difference_class is not None:
         details["difference_class"] = [rational_str(x) for x in report.difference_class]
-    return CheckResult(
-        "anticanonical-sections", not expect.mismatches, details, expect.mismatches
-    )
+    return details, expect.mismatches
 
 
 def _compare_coefficient_map(
@@ -913,7 +779,7 @@ def _compare_coefficient_map(
         expect.eq(f"{label}[{name}]", actual.coefficient(name), expected.get(name, 0))
 
 
-def _check_kvv_failure(run: ScenarioRun, spec: dict) -> CheckResult:
+def _check_kvv_failure(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
     expect = _Expect()
     report = run.kvv(spec["divisor"], 1)
     want = spec.get("expect", {})
@@ -951,10 +817,10 @@ def _check_kvv_failure(run: ScenarioRun, spec: dict) -> CheckResult:
         "no_w2_liftable_log_resolution": report.no_w2_liftable_log_resolution,
         "nef_hypothesis_note": report.nef_hypothesis_note,
     }
-    return CheckResult("kvv-failure", not expect.mismatches, details, expect.mismatches)
+    return details, expect.mismatches
 
 
-def _check_cone(run: ScenarioRun, spec: dict) -> CheckResult:
+def _check_cone(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
     expect = _Expect()
     divisor = run.resolve(spec["divisor"])
     cone = build_cone(run.contraction, divisor)
@@ -988,18 +854,121 @@ def _check_cone(run: ScenarioRun, spec: dict) -> CheckResult:
         "certificate_m": cone.cm_certificate_m,
         "klt_note": cone.klt_note,
     }
-    return CheckResult("cone", not expect.mismatches, details, expect.mismatches)
+    return details, expect.mismatches
 
 
-CHECKS: dict[str, Callable[[ScenarioRun, dict], CheckResult]] = {
-    "intersection-table": _check_intersection_table,
-    "canonical-pullback": _check_canonical_pullback,
-    "rank-one-positivity": _check_rank_one_positivity,
-    "singular-points": _check_singular_points,
-    "anticanonical-sections": _check_anticanonical_sections,
-    "kvv-failure": _check_kvv_failure,
-    "cone": _check_cone,
+class CheckKind(NamedTuple):
+    """A check kind: its ``fields`` besides "kind", in the notation of
+    `DOCUMENT_SCHEMA`; ``run``, its evaluator ``(run, spec) -> (details,
+    mismatches)``, whose check passes when ``mismatches`` is empty; and
+    ``text``, the lines of its text report from its details, or None for one
+    ``key: value`` line per detail."""
+
+    fields: dict
+    run: Callable[[ScenarioRun, dict], tuple[dict, list[str]]]
+    text: Callable[[dict], list[str]] | None = None
+
+
+#: Every check kind, each declared once.
+CHECK_KINDS: dict[str, CheckKind] = {
+    "intersection-table": CheckKind(
+        {"entries?": [{"a": REF, "b": REF, "expect": RATIONAL}]},
+        _check_intersection_table,
+        lambda d: [f"    {e['a']}.{e['b']} = {e['value']}" for e in d["entries"]],
+    ),
+    "canonical-pullback": CheckKind(
+        {
+            "expect_coefficients?": {CURVE: RATIONAL},
+            "expect_min_discrepancy?": RATIONAL,
+            "expect_classification?": SingClass,
+        },
+        _check_canonical_pullback,
+        lambda d: [
+            "    corrections: "
+            + ", ".join(f"{n}: {v}" for n, v in d["pullback_corrections"].items()),
+            f"    classification: {d['classification']} (min {d['min_discrepancy']})",
+        ],
+    ),
+    "rank-one-positivity": CheckKind(
+        {
+            "degrees?": [{"divisor": REF, "expect": RATIONAL}],
+            "proportionality?": [{"d1": REF, "d2": REF, "expect": RATIONAL}],
+            "ample?": [{"divisor": REF, "expect": BOOL}],
+            "expect_rank?": INT,
+            "expect_class_group?": {"rank?": INT, "torsion?": INTS},
+        },
+        _check_rank_one_positivity,
+    ),
+    "singular-points": CheckKind(
+        {
+            "expect?": [{"n": INT, "q": INT, "count": INT}],
+            "expect_total?": INT,
+        },
+        _check_singular_points,
+        lambda d: [
+            f"    {d['total']} singular points: "
+            + ", ".join(f"1/{e['n']}(1,{e['q']}) x{e['count']}" for e in d["census"])
+        ],
+    ),
+    "anticanonical-sections": CheckKind(
+        {
+            "fibers": [CURVE],
+            "curve": CURVE,
+            "towers": [[CURVE]],
+            "expect_bidegree?": INTS,
+            "expect_h0?": INT,
+        },
+        _check_anticanonical_sections,
+    ),
+    "kvv-failure": CheckKind(
+        {
+            "divisor": REF,
+            "expect?": {
+                "expansion?": {CURVE: RATIONAL},
+                "floor?": {CURVE: RATIONAL},
+                "nef_degrees?": {CURVE: RATIONAL},
+                "k_dot_floor?": RATIONAL,
+                "floor_squared?": RATIONAL,
+                "euler_characteristic?": RATIONAL,
+                "h1_nonzero?": BOOL,
+                "not_globally_f_split?": BOOL,
+                "no_w2_liftable_log_resolution?": BOOL,
+            },
+        },
+        _check_kvv_failure,
+        lambda d: [
+            f"    K.floor = {d['k_dot_floor']}, floor^2 = {d['floor_squared']}, "
+            f"chi = {d['euler_characteristic']}, h1_nonzero = {d['h1_nonzero']}"
+        ],
+    ),
+    "cone": CheckKind(
+        {
+            "divisor": REF,
+            "certificate_m?": INT,
+            "expect?": {
+                "r?": RATIONAL,
+                "section_discrepancy?": RATIONAL,
+                "class_group_rank?": INT,
+                "class_group_torsion?": INTS,
+                "cm?": BOOL,
+            },
+        },
+        _check_cone,
+        lambda d: [
+            f"    r = {d['r']}, section discrepancy = {d['section_discrepancy']}, "
+            f"CM = {d['cm']}"
+        ],
+    ),
 }
+
+#: The fields of each check kind besides "kind", and its evaluator, read from
+#: `CHECK_KINDS`.  `run_scenario` calls each evaluator through `CHECKS`, so an
+#: entry replaced there (by a tracer or a test) is the one called.
+CHECK_SCHEMAS: dict[str, dict] = {kind: k.fields for kind, k in CHECK_KINDS.items()}
+CHECKS = {kind: k.run for kind, k in CHECK_KINDS.items()}
+
+#: `DOCUMENT_SCHEMA` compiled once into its parser.
+_parse_document = _parser(DOCUMENT_SCHEMA)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -1052,36 +1021,12 @@ class Report(_Record):
 
 
 def _text_details(check: CheckResult) -> list[str]:
-    d = check.details
-    if check.kind == "intersection-table" and "entries" in d:
-        return [f"    {e['a']}.{e['b']} = {e['value']}" for e in d["entries"]]
-    if check.kind == "canonical-pullback" and "pullback_corrections" in d:
-        corr = ", ".join(f"{n}: {v}" for n, v in d["pullback_corrections"].items())
-        return [
-            f"    corrections: {corr}",
-            f"    classification: {d['classification']} (min {d['min_discrepancy']})",
-        ]
-    if check.kind == "singular-points" and "census" in d:
-        return [
-            f"    {d['total']} singular points: "
-            + ", ".join(f"1/{e['n']}(1,{e['q']}) x{e['count']}" for e in d["census"])
-        ]
-    if check.kind == "kvv-failure" and "euler_characteristic" in d:
-        return [
-            f"    K.floor = {d['k_dot_floor']}, floor^2 = {d['floor_squared']}, "
-            f"chi = {d['euler_characteristic']}, h1_nonzero = {d['h1_nonzero']}"
-        ]
-    if check.kind == "cone" and "r" in d:
-        return [
-            f"    r = {d['r']}, section discrepancy = {d['section_discrepancy']}, "
-            f"CM = {d['cm']}"
-        ]
-    out = []
-    for key, value in d.items():
-        if key in ("entries", "points"):
-            continue
-        out.append(f"    {key}: {value}")
-    return out
+    """The text lines of the check's kind, or one ``key: value`` line per
+    detail for a check that raised or a kind with no lines of its own."""
+    text = CHECK_KINDS[check.kind].text
+    if text is None or "error" in check.details:
+        return [f"    {key}: {value}" for key, value in check.details.items()]
+    return text(check.details)
 
 
 def run_scenario(scenario: Scenario) -> Report:
@@ -1098,14 +1043,15 @@ def run_scenario(scenario: Scenario) -> Report:
     scenario._trial = None
     checks = []
     for i, spec in enumerate(scenario.specs):
+        kind = spec["kind"]
         try:
-            result = CHECKS[spec["kind"]](run, spec)
+            details, mismatches = CHECKS[kind](run, spec)
         except GeometryError as exc:
-            result = CheckResult(spec["kind"], False, {"error": str(exc)}, [str(exc)])
+            details, mismatches = {"error": str(exc)}, [str(exc)]
         except ScenarioError as exc:
             where = f"{scenario._path}." if scenario._path is not None else ""
-            raise ScenarioError(f"{where}checks[{i}] ({spec['kind']}): {exc}") from None
-        checks.append(result)
+            raise ScenarioError(f"{where}checks[{i}] ({kind}): {exc}") from None
+        checks.append(CheckResult(kind, not mismatches, details, mismatches))
     try:
         digest = scenario_digest(scenario)
     except ScenarioError as exc:

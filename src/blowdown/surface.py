@@ -37,12 +37,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import GeometryError
-from .exactlin import signature
 
 QUADRIC = "quadric"
 PLANE = "plane"
 #: basis labels, Gram block and canonical class of each base surface
 BASES = {QUADRIC: (("f_x", "f_y"), ((0, 1), (1, 0)), (-2, -2)), PLANE: (("l",), ((1,),), (-3,))}
+#: The inertia (n_plus, n_minus, n_zero) of each base block: the hyperbolic
+#: plane and the line's square 1.
+BASE_SIGNATURES = {QUADRIC: (1, 1, 0), PLANE: (1, 0, 0)}
 
 #: {coordinate index: nonzero coefficient}, base coordinates included
 SparseClass = dict[int, Union[int, Fraction]]
@@ -394,8 +396,10 @@ class SurfaceModel:
         return Fraction(self.pairing(cls, cls) + self.k_degree(cls), 2) + 1
 
     def lattice_signature(self) -> tuple[int, int, int]:
-        """Inertia of the Gram matrix; stays (1, rank-1, 0) under blow-ups."""
-        return signature(self.gram)
+        """Inertia of the Gram matrix ``base ⊕ −I``: the base block's, plus
+        one negative square per blow-up, so (1, rank-1, 0) on either base."""
+        plus, minus, zero = BASE_SIGNATURES[self.base]
+        return plus, minus + self.rank - self.base_rank, zero
 
 
 def new_quadric() -> SurfaceModel:

@@ -617,6 +617,16 @@ class TestCli:
             run_scenario(load_scenario(str(path)))
         assert str(info.value) == f"{path}: {message}"
 
+    def test_interrupt_exits_130_without_a_traceback(self, monkeypatch, capsys):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("blowdown.cli.run_repro", interrupted)
+        assert main(["repro"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: interrupted\n"
+
     @pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_dict")])
     def test_only_the_written_format_is_built(self, monkeypatch, capsys, fmt, unused):
         def fail(report):
@@ -759,7 +769,7 @@ class TestFuzz:
             scenario = parse_scenario(raw)
         except ScenarioError:
             return
-        # the compiled document writer gives the reference encoder's bytes
+        # the digest hashes the canonical bytes of the document to_dict gives
         assert scenario_digest(scenario) == sha256_digest(canonical_json(scenario.to_dict()))
 
 
@@ -971,8 +981,28 @@ class TestOutputShapesAreComplete:
         for checks in (passing, failing, raising):
             report = Report("shapes", "sha256:0", checks).to_dict()
             assert canonical_json(report) == stdlib_indent2(json.dumps(report))
+        # a check that raised writes its error and nothing of its kind's text
+        lines = Report("shapes", "sha256:0", raising).to_text().splitlines()
+        for check in raising:
+            start = lines.index(f"[FAIL] {check.kind}") + 1
+            end = next(i for i in range(start, len(lines)) if not lines[i].startswith("    "))
+            message = f"{check.kind} cannot be evaluated"
+            assert lines[start:end] == [f"    error: {message}", f"    !! {message}"]
 
     def test_exploration_fits_its_shape(self):
         for p, n in ((3, 3), (5, 5), (2, 4)):
             exploration = scenario_module.exploration_to_dict(explore_frobenius(p, n))
             assert canonical_json(exploration) == stdlib_indent2(json.dumps(exploration))
+
+
+class TestCheckKinds:
+    """Each check kind is declared once, in `CHECK_KINDS`."""
+
+    def test_schemas_and_evaluators_come_from_one_table(self):
+        kinds = list(scenario_module.CHECK_KINDS)
+        assert list(scenario_module.CHECKS) == list(scenario_module.CHECK_SCHEMAS) == kinds
+
+    def test_every_kind_is_in_the_readme_table(self):
+        readme = (DATA.parent.parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = {line.split("`")[1] for line in readme.splitlines() if line.startswith("| `")}
+        assert set(scenario_module.CHECKS) <= rows

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from blowdown import GeometryError, QDivisor, new_plane, new_quadric
+from blowdown import GeometryError, QDivisor, SurfaceModel, new_plane, new_quadric
+from blowdown.exactlin import signature
+from blowdown.surface import BASE_SIGNATURES
 
 
 def test_quadric_lattice():
@@ -142,6 +144,21 @@ def test_nine_step_canonical_and_adjunction():
     fy = (0, 1) + (0,) * 9
     assert m.intersect(fx, fx) == 0
     assert m.intersect(fx, fy) == 1
+
+
+@pytest.mark.parametrize("new_model", [new_quadric, new_plane])
+def test_lattice_signature_reads_the_base_block(monkeypatch, new_model):
+    # 300 blow-ups: the dense Gram matrix of that rank took about a second
+    m = new_model()
+    for i in range(300):
+        m.blow_up(f"E{i}")
+    assert BASE_SIGNATURES[m.base] == signature(m.base_gram)
+
+    def dense_gram(self):
+        raise AssertionError("lattice_signature built the dense Gram matrix")
+
+    monkeypatch.setattr(SurfaceModel, "gram", property(dense_gram))
+    assert m.lattice_signature() == (1, m.rank - 1, 0)
 
 
 def test_blow_up_general_point_keeps_classes():
