@@ -6,9 +6,10 @@ contracted surface (the unique correction supported on the contracted curves
 that is orthogonal to all of them, solved per connected block: Mumford 1961,
 Artin 1962), pushforwards, discrepancies and their singularity class, the
 cyclic-quotient type of every contracted chain, the divisor class group of
-the target, and rank-one positivity tests against a witness curve.  A
-reduced chain is solved and typed by its continuants (Hirzebruch 1953), any
-other block by dense exact elimination.
+the target, and rank-one positivity tests against a witness curve.  Every
+block is tested and solved by one sparse fraction-free elimination of -G,
+leaves first, which fills in nothing on a tree (Parter 1961); on a chain its
+pivots are the continuants that give the type (Hirzebruch 1953).
 """
 
 from __future__ import annotations
@@ -17,18 +18,11 @@ import enum
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GeometryError, NotContractibleError
-from .exactlin import (
-    PivotPass,
-    divisor_chain,
-    invert,
-    is_negative_definite,
-    smith_normal_form,
-    sparse_pivot_pass,
-)
+from .exactlin import PivotPass, SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
+from .exactlin import invert, is_negative_definite  # noqa: F401 (unused; benchmarks/spans.py wraps them)
 from .surface import DivisorLike, QDivisor, SparseClass, SurfaceModel
 
 
@@ -69,15 +63,6 @@ class ClassGroupReport(NamedTuple):
     torsion: tuple[int, ...]
 
 
-def _continuants(bs: Sequence[int]) -> list[int]:
-    """P_0 = 1, P_1 = b_1, P_i = b_i*P_(i-1) - P_(i-2): the leading principal
-    minors of tridiag(b_i; -1), the negated Gram matrix of a chain."""
-    out = [0, 1]  # P_-1 = 0 and P_0
-    for b in bs:
-        out.append(b * out[-1] - out[-2])
-    return out[1:]
-
-
 def _hj_pair(n: int, q: int) -> tuple[int, int]:
     """1/n(1, q) with the smaller of the two orientations' weights."""
     q %= n  # n = 1 gives (1, 0)
@@ -96,8 +81,10 @@ def hirzebruch_jung_type(bs: Sequence[int]) -> tuple[int, int]:
     bs = [int(b) for b in bs]
     if not bs:
         raise GeometryError("empty chain")
-    tails = _continuants(bs[::-1])  # tails[m]: continuant of the last m entries
-    if 0 in tails[1:-1]:
+    tails = [0, 1]  # tails[m + 1]: the continuant of the last m entries, P_m = b*P_(m-1) - P_(m-2)
+    for b in reversed(bs):
+        tails.append(b * tails[-1] - tails[-2])
+    if 0 in tails[2:-1]:
         raise GeometryError(f"chain {bs} is degenerate (zero continuant)")
     n, q = tails[-1], tails[-2]
     if n * q <= 0:  # n/q <= 0
@@ -105,22 +92,57 @@ def hirzebruch_jung_type(bs: Sequence[int]) -> tuple[int, int]:
     return _hj_pair(abs(n), abs(q))
 
 
-def singular_point_census(
-    reports: Iterable[SingularPointReport],
-) -> tuple[tuple[int, int, int], ...]:
+def singular_point_census(reports: Iterable[SingularPointReport]) -> tuple[tuple[int, int, int], ...]:
     """(n, q, count) for each type 1/n(1, q) among ``reports``, sorted."""
     counts = Counter(report.hj_type for report in reports)
     return tuple(sorted((n, q, c) for (n, q), c in counts.items()))
 
 
+def _walk(rows: Sequence[SparseRow], root: int) -> list[int]:
+    """The block of ``root`` in breadth-first order."""
+    block, seen = [root], {root}
+    for cur in block:  # grows while it is walked
+        new = [j for j in rows[cur] if j not in seen]
+        seen.update(new)
+        block += new
+    return block
+
+
+def _eliminate(rows: Sequence[SparseRow], order: list[int]) -> tuple[list[int], list[SparseRow]] | None:
+    """Fraction-free (Bareiss) symmetric elimination of -G on one block's
+    sparse rows, in ``order``: the pivots P_0 = 1, ..., P_k (the leading
+    minors) and each pivot's row on the later curves, or None unless every
+    P_t > 0 (Sylvester).  Step t writes only entries between two neighbours
+    of its pivot, so one last written at step s is read as a*P_t/P_s."""
+    if len(order) == 1:  # a curve that meets no other
+        return ([1, d], [{}]) if (d := -rows[order[0]][order[0]]) > 0 else None
+    a = {v: {j: (-x, 0) for j, x in rows[v].items()} for v in order}  # entry: (value, step)
+    pivots, upper = [1], []
+    for t, v in enumerate(order):
+        p = pivots[-1]
+        row = {j: x * p // pivots[s] for j, (x, s) in a[v].items()}
+        if (d := row.pop(v, 0)) <= 0:
+            return None
+        pivots.append(d)
+        upper.append(row)
+        for i, x in row.items():
+            ai = a[i]
+            del ai[v]
+            for j, y in row.items():
+                if i <= j:
+                    z, s = ai.get(j, (0, 0))
+                    ai[j] = a[j][i] = ((d * (z * p // pivots[s]) - x * y) // p, t + 1)
+    return pivots, upper
+
+
 class Contraction:
     """A validated contraction, immutable once built.  Construction walks
-    each connected block of the contracted curves on its own (the Gram
-    matrix is block diagonal along them).  A reduced chain (neighbours meet
-    once, nothing else meets) is ordered once and keeps its continuants,
-    which test it (Sylvester) and solve a pullback in O(k) integer steps; any
-    other block is tested and inverted densely, and a pullback multiplies by
-    its inverse, kept as integers over one denominator.
+    each connected block of the contracted curves (the Gram matrix is block
+    diagonal along them) and eliminates it once by `_eliminate`, in the
+    reverse of a breadth-first walk from a curve of least degree: leaves
+    first, so a tree fills in nothing, a cycle only along itself, and a chain
+    goes from one end, its pivots its continuants.  A pullback is one forward
+    pass and one back-substitution per block, linear in its filled entries.
 
     The class group is the source lattice modulo the contracted classes, read
     from their sparse rows M with a certified chain of steps:
@@ -149,48 +171,23 @@ class Contraction:
         self._classes = [dict(model.sparse_class(n)) for n in names]
         rows = self._rows = model.gram_rows(names)  # the diagonal, then the nonzero entries off it
 
-        # a reduced chain keeps its order and continuants, any other block L*(-G)^-1 and L
-        self._chains: list[tuple[list[int], list[int], list[int]]] = []
-        self._others: list[tuple[list[int], list[list[int]], int]] = []
+        # per block: its positions in elimination order, its pivots and pivot rows
+        self._blocks: list[tuple[list[int], list[int], list[SparseRow]]] = []
         seen: set[int] = set()
         for start in range(len(names)):
             if start in seen:
                 continue
-            block, entries, reduced = [start], 0, True
-            seen.add(start)
-            for cur in block:  # grows while it is walked
-                row = rows[cur]
-                new = [j for j in row if j not in seen]
-                seen.update(new)
-                block += new
-                entries += len(row)
-                # a reduced chain's row: its diagonal, then 1 for each of at most two neighbours
-                reduced = reduced and (*row.values(),)[1:] in ((), (1,), (1, 1))
-            block.sort()
-            if reduced and entries == 3 * len(block) - 2:  # k - 1 edges: a tree, so a path
-                # from an end, step to the neighbour that is not the previous curve
-                prev, cur = -1, min(i for i in block if len(rows[i]) <= 2)
-                order = [cur]
-                for _ in range(len(block) - 1):
-                    keys = (*rows[cur],)  # the diagonal, then one or two neighbours
-                    prev, cur = cur, keys[2] if keys[1] == prev else keys[1]
-                    order.append(cur)
-                bs = [-rows[i][i] for i in order]
-                lead = _continuants(bs)
-                if min(lead) > 0:  # Sylvester: every leading minor of -G is positive
-                    self._chains.append((order, lead, _continuants(bs[::-1])[::-1]))
-                    continue
-            else:
-                gram = [[rows[i].get(j, 0) for j in block] for i in block]
-                if is_negative_definite(gram):
-                    inverse = invert(gram)
-                    den = math.lcm(*(x.denominator for row in inverse for x in row))
-                    self._others.append((block, [[int(-x * den) for x in row] for row in inverse], den))
-                    continue
-            raise NotContractibleError(
-                "not contractible (numerical criterion): the Gram matrix of "
-                f"the block {[names[i] for i in block]} is not negative definite"
-            )
+            block = _walk(rows, start)
+            seen.update(block)
+            if len(rows[start]) > 2:  # not a leaf: walk from the first curve of least degree
+                block = _walk(rows, min(block, key=lambda i: (len(rows[i]), i)))
+            block.reverse()
+            if (eliminated := _eliminate(rows, block)) is None:
+                raise NotContractibleError(
+                    "not contractible (numerical criterion): the Gram matrix of "
+                    f"the block {[names[i] for i in sorted(block)]} is not negative definite"
+                )
+            self._blocks.append((block, *eliminated))
         self.source = model
         self.contracted = tuple(names)
         self._pass: PivotPass | None = None
@@ -215,21 +212,28 @@ class Contraction:
 
     def _solve(self, d: DivisorLike) -> Iterable[tuple[list[int], list[int], int]]:
         """Per block, its positions j, integers n_j and q > 0 with a_j = n_j/q
-        solving (D + sum a_j G_j).G_k = 0 for all k, from D.G times its lcm s.
-        A chain has q = s*P_k and (-G)^-1_ij = P_i*Q_(j+1)/P_k for i <= j (0-based;
-        P leading and Q trailing continuants): a prefix and a suffix sum."""
+        solving (D + sum a_j G_j).G_k = 0 for all k, i.e. -G a = D.G: the
+        block's elimination run forward on m*D.G (m its lcm, each entry read
+        as there), then back-substitution on P_k*m*a, integral; q = m*P_k."""
         pairings = self._pairings(d)
-        s = math.lcm(*(x.denominator for x in pairings))
-        pairings = [int(x * s) for x in pairings]
-        for order, lead, trail in self._chains:
-            ds = [pairings[i] for i in order]
-            # after[i] = the sum of Q_(j+1)*d_j over j > i, before[i] of P_j*d_j over j <= i
-            after = [*accumulate(trail[j + 1] * ds[j] for j in range(len(ds) - 1, 0, -1))][::-1]
-            before = accumulate(p * x for p, x in zip(lead, ds))
-            nums = [q * b + p * a for q, b, p, a in zip(trail[1:], before, lead, after + [0])]
-            yield order, nums, s * lead[-1]
-        for block, inverse, den in self._others:
-            yield block, [sum(g * pairings[j] for g, j in zip(row, block)) for row in inverse], s * den
+        m = math.lcm(*(x.denominator for x in pairings))
+        pairings = [int(x * m) for x in pairings]
+        for order, pivots, upper in self._blocks:
+            b = {v: (pairings[v], 0) for v in order}
+            for t, v in enumerate(order):  # then b[v] is what its pivot row reads
+                x, s = b[v]
+                p = pivots[t]
+                b[v] = x = x * p // pivots[s]
+                for j, y in upper[t].items():
+                    z, s = b[j]
+                    b[j] = ((pivots[t + 1] * (z * p // pivots[s]) - y * x) // p, t + 1)
+            det = pivots[-1]
+            for t in range(len(order) - 1, -1, -1):  # then b[v] is P_k*m*a_v
+                x = det * b[order[t]]
+                for j, y in upper[t].items():
+                    x -= y * b[j]
+                b[order[t]] = x // pivots[t + 1]
+            yield order, [b[v] for v in order], m * det
 
     def _corrections(self, d: DivisorLike) -> dict[str, Fraction]:
         """The coefficients a_j of `_solve` by curve name."""
@@ -290,16 +294,17 @@ class Contraction:
                 if i < j and meets != 1:
                     raise GeometryError(f"unsupported configuration: {names[i]}.{names[j]} = "
                                         f"{meets} (only reduced chains are classified)")
-        for block, *_ in self._others[:1]:  # a block that is not a reduced chain
-            raise GeometryError(f"unsupported configuration: component "
-                                f"{sorted(names[i] for i in block)} is not a chain")
+        for order, _, upper in self._blocks:  # a chain: of the later curves, each meets the next alone
+            if any([*row] != order[t + 1:t + 2] for t, row in enumerate(upper)):
+                raise GeometryError(f"unsupported configuration: component "
+                                    f"{sorted(names[i] for i in order)} is not a chain")
         reports = []
-        for order, lead, _ in self._chains:
-            n_val, q_val = _hj_pair(lead[-1], lead[-2])
+        for order, pivots, _ in self._blocks:
+            n_val, q_val = _hj_pair(pivots[-1], pivots[-2])  # q: the chain less its first curve
             if n_val == 1:
                 continue  # contracts to a smooth point
-            chain = tuple(names[i] for i in order)
-            bs = tuple(-rows[i][i] for i in order)
+            chain = tuple(names[i] for i in reversed(order))
+            bs = tuple(-rows[i][i] for i in reversed(order))
             if any(b < 2 for b in bs):
                 raise GeometryError(f"unsupported configuration: chain {list(chain)} mixes a "
                                     "(-1)-curve into a singular contraction")
@@ -326,10 +331,7 @@ class Contraction:
             self._pass = sparse_pivot_pass(self._classes, rank)
         factors, rest = self._pass.split(extra)
         factors = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
-        return ClassGroupReport(
-            rank=rank - len(factors),
-            torsion=tuple(x for x in factors if x > 1),
-        )
+        return ClassGroupReport(rank - len(factors), tuple(x for x in factors if x > 1))
 
     # -- positivity ---------------------------------------------------------------
 
@@ -338,9 +340,7 @@ class Contraction:
         degrees = {n: Fraction(x) for n, x in zip(self.contracted, self._pairings(d))}
         return all(v >= 0 for v in degrees.values()), degrees
 
-    def degree_against(
-        self, d_on_target: QDivisor, witness: DivisorLike | None = None
-    ) -> Fraction:
+    def degree_against(self, d_on_target: QDivisor, witness: DivisorLike | None = None) -> Fraction:
         """Degree of a divisor on the rank-one target against a witness curve
         (projection formula: pullback(D).W, computed as D.W* with the cached
         corrected witness W*; the default W is the pullback class of a
@@ -379,9 +379,7 @@ class Contraction:
             self._witnesses[witness] = result
         return result
 
-    def is_ample_rank1(
-        self, d_on_target: QDivisor, witness: DivisorLike | None = None
-    ) -> bool:
+    def is_ample_rank1(self, d_on_target: QDivisor, witness: DivisorLike | None = None) -> bool:
         return self.degree_against(d_on_target, witness) > 0
 
     def numerically_proportional(
@@ -390,9 +388,7 @@ class Contraction:
         """r with d1 = r*d2 numerically on the rank-one target; None when d2
         is numerically trivial."""
         deg2 = self.degree_against(d2, witness)
-        if deg2 == 0:
-            return None
-        return self.degree_against(d1, witness) / deg2
+        return None if deg2 == 0 else self.degree_against(d1, witness) / deg2
 
 
 def contract(model: SurfaceModel, curve_names: Iterable[str]) -> Contraction:

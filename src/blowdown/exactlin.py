@@ -454,7 +454,9 @@ def sparse_pivot_pass(rows: Sequence[SparseRow], ncols: int) -> PivotPass:
     column, so every +-1 is one.  Pivots are taken in an approximate
     Markowitz order: each round visits the live rows by length, shortest
     first, and takes in each row the candidate whose column has the fewest
-    live entries, which bounds the fill-in by
+    live entries (trying the columns in that order, so a long column is
+    tested for divisibility only when no shorter one qualifies), which
+    bounds the fill-in by
     (row length - 1)*(column length - 1).  The pivot's column is cleared from
     the other live rows by exact row operations, and the pivot row leaves the
     live set.  A row with no candidate waits for the next round; the pass
@@ -482,12 +484,8 @@ def sparse_pivot_pass(rows: Sequence[SparseRow], ncols: int) -> PivotPass:
             if not row:  # cancelled earlier in this round
                 continue
             g = math.gcd(*row.values())
-            c = min(
-                (j for j, x in row.items()
-                 if abs(x) == g and (g == 1 or all(a[k][j] % g == 0 for k in live[j]))),
-                key=lambda j: len(live[j]),
-                default=None,
-            )
+            candidates = sorted((j for j, x in row.items() if abs(x) == g), key=lambda j: len(live[j]))
+            c = next((j for j in candidates if g == 1 or all(a[k][j] % g == 0 for k in live[j])), None)
             if c is None:
                 continue
             pivots.append((p, c))
@@ -549,6 +547,8 @@ def divisor_chain(factors: Sequence[int]) -> tuple[int, ...]:
     det U = det V = 1.
     """
     f = sorted(abs(x) for x in factors if x)
+    if all(b % a == 0 for a, b in zip(f, f[1:])):  # already a chain: nothing to exchange
+        return tuple(f)
     for i in range(f.count(1), len(f)):  # a leading 1 divides everything
         for j in range(i + 1, len(f)):
             if f[j] % f[i]:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,52 @@ from blowdown import (
     frobenius_construction,
     hirzebruch_jung_type,
     new_quadric,
+    solve_linear,
 )
+
+
+def star_model(arms, centre_square=-2):
+    """A curve D of class (1, 1) meeting one end of each arm, a chain of
+    (-2)-curves A<a>x0, A<a>x1, ..., and blown up at further points of its
+    own until D^2 = centre_square: a star whose names come centre first."""
+    m = new_quadric()
+    m.declare_curve("D", (1, 1))
+    names = ["D"]
+    for a, length in enumerate(arms):
+        previous = "D"
+        for i in range(length):
+            m.blow_up(f"A{a}x{i}", [(previous, 1)])
+            previous = f"A{a}x{i}"
+            names.append(previous)
+        m.blow_up(f"B{a}", [(previous, 1)])  # the arm's last curve to -2
+    for i in range(int(m.intersect("D", "D")) - centre_square):
+        m.blow_up(f"V{i}", [("D", 1)])
+    assert m.intersect("D", "D") == centre_square
+    return m, names
+
+
+def triangle_model():
+    """Three (-3)-curves, each meeting the other two once: a cycle."""
+    m = new_quadric()
+    shape = (("T1", (1, 1), 5), ("T2", (1, 0), 3), ("T3", (0, 1), 3))
+    for name, cls, _ in shape:
+        m.declare_curve(name, cls)
+    for name, _, points in shape:
+        for step in range(points):
+            m.blow_up(f"{name}p{step}", [(name, 1)])
+    return m, [name for name, _, _ in shape]
+
+
+def double_model():
+    """Two (-3)-curves of class (1, 1) meeting twice."""
+    m = new_quadric()
+    names = ["D1", "D2"]
+    for name in names:
+        m.declare_curve(name, (1, 1))
+    for name in names:
+        for step in range(5):
+            m.blow_up(f"{name}p{step}", [(name, 1)])
+    return m, names
 
 
 def test_reference_contraction_target_rank(ref):
@@ -230,30 +276,13 @@ class TestClassifySingularities:
 
     def test_branch_vertex_rejected(self):
         # D4 configuration: a (-2)-curve meeting three disjoint (-2)-curves
-        m = new_quadric()
-        m.declare_curve("D", (1, 1))
-        for i in (1, 2, 3):
-            m.blow_up(f"X{i}", [("D", 1)])
-            m.blow_up(f"Y{i}", [(f"X{i}", 1)])
-        m.blow_up("Z", [("D", 1)])
-        assert m.intersect("D", "D") == -2
-        con = contract(m, ["D", "X1", "X2", "X3"])
-        with pytest.raises(GeometryError, match="not a chain"):
+        con = contract(*star_model((1, 1, 1)))
+        with pytest.raises(GeometryError, match=r"component \['A0x0', 'A1x0', 'A2x0', 'D'\] is not a chain"):
             con.classify_singularities()
 
     def test_cycle_rejected(self):
         # triangle of (-3)-curves: contractible but not a chain
-        m = new_quadric()
-        m.declare_curve("T1", (1, 1))
-        m.declare_curve("T2", (1, 0))
-        m.declare_curve("T3", (0, 1))
-        for step in range(5):
-            m.blow_up(f"A{step}", [("T1", 1)])
-        for step in range(3):
-            m.blow_up(f"B{step}", [("T2", 1)])
-        for step in range(3):
-            m.blow_up(f"C{step}", [("T3", 1)])
-        con = contract(m, ["T1", "T2", "T3"])
+        con = contract(*triangle_model())
         assert con.gram == ((-3, 1, 1), (1, -3, 1), (1, 1, -3))
         with pytest.raises(GeometryError, match="not a chain"):
             con.classify_singularities()
@@ -272,14 +301,8 @@ class TestClassifySingularities:
             con.classify_singularities()
 
     def test_double_intersection_rejected(self):
-        m = new_quadric()
-        m.declare_curve("D1", (1, 1))
-        m.declare_curve("D2", (1, 1))
-        for step in range(5):
-            m.blow_up(f"A{step}", [("D1", 1)])
-        for step in range(5):
-            m.blow_up(f"B{step}", [("D2", 1)])
-        con = contract(m, ["D1", "D2"])
+        m, names = double_model()
+        con = contract(m, names)
         assert m.intersect("D1", "D2") == 2
         with pytest.raises(GeometryError, match="reduced chains"):
             con.classify_singularities()
@@ -408,3 +431,62 @@ class TestRelativeNef:
             "F2": 2, "H2": 0, "G2": 1,
             "F3": 2, "H3": 0, "G3": 1,
         }
+
+
+SHAPES = {
+    "D4": lambda: star_model((1, 1, 1)),
+    "D5": lambda: star_model((1, 1, 2)),
+    "D8": lambda: star_model((1, 1, 5)),
+    "E6": lambda: star_model((1, 2, 2)),
+    "E7": lambda: star_model((1, 2, 3)),
+    "E8": lambda: star_model((1, 2, 4)),
+    "star with a (-3) centre": lambda: star_model((2, 3, 4), -3),
+    "cycle": triangle_model,
+    "pair meeting twice": double_model,
+}
+
+
+class TestEveryBlockShape:
+    """Branched, cyclic and multiply meeting blocks go through the same
+    sparse elimination as chains; dense `solve_linear` on the Gram matrix is
+    the oracle, and the dense `invert` and `is_negative_definite` are never
+    called."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense elimination called")
+
+        for name in ("invert", "is_negative_definite"):
+            monkeypatch.setattr(f"blowdown.contraction.{name}", refuse)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_pullback_matches_dense_solve(self, shape):
+        m, names = SHAPES[shape]()
+        con = contract(m, names)
+        gram = [[m.intersect(a, b) for b in names] for a in names]
+        assert con.gram == tuple(map(tuple, gram))
+        kept = next(n for n in m.prime_divisors if n not in names)
+        for d in (con.pushforward(m.canonical_divisor()), QDivisor({kept: F(2, 3)}),
+                  QDivisor({}, [1, -2] + [(-1) ** i for i in range(m.rank - 2)])):
+            pullback = con.pullback(d)
+            expected = solve_linear(gram, [-m.intersect(d, n) for n in names])
+            assert [pullback.coefficient(n) for n in names] == expected
+            assert all(m.intersect(pullback, n) == 0 for n in names)
+
+    def test_non_definite_branched_block_rejected(self):
+        # the D4 star with a (-1) centre: -G has 1 - 3/2 < 0 as its last pivot
+        m, names = star_model((1, 1, 1), -1)
+        with pytest.raises(NotContractibleError, match=r"^not contractible \(numerical criterion\): the "
+                           r"Gram matrix of the block \['D', 'A0x0', 'A1x0', 'A2x0'\] is not negative definite$"):
+            contract(m, names)
+
+    def test_long_star(self):
+        # arms (1, 1, 197) of (-2)-curves around a (-3) centre: a tree, so no
+        # fill-in, and 200 pivots; the dense inverse took over a second
+        m, names = star_model((1, 1, 197), -3)
+        start = time.perf_counter()
+        con = contract(m, names)
+        pullback = con.pullback(QDivisor({"B2": 1}))
+        assert time.perf_counter() - start < 1
+        assert [m.intersect(pullback, n) for n in names] == [0] * 200  # so it is the pullback

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from blowdown import GeometryError, SingClass, explore_frobenius
+from blowdown import ClassGroupReport, GeometryError, SingClass, explore_frobenius
 from blowdown.explorer import (
     EXTRAPOLATED_PROVENANCE,
     REFERENCE_PROVENANCE,
@@ -130,3 +130,10 @@ def test_discrepancies_match_closed_forms(p, n):
     assert singularity_class is (SingClass.CANONICAL if (p, n) == (2, 3) else SingClass.KLT)
     if (p, n) == (3, 3):
         assert min(discrepancies.values()) == F(-1, 3)
+
+
+def test_class_group_with_thousands_of_equal_factors():
+    # Z + (Z/p)^n with p = 2, n = 5000: 5000 pivots 2 that already form a
+    # divisor chain, in the rows of 5000 fibres that share the base columns
+    group = explore_frobenius(2, 5000).contraction.class_group()
+    assert group == ClassGroupReport(1, (2,) * 5000)

@@ -683,9 +683,8 @@ def with_disjoint(model, block, data):
 
 
 class TestBlockwiseContraction:
-    """Contraction works block by block, chains by their continuants and any
-    other block densely; one dense elimination of the whole contracted Gram
-    matrix is the oracle."""
+    """Contraction works block by block, each by one sparse elimination; one
+    dense elimination of the whole contracted Gram matrix is the oracle."""
 
     @given(st.sampled_from(sorted(BASES)), st.data())
     @settings(deadline=None)
@@ -784,7 +783,7 @@ def chain_model(bs):
 
 class TestChainContinuants:
     """Chains with b_i >= 1, degenerate and indefinite ones included: the
-    continuant path agrees with the dense elimination and its inverse."""
+    sparse elimination agrees with the dense elimination and its inverse."""
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.data())
     @example(bs=[1, 1], data=None)
@@ -890,6 +889,45 @@ def _sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
+def _min_rule_pivots(rows):
+    """The pivot sequence of `sparse_pivot_pass` as it was first written:
+    in each row, min() over every candidate that divides its column, keyed
+    by the column's live length."""
+    a = [dict(row) for row in rows]
+    live = collections.defaultdict(set)
+    for i, row in enumerate(a):
+        for j in row:
+            live[j].add(i)
+    pivots, done, progress = [], set(), True
+    while progress:
+        progress = False
+        for p in sorted((i for i, row in enumerate(a) if row and i not in done), key=lambda i: len(a[i])):
+            row = a[p]
+            if not row:  # cancelled earlier in this round
+                continue
+            g = math.gcd(*row.values())
+            c = min((j for j, x in row.items()
+                     if abs(x) == g and (g == 1 or all(a[k][j] % g == 0 for k in live[j]))),
+                    key=lambda j: len(live[j]), default=None)
+            if c is None:
+                continue
+            pivots.append((p, c))
+            done.add(p)
+            progress = True
+            for j in row:
+                live[j].discard(p)
+            for i in list(live[c]):
+                q = a[i][c] // row[c]
+                for j, x in row.items():
+                    if y := a[i].get(j, 0) - q * x:
+                        a[i][j] = y
+                        live[j].add(i)
+                    else:
+                        del a[i][j]
+                        live[j].discard(i)
+    return tuple(pivots)
+
+
 class TestSparsePivotPass:
     """The class group's elimination: the certified pivot pass, the Smith
     normal form of its remainder and the divisor chain of both."""
@@ -907,6 +945,15 @@ class TestSparsePivotPass:
             abs(int(x)) for x in sympy_snf(sympy.Matrix(full)).diagonal() if x != 0
         ))
         assert ours == theirs
+
+    @given(sparse_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_pivots_follow_the_min_rule(self, case):
+        # trying the candidates shortest live column first and stopping at the
+        # first that qualifies takes the column that min() over all qualifying
+        # candidates takes
+        rows, _, ncols = case
+        assert sparse_pivot_pass(_sparse(rows), ncols).pivots == _min_rule_pivots(_sparse(rows))
 
     @pytest.mark.parametrize(
         "factors, chain",
