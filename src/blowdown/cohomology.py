@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .contraction import Contraction
 from .errors import GeometryError, LerayHypothesisError
-from .surface import DivisorLike, QDivisor, SurfaceModel
+from .surface import QUADRIC, DivisorLike, QDivisor, SurfaceModel
 
 NEF_HYPOTHESIS_NOTE = "hypothesis of [Kol13, Thm 10.4] verified numerically"
 
@@ -72,26 +72,24 @@ def verify_h0_anticanonical_zero(
     class summed is integral, so the sums stay ints.
     """
     model = contraction.source
-    if model.base != "quadric":
+    if model.base != QUADRIC:
         raise GeometryError("anticanonical-section check requires a quadric base")
-    lhs = [-x for x in model.canonical_class]
+    # lhs - rhs, summed over sparse classes into -K, the one dense class read
+    difference = {i: -x for i, x in enumerate(model.canonical_class)}
     for name in fibers + [curve]:
-        for i, x in enumerate(model.total_class(name)):
-            lhs[i] -= x
-
-    bidegree = (lhs[0], lhs[1])
-    rhs = [0] * model.rank
-    rhs[0], rhs[1] = lhs[0], lhs[1]  # pullback of the base part
+        for i, x in model.sparse_class(name).items():
+            difference[i] -= x
+    bidegree = (difference[0], difference[1])
+    difference[0] = difference[1] = 0  # less the pullback of the base part
     for tower in towers:
         for weight, name in enumerate(tower, start=1):
-            for i, x in enumerate(model.total_class(name)):
-                rhs[i] += weight * x
+            for i, x in model.sparse_class(name).items():
+                difference[i] -= weight * x
 
-    difference = tuple(x - y for x, y in zip(lhs, rhs))
-    identity_holds = not any(difference)
+    identity_holds = not any(difference.values())
     return AnticanonicalSectionsReport(
         identity_holds=identity_holds,
-        difference_class=None if identity_holds else difference,
+        difference_class=None if identity_holds else model.total_class(difference),
         base_bidegree=bidegree,
         h0=h0_on_quadric(*bidegree),
     )

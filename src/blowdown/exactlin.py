@@ -44,10 +44,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 
-#: The exact rational scalar type used throughout the package.  The stdlib
-#: class already enforces lowest terms and a positive denominator.
-Rational = Fraction
-
 RationalLike = int | Fraction
 
 

@@ -345,15 +345,15 @@ def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
     return Scenario(
         name=doc["name"],
         base=doc["base"],
-        curves=tuple((c["name"], tuple(c["class"])) for c in doc["curves"]),
+        curves=tuple((c["name"], tuple(c["class"])) for c in doc.get("curves", ())),
         blowups=tuple(
-            (b["name"], tuple((i["curve"], i["mult"]) for i in b["incident"]))
-            for b in doc["blowups"]
+            (b["name"], tuple((i["curve"], i["mult"]) for i in b.get("incident", ())))
+            for b in doc.get("blowups", ())
         ),
-        contraction=tuple(doc["contraction"]),
+        contraction=tuple(doc.get("contraction", ())),
         divisors=tuple((n, tuple(c.items())) for n, c in doc.get("divisors", {}).items()),
         checks=tuple(raw.get("checks", ())),
-        specs=tuple(doc["checks"]),
+        specs=tuple(doc.get("checks", ())),
     )
 
 
@@ -373,7 +373,7 @@ RATIONAL, INT, BOOL, INTS, MULT = "<rational>", "<int>", "<bool>", "<ints>", "<m
 STR, NAME, REF, CURVE = "<str>", "<name>", "<ref>", "<curve>"
 NEW_CURVE, NEW_DIVISOR, CHECK = "<new curve>", "<new divisor>", "<check>"
 
-# A key ending in "?" is optional, and an absent optional list reads as empty.
+# A key ending in "?" is optional: an absent one is absent from the parsed object.
 # ``[item]`` is a list of items, ``{leaf: item}`` a map whose keys are that
 # leaf, and any other dict an object with exactly those keys.  An object's
 # fields are parsed in the order given, so every name is declared before the
@@ -531,10 +531,7 @@ def _parser(schema: Any) -> Callable:
 
 def _parse_object(schema: dict) -> Callable:
     """`_parser` of an object: it takes exactly the given fields, in the order given."""
-    fields = []  # (name, parse, required, absent reads as [])
-    for key, item in schema.items():
-        name = key.rstrip("?")
-        fields.append((name, _parser(item), name == key, type(item) is list))
+    fields = [(key.rstrip("?"), _parser(item), key[-1:] != "?") for key, item in schema.items()]
     known = frozenset(f[0] for f in fields)
 
     def parse(value: Any, names: dict) -> dict:
@@ -543,7 +540,7 @@ def _parse_object(schema: dict) -> Callable:
         if not known.issuperset(value):
             raise _Invalid(f"unknown field {next(k for k in value if k not in known)!r}")
         out = {}
-        for name, parse_item, required, is_list in fields:
+        for name, parse_item, required in fields:
             # a missing required field is checked as null, which no type accepts
             if name in value or required:
                 try:
@@ -554,8 +551,6 @@ def _parse_object(schema: dict) -> Callable:
                     else:
                         exc.path.append(f".{name}")
                     raise
-            elif is_list:
-                out[name] = []
         return out
 
     return parse
@@ -610,10 +605,11 @@ class CheckResult(_Record):
 
 
 class _Expect:
-    """Collects exact comparisons for one check."""
+    """Collects exact comparisons for one check against ``want``, its map of
+    optional expectations: the spec, its "expect" map or a class-group map."""
 
-    def __init__(self) -> None:
-        self.mismatches: list[str] = []
+    def __init__(self, want: dict) -> None:
+        self.want, self.mismatches = want, []
 
     def eq(self, label: str, actual: Any, expected: Any) -> None:
         if actual != expected:
@@ -623,11 +619,12 @@ class _Expect:
         """Records ``actual``, which is not ``expected``."""
         self.mismatches.append(f"{label}: expected {_text(expected)}, got {_text(actual)}")
 
-    def present(self, spec: dict, rows: tuple) -> None:
-        """``eq`` for each (key, label, actual) row whose key ``spec`` holds."""
-        for key, label, actual in rows:
-            if key in spec:
-                self.eq(label, actual, spec[key])
+    def field(self, key: str, label: str, actual: Any, write: Callable | None = rational_str) -> Any:
+        """``actual`` as the details write it (as itself if ``write`` is None),
+        compared with ``want[key]`` when that expectation is given."""
+        if key in self.want and actual != self.want[key]:
+            self.miss(label, actual, self.want[key])
+        return actual if write is None else write(actual)
 
 
 def _divisor_json(d: QDivisor) -> dict:
@@ -650,12 +647,12 @@ def _singular_points_json(reports) -> list[dict]:
 
 
 def _check_intersection_table(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
-    expect = _Expect()
+    expect = _Expect(spec)
     rows = []
     pairing, sparse_class, prime = run.model.pairing, run.sparse_class, run.model.prime_divisors
     # a name resolve() reads as the curve itself (not K, -X or a divisor) pairs in O(1)
     named = {n for n in prime if n not in run.divisors and n != "K" and n[:1] != "-"}
-    for entry in spec["entries"]:
+    for entry in spec.get("entries", ()):
         a, b = entry["a"], entry["b"]
         value = pairing(a if a in named else sparse_class(a), b if b in named else sparse_class(b))
         if value != entry["expect"]:  # the label is built for a mismatch only
@@ -666,41 +663,49 @@ def _check_intersection_table(run: ScenarioRun, spec: dict) -> tuple[dict, list[
 
 
 def _check_canonical_pullback(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
-    expect = _Expect()
+    expect = _Expect(spec)
     discreps, classification = run.contraction.discrepancies()
     corrections = {n: -a for n, a in discreps.items()}  # psi*K_T = K_S - sum a_j G_j
     for name, value in spec.get("expect_coefficients", {}).items():
         expect.eq(f"coefficient of {name}", corrections.get(name, 0), value)
     if "expect_classification" in spec:
         expect.eq("classification", classification.value, spec["expect_classification"].value)
-    if "expect_min_discrepancy" in spec:
-        if discreps:
-            expect.eq("min discrepancy", min(discreps.values()), spec["expect_min_discrepancy"])
-        else:
-            expect.mismatches.append("min discrepancy: nothing contracted")
+    if not discreps and "expect_min_discrepancy" in spec:
+        expect.mismatches.append("min discrepancy: nothing contracted")
     details = {
         "pullback_corrections": {n: rational_str(c) for n, c in sorted(corrections.items())},
         "discrepancies": {n: rational_str(a) for n, a in sorted(discreps.items())},
         "classification": classification.value,
-        "min_discrepancy": rational_str(min(discreps.values())) if discreps else None,
+        "min_discrepancy": expect.field(
+            "expect_min_discrepancy", "min discrepancy", min(discreps.values())
+        ) if discreps else None,
     }
     return details, expect.mismatches
 
 
+def _class_group_json(expect: _Expect, group, label: str, key: str = "") -> dict | None:
+    """The class group as the details write it, its rank and torsion compared
+    with the expectations ``key + "rank"`` and ``key + "torsion"``; a missing
+    group (None) is compared as a rank and torsion of None."""
+    rank, torsion = (None, None) if group is None else (group.rank, list(group.torsion))
+    rank = expect.field(f"{key}rank", f"{label} rank", rank, None)
+    torsion = expect.field(f"{key}torsion", f"{label} torsion", torsion, None)
+    return None if group is None else {"rank": rank, "torsion": torsion}
+
+
 def _check_rank_one_positivity(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
-    expect = _Expect()
+    expect = _Expect(spec)
     con = run.contraction
-    details: dict[str, Any] = {"target_rank": con.target_rank}
-    expect.present(spec, (("expect_rank", "target rank", con.target_rank),))
+    details = {"target_rank": expect.field("expect_rank", "target rank", con.target_rank, None)}
     degrees = {}
     if con.target_rank == 1:
-        for entry in spec["degrees"]:
+        for entry in spec.get("degrees", ()):
             ref = entry["divisor"]
             value = con.degree_against(run.resolve(ref))
             degrees[ref] = rational_str(value)
             expect.eq(f"degree of {ref}", value, entry["expect"])
         props = {}
-        for entry in spec["proportionality"]:
+        for entry in spec.get("proportionality", ()):
             r = con.numerically_proportional(run.resolve(entry["d1"]), run.resolve(entry["d2"]))
             key = f"{entry['d1']}~{entry['d2']}"
             props[key] = None if r is None else rational_str(r)
@@ -709,38 +714,32 @@ def _check_rank_one_positivity(run: ScenarioRun, spec: dict) -> tuple[dict, list
             else:
                 expect.eq(key, r, entry["expect"])
         amp = {}
-        for entry in spec["ample"]:
+        for entry in spec.get("ample", ()):
             ref = entry["divisor"]
             value = con.is_ample_rank1(run.resolve(ref))
             amp[ref] = value
             expect.eq(f"ample({ref})", value, entry["expect"])
         details.update({"degrees": degrees, "proportionality": props, "ample": amp})
-    elif spec["degrees"] or spec["proportionality"] or spec["ample"]:
+    elif spec.get("degrees") or spec.get("proportionality") or spec.get("ample"):
         expect.mismatches.append(
             f"rank-one quantities undefined: target rank is {con.target_rank}"
         )
     if "expect_class_group" in spec:
-        group = con.class_group()
-        expect.present(
-            spec["expect_class_group"],
-            (
-                ("rank", "class group rank", group.rank),
-                ("torsion", "class group torsion", list(group.torsion)),
-            ),
-        )
-        details["class_group"] = {"rank": group.rank, "torsion": list(group.torsion)}
+        group_expect = _Expect(spec["expect_class_group"])
+        details["class_group"] = _class_group_json(group_expect, con.class_group(), "class group")
+        expect.mismatches += group_expect.mismatches
     return details, expect.mismatches
 
 
 def _check_singular_points(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
-    expect = _Expect()
+    expect = _Expect(spec)
     reports = run.contraction.classify_singularities()
     census = list(singular_point_census(reports))
-    expected = sorted((entry["n"], entry["q"], entry["count"]) for entry in spec["expect"])
-    expect.eq("singular point census", census, expected)
-    expect.present(spec, (("expect_total", "total singular points", len(reports)),))
-    details = {
-        "total": len(reports),
+    if "expect" in spec:
+        expected = sorted((entry["n"], entry["q"], entry["count"]) for entry in spec["expect"])
+        expect.eq("singular point census", census, expected)
+    details = {  # the census is compared before the total, which is written first
+        "total": expect.field("expect_total", "total singular points", len(reports), None),
         "census": [{"n": n, "q": q, "count": c} for n, q, c in census],
         "points": _singular_points_json(reports),
     }
@@ -748,22 +747,16 @@ def _check_singular_points(run: ScenarioRun, spec: dict) -> tuple[dict, list[str
 
 
 def _check_anticanonical_sections(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
-    expect = _Expect()
+    expect = _Expect(spec)
     report = verify_h0_anticanonical_zero(
         run.contraction, fibers=spec["fibers"], curve=spec["curve"], towers=spec["towers"]
     )
     expect.eq("class identity", report.identity_holds, True)
-    expect.present(
-        spec,
-        (
-            ("expect_bidegree", "base bidegree", list(report.base_bidegree)),
-            ("expect_h0", "h0", report.h0),
-        ),
-    )
+    bidegree = list(report.base_bidegree)
     details: dict[str, Any] = {
         "identity_holds": report.identity_holds,
-        "base_bidegree": list(report.base_bidegree),
-        "h0": report.h0,
+        "base_bidegree": expect.field("expect_bidegree", "base bidegree", bidegree, None),
+        "h0": expect.field("expect_h0", "h0", report.h0, None),
     }
     if report.difference_class is not None:
         details["difference_class"] = [rational_str(x) for x in report.difference_class]
@@ -780,77 +773,45 @@ def _compare_coefficient_map(
 
 
 def _check_kvv_failure(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
-    expect = _Expect()
     report = run.kvv(spec["divisor"], 1)
-    want = spec.get("expect", {})
+    expect = _Expect(want := spec.get("expect", {}))
     if "expansion" in want:
         _compare_coefficient_map(expect, "expansion", report.pullback_expansion, want["expansion"])
     if "floor" in want:
         _compare_coefficient_map(expect, "floor", report.floor, want["floor"])
     for name, value in want.get("nef_degrees", {}).items():
         expect.eq(f"nef degree against {name}", report.nef_degrees.get(name, 0), value)
-    expect.present(
-        want,
-        (
-            ("k_dot_floor", "K.floor", report.k_dot_floor),
-            ("floor_squared", "floor^2", report.floor_squared),
-            ("euler_characteristic", "chi", report.euler_char),
-            ("h1_nonzero", "h1_nonzero", report.h1_nonzero),
-            ("not_globally_f_split", "not_globally_f_split", report.not_globally_f_split),
-            (
-                "no_w2_liftable_log_resolution",
-                "no_w2_liftable_log_resolution",
-                report.no_w2_liftable_log_resolution,
-            ),
-        ),
-    )
     details = {
         "expansion": _divisor_json(report.pullback_expansion),
         "floor": _divisor_json(report.floor),
         "relatively_nef": report.relatively_nef,
         "nef_degrees": {n: rational_str(v) for n, v in sorted(report.nef_degrees.items())},
-        "k_dot_floor": rational_str(report.k_dot_floor),
-        "floor_squared": rational_str(report.floor_squared),
-        "euler_characteristic": rational_str(report.euler_char),
-        "h1_nonzero": report.h1_nonzero,
-        "not_globally_f_split": report.not_globally_f_split,
-        "no_w2_liftable_log_resolution": report.no_w2_liftable_log_resolution,
-        "nef_hypothesis_note": report.nef_hypothesis_note,
+        "k_dot_floor": expect.field("k_dot_floor", "K.floor", report.k_dot_floor),
+        "floor_squared": expect.field("floor_squared", "floor^2", report.floor_squared),
+        "euler_characteristic": expect.field("euler_characteristic", "chi", report.euler_char),
     }
+    for flag in ("h1_nonzero", "not_globally_f_split", "no_w2_liftable_log_resolution"):
+        details[flag] = expect.field(flag, flag, getattr(report, flag), None)  # labelled by its key
+    details["nef_hypothesis_note"] = report.nef_hypothesis_note
     return details, expect.mismatches
 
 
 def _check_cone(run: ScenarioRun, spec: dict) -> tuple[dict, list[str]]:
-    expect = _Expect()
+    expect = _Expect(spec.get("expect", {}))
     divisor = run.resolve(spec["divisor"])
     cone = build_cone(run.contraction, divisor)
     certificate_m = spec.get("certificate_m", -1)
     kvv = run.kvv(spec["divisor"], -certificate_m)
     cone = local_cohomology_certificate(cone, certificate_m, kvv.h1_nonzero)
-    group = cone.class_group
-    expect.present(
-        spec.get("expect", {}),
-        (
-            ("r", "r", cone.r),
-            ("section_discrepancy", "section discrepancy", cone.section_discrepancy),
-            ("class_group_rank", "cone class group rank", None if group is None else group.rank),
-            (
-                "class_group_torsion",
-                "cone class group torsion",
-                None if group is None else list(group.torsion),
-            ),
-            ("cm", "Cohen-Macaulay", cone.cm),
-        ),
-    )
     details = {
-        "r": rational_str(cone.r),
-        "section_discrepancy": rational_str(cone.section_discrepancy),
+        "r": expect.field("r", "r", cone.r),
+        "section_discrepancy": expect.field(
+            "section_discrepancy", "section discrepancy", cone.section_discrepancy
+        ),
         "q_gorenstein": cone.q_gorenstein,
         "crepant_partial_resolution": cone.crepant_partial_resolution,
-        "class_group": None
-        if group is None
-        else {"rank": group.rank, "torsion": list(group.torsion)},
-        "cm": cone.cm,
+        "class_group": _class_group_json(expect, cone.class_group, "cone class group", "class_group_"),
+        "cm": expect.field("cm", "Cohen-Macaulay", cone.cm, None),
         "certificate_m": cone.cm_certificate_m,
         "klt_note": cone.klt_note,
     }

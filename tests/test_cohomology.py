@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from blowdown import (
     VanishingVerdict,
     contract,
     euler_characteristic,
+    explore_frobenius,
     h0_on_quadric,
     kollar_bound,
     new_quadric,
@@ -78,6 +80,37 @@ class TestAnticanonicalSections:
         assert report.difference_class is not None
         assert any(report.difference_class)
         assert not report.passed
+
+    def test_missing_tower_difference_is_the_dense_one(self, ref):
+        # the failing identity's difference class, against a dense computation
+        # over total class vectors
+        fibers, towers = ["F1", "F2", "F3"], [["G1", "H1", "E1"], ["G2", "H2", "E2"]]
+        report = verify_h0_anticanonical_zero(ref.contraction, fibers, "C", towers)
+        model = ref.model
+        lhs = [-x for x in model.canonical_class]
+        for name in fibers + ["C"]:
+            lhs = [x - y for x, y in zip(lhs, model.total_class(name))]
+        rhs = [lhs[0], lhs[1]] + [0] * (model.rank - 2)
+        for tower in towers:
+            for weight, name in enumerate(tower, start=1):
+                rhs = [x + weight * y for x, y in zip(rhs, model.total_class(name))]
+        difference = tuple(x - y for x, y in zip(lhs, rhs))
+        assert report.difference_class == difference
+        assert all(type(x) is int for x in report.difference_class)
+        assert report.base_bidegree == (-2, -1) and report.h0 == 0
+
+    def test_sparse_at_rank_10002(self):
+        # (p, n) = (5, 2000): -K - sum F_i - C has base bidegree (1 - n, 2 - p);
+        # a dense vector per class would cost O(rank^2), seconds here
+        exploration = explore_frobenius(5, 2000)
+        construction = exploration.construction
+        start = time.perf_counter()
+        report = verify_h0_anticanonical_zero(
+            exploration.contraction, construction.fibers, construction.curve, construction.towers
+        )
+        assert time.perf_counter() - start < 0.5
+        assert report.identity_holds and report.difference_class is None
+        assert report.base_bidegree == (-1999, -3) and report.h0 == 0
 
     def test_omitted_blow_up_is_a_scenario_encoding_bug(self):
         # the model omits the last blow-up but the check data still references

@@ -44,7 +44,7 @@ from blowdown.scenario import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "blowdown" / "data"
 
-#: Records that could not be assigned to before and still cannot.
+#: Records whose fields may be assigned to, as before, and which have no hash.
 MUTABLE = (ScenarioRun, CheckResult, Report)
 
 

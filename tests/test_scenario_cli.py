@@ -474,6 +474,119 @@ class TestFailureModes:
         assert report.first_failure == "rank-one-positivity: class group rank: expected 2, got 1"
 
 
+class TestOptionalExpectations:
+    """Each optional scalar expectation of the bundled scenario, set wrong,
+    adds exactly one mismatch, with this text, and leaves the details (their
+    values and key order) as they were.  ``WRONG`` lists each kind's
+    expectations in the order of their mismatches (the census, a list, is
+    compared before the total that its details write first)."""
+
+    WRONG = [
+        ("canonical-pullback", ("expect_classification",), "lc",
+         "classification: expected lc, got klt"),
+        ("canonical-pullback", ("expect_min_discrepancy",), "5",
+         "min discrepancy: expected 5, got -1/3"),
+        ("rank-one-positivity", ("expect_rank",), 2, "target rank: expected 2, got 1"),
+        ("rank-one-positivity", ("expect_class_group", "rank"), 5,
+         "class group rank: expected 5, got 1"),
+        ("rank-one-positivity", ("expect_class_group", "torsion"), [2],
+         "class group torsion: expected [2], got [3, 3, 3]"),
+        ("singular-points", ("expect",), [],
+         "singular point census: expected [], got [(3, 1, 4), (3, 2, 3)]"),
+        ("singular-points", ("expect_total",), 99, "total singular points: expected 99, got 7"),
+        ("anticanonical-sections", ("expect_bidegree",), [0, 0],
+         "base bidegree: expected [0, 0], got [-2, -1]"),
+        ("anticanonical-sections", ("expect_h0",), 5, "h0: expected 5, got 0"),
+        ("kvv-failure", ("expect", "k_dot_floor"), "7", "K.floor: expected 7, got -2"),
+        ("kvv-failure", ("expect", "floor_squared"), "7", "floor^2: expected 7, got -6"),
+        ("kvv-failure", ("expect", "euler_characteristic"), "7", "chi: expected 7, got -1"),
+        ("kvv-failure", ("expect", "h1_nonzero"), False, "h1_nonzero: expected False, got True"),
+        ("kvv-failure", ("expect", "not_globally_f_split"), False,
+         "not_globally_f_split: expected False, got True"),
+        ("kvv-failure", ("expect", "no_w2_liftable_log_resolution"), False,
+         "no_w2_liftable_log_resolution: expected False, got True"),
+        ("cone", ("expect", "r"), "5", "r: expected 5, got -1"),
+        ("cone", ("expect", "section_discrepancy"), "5", "section discrepancy: expected 5, got 0"),
+        ("cone", ("expect", "class_group_rank"), 5, "cone class group rank: expected 5, got 0"),
+        ("cone", ("expect", "class_group_torsion"), [2],
+         "cone class group torsion: expected [2], got [3, 3, 3]"),
+        ("cone", ("expect", "cm"), True, "Cohen-Macaulay: expected True, got False"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, path, value, text", WRONG, ids=[f"{k}:{p[-1]}" for k, p, _, _ in WRONG]
+    )
+    def test_wrong_value_adds_one_mismatch(self, kind, path, value, text):
+        raw = bundled_dict()
+        index = raw["checks"].index(check_of(raw, kind))
+        passing = run_scenario(parse_scenario(raw)).checks[index]
+        node = check_of(raw, kind)
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        report = run_scenario(parse_scenario(raw))
+        check = report.checks[index]
+        assert passing.mismatches == [] and check.mismatches == [text]
+        assert report.first_failure == f"{kind}: {text}"
+        assert list(check.details.items()) == list(passing.details.items())
+
+    @pytest.mark.parametrize("kind", sorted({w[0] for w in WRONG}))
+    def test_all_wrong_mismatches_keep_their_order(self, kind):
+        raw = bundled_dict()
+        index = raw["checks"].index(check_of(raw, kind))
+        for _, path, value, _ in (w for w in self.WRONG if w[0] == kind):
+            node = check_of(raw, kind)
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        check = run_scenario(parse_scenario(raw)).checks[index]
+        assert check.mismatches == [w[3] for w in self.WRONG if w[0] == kind]
+
+    def test_fractional_polarization_compares_a_missing_class_group(self):
+        raw = bundled_dict()
+        raw["divisors"]["A3"] = {n: str(F(v) / 3) for n, v in raw["divisors"]["A"].items()}
+        raw["checks"] = [{
+            "kind": "cone", "divisor": "A3", "certificate_m": -3,
+            "expect": {"r": "-3", "class_group_rank": 0, "class_group_torsion": [3, 3, 3]},
+        }]
+        (check,) = run_scenario(parse_scenario(raw)).checks
+        assert check.mismatches == [
+            "cone class group rank: expected 0, got None",
+            "cone class group torsion: expected [3, 3, 3], got None",
+        ]
+        assert check.details["class_group"] is None
+        assert (check.details["r"], check.details["section_discrepancy"]) == ("-3", "2")
+        assert list(check.details) == [
+            "r", "section_discrepancy", "q_gorenstein", "crepant_partial_resolution",
+            "class_group", "cm", "certificate_m", "klt_note",
+        ]
+
+    def test_omitted_census_is_not_compared(self):
+        raw = bundled_dict()
+        del check_of(raw, "singular-points")["expect"]
+        spec = next(s for s in parse_scenario(raw).specs if s["kind"] == "singular-points")
+        assert "expect" not in spec
+        report = run_scenario(parse_scenario(raw))
+        assert report.passed
+        check = next(c for c in report.checks if c.kind == "singular-points")
+        assert check.details["total"] == 7
+
+    def test_empty_census_expects_no_points(self):
+        raw = bundled_dict()
+        check_of(raw, "singular-points")["expect"] = []
+        report = run_scenario(parse_scenario(raw))
+        assert report.first_failure == (
+            "singular-points: singular point census: expected [], got [(3, 1, 4), (3, 2, 3)]"
+        )
+
+    def test_omitted_lists_stay_absent(self):
+        spec = parse_scenario({
+            "schema": "blowdown-scenario/1", "name": "bare", "base": "quadric",
+            "checks": [{"kind": "intersection-table"}, {"kind": "rank-one-positivity"}],
+        }).specs
+        assert spec == ({"kind": "intersection-table"}, {"kind": "rank-one-positivity"})
+
+
 class TestKvvOncePerRun:
     """The kvv-failure check and the cone's certificate share one vanishing-
     failure report per (divisor reference, multiple) in a run."""
