@@ -138,7 +138,14 @@ def scenario_digest(scenario: "Scenario") -> str:
     while the built-in hash takes about 0.1 ms more on a large document.  The
     bytes hashed, and so the digest, are the same.  A string holding a lone
     surrogate (the JSON escape ``"\\ud800"``) is not text and has no UTF-8
-    bytes: ScenarioError."""
+    bytes: ScenarioError.
+
+    A scenario that `load_scenario` or `bundled_scenario` made keeps the
+    digest they took (``_digest``), so its runs encode the document no more.
+    Any other scenario, such as one from `parse_scenario`, shares raw checks
+    its caller may still change, and is encoded again on every call."""
+    if scenario._digest is not None:
+        return scenario._digest
     try:
         payload = canonical_json(scenario._document()).encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -201,11 +208,12 @@ class Scenario(_Record):
     else a ``Fraction``; ``specs`` the checks parsed against ``CHECK_SCHEMAS``
     (``to_dict`` keeps the raw ``checks``).  ``_trial`` is the build
     ``load_scenario`` validated, which ``run_scenario`` takes instead of
-    building again, and ``_path`` the file it read, which starts the location
-    of a check's error; neither is part of the document."""
+    building again, ``_path`` the file it read, which starts the location
+    of a check's error, and ``_digest`` the `scenario_digest` it took; none
+    is part of the document."""
 
     _fields = ("name", "base", "curves", "blowups", "contraction", "divisors", "checks", "specs")
-    __slots__ = _fields + ("_trial", "_path")
+    __slots__ = _fields + ("_trial", "_path", "_digest")
     name: str
     base: str
     curves: tuple[tuple[str, tuple[int, ...]], ...]
@@ -221,6 +229,7 @@ class Scenario(_Record):
             setattr(self, f, value)
         self._trial: ScenarioRun | None = None
         self._path: str | None = None
+        self._digest: str | None = None
 
     def __setattr__(self, name: str, value: Any) -> None:
         if name in self._fields and hasattr(self, name):  # set once, by __init__ or a copy
@@ -557,7 +566,8 @@ def _parse_object(schema: dict) -> Callable:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and fully validate a scenario file (including a trial build)."""
+    """Parse and fully validate a scenario file: its digest, which finds a
+    lone surrogate before anything is built, then a trial build."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -568,6 +578,10 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: parse error: {exc}") from None
     scenario = parse_scenario(raw, where=path)
     try:
+        scenario._digest = scenario_digest(scenario)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    try:
         run = scenario.build()  # surfaces incidence-budget violations with locations
     except ScenarioError as exc:
         raise ScenarioError(f"{path}.{exc}") from None
@@ -575,12 +589,25 @@ def load_scenario(path: str) -> Scenario:
     return scenario
 
 
+#: The bundled scenario as the first `bundled_scenario` call parsed it.
+_bundled: Scenario | None = None
+
+
 def bundled_scenario() -> Scenario:
     """The bundled reference scenario, read by this module's own loader from
     the package's data directory (as ``pkgutil.get_data`` does, without
-    importing ``importlib.resources``, which costs about 24 ms and 4 MB)."""
-    path = os.path.join(os.path.dirname(__file__), "data", BUNDLED_SCENARIO)
-    return parse_scenario(json.loads(__loader__.get_data(path).decode("utf-8")))
+    importing ``importlib.resources``, which costs about 24 ms and 4 MB).
+
+    The first call reads, parses and digests the file.  Each call returns a
+    new `Scenario`, with its own ``_trial`` and ``_path``, that shares the
+    fields and the digest of that parse."""
+    global _bundled
+    if _bundled is None:
+        path = os.path.join(os.path.dirname(__file__), "data", BUNDLED_SCENARIO)
+        scenario = parse_scenario(json.loads(__loader__.get_data(path).decode("utf-8")))
+        scenario._digest = scenario_digest(scenario)
+        _bundled = scenario
+    return copy.copy(_bundled)
 
 
 # -- checks ---------------------------------------------------------------------
@@ -997,9 +1024,8 @@ def run_scenario(scenario: Scenario) -> Report:
     rank, pipeline abort, ...) counts as that check failing, not as invalid
     input: the scenario built fine, its mathematics did not.  A ScenarioError
     (a number too long to write) gains the check's location, after the file
-    path of a scenario that `load_scenario` read; one from `scenario_digest`
-    (a lone surrogate) gains that path.  The trial build of `load_scenario`,
-    if not yet used, is used instead of a new one."""
+    path of a scenario that `load_scenario` read.  The trial build of
+    `load_scenario`, if not yet used, is used instead of a new one."""
     run = scenario._trial or scenario.build()
     scenario._trial = None
     checks = []
@@ -1013,13 +1039,7 @@ def run_scenario(scenario: Scenario) -> Report:
             where = f"{scenario._path}." if scenario._path is not None else ""
             raise ScenarioError(f"{where}checks[{i}] ({kind}): {exc}") from None
         checks.append(CheckResult(kind, not mismatches, details, mismatches))
-    try:
-        digest = scenario_digest(scenario)
-    except ScenarioError as exc:
-        if scenario._path is None:
-            raise
-        raise ScenarioError(f"{scenario._path}: {exc}") from None
-    return Report(scenario.name, digest, checks)
+    return Report(scenario.name, scenario_digest(scenario), checks)
 
 
 def run_repro() -> Report:

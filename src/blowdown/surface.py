@@ -12,7 +12,9 @@ sound on a rational surface (torsion-free Picard group).
 
 Only the base block is stored, and classes are sparse: a *sparse class* is
 one dict ``{coordinate index: nonzero value}``, base coordinates included.
-No other module splits a class into base and exceptional parts.  A blow-up
+One other module splits a class into base and exceptional parts:
+`cohomology.verify_h0_anticanonical_zero` reads coordinates 0 and 1 of a
+quadric class as its bidegree and zeroes them.  A blow-up
 updates each incident curve in place (one entry added to its map, D.D and D.K
 adjusted) and the kept nonzero *exceptional parts* E(X, Y) = -sum X_c*Y_c
 (c exceptional) of the names' pairings: by -m_X*m_Y for incident X, Y, and

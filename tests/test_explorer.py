@@ -2,9 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import blowdown.explorer as explorer_module
 from blowdown import ClassGroupReport, GeometryError, SingClass, explore_frobenius
+from blowdown.cli import main
 from blowdown.explorer import (
     EXTRAPOLATED_PROVENANCE,
+    MAX_LATTICE_RANK,
     REFERENCE_PROVENANCE,
     frobenius_construction,
     tower_names,
@@ -87,6 +90,47 @@ def test_explore_parameter_validation():
         explore_frobenius(1, 3)
     with pytest.raises(GeometryError, match="n_points"):
         explore_frobenius(3, 0)
+
+
+class TestRankLimit:
+    """The rank 2 + n*p is checked before anything is built: no test here
+    builds a pair past the limit."""
+
+    class Built(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        def refuse():
+            raise self.Built
+
+        monkeypatch.setattr(explorer_module, "new_quadric", refuse)
+
+    @pytest.mark.parametrize("p, n", [(2, 100_000), (100_000, 2), (5, 40_000)])
+    def test_largest_rank_is_accepted(self, p, n):
+        assert 2 + n * p == MAX_LATTICE_RANK
+        with pytest.raises(self.Built):
+            frobenius_construction(p, n)
+
+    @pytest.mark.parametrize("p, n", [(2, 100_001), (3, 66_667), (99999999999999999999, 3)])
+    def test_past_the_limit_raises_with_the_estimate(self, p, n):
+        rank = 2 + n * p
+        message = (
+            f"(p, n_points) = ({p}, {n}) needs lattice rank 2 + n_points*p = {rank},"
+            f" past the limit {MAX_LATTICE_RANK}"
+        )
+        with pytest.raises(GeometryError) as info:
+            explore_frobenius(p, n)
+        assert str(info.value) == message
+
+    def test_cli_exits_two_with_one_line(self, capsys):
+        assert main(["explore", "--p", "99999999999999999999", "--points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: (p, n_points) = (99999999999999999999, 3) needs lattice rank"
+            f" 2 + n_points*p = 299999999999999999999, past the limit {MAX_LATTICE_RANK}\n"
+        )
 
 
 def closed_form_census(p, n):

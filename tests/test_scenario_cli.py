@@ -819,6 +819,70 @@ class TestBuildOnce:
         assert len(builds) == 2  # the trial build serves one run
 
 
+class TestParseAndDigestOnce:
+    """A loaded scenario is digested at load, and the bundled one is read,
+    parsed and digested once per process."""
+
+    PATH = TestBuildOnce.PATH
+
+    @pytest.fixture
+    def documents(self, monkeypatch):
+        calls = []
+        document = Scenario._document
+
+        def counted(scenario):
+            calls.append(scenario.name)
+            return document(scenario)
+
+        monkeypatch.setattr(Scenario, "_document", counted)
+        return calls
+
+    def test_loaded_scenario_writes_its_document_once(self, documents):
+        scenario = load_scenario(self.PATH)
+        golden = json.loads((DATA / BUNDLED_EXPECTED).read_text())["scenario"]["digest"]
+        assert [run_scenario(scenario).scenario_digest for _ in range(2)] == [golden] * 2
+        assert documents == ["keel-mckernan-p3"]
+
+    def test_lone_surrogate_found_before_any_build(self, tmp_path, monkeypatch):
+        builds = []
+        monkeypatch.setattr(Scenario, "build", lambda scenario: builds.append(scenario))
+        raw = bundled_dict()
+        raw["name"] = "\ud800"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(str(path))
+        message = "a string holds the lone surrogate '\\ud800', which is not text"
+        assert str(info.value) == f"{path}: {message}"
+        assert builds == []
+
+    def test_bundled_results_are_distinct_and_equal(self, monkeypatch, documents):
+        parses = []
+        parse = scenario_module.parse_scenario
+        monkeypatch.setattr(scenario_module, "_bundled", None)
+        monkeypatch.setattr(scenario_module, "parse_scenario", lambda raw: parses.append(1) or parse(raw))
+        first, second = bundled_scenario(), bundled_scenario()
+        assert (len(parses), len(documents)) == (1, 1)
+        assert first is not second and first == second
+        first._trial, first._path = first.build(), "here.json"
+        assert (second._trial, second._path) == (None, None)
+        assert bundled_scenario()._trial is None and bundled_scenario()._path is None
+
+    def test_changing_a_bundled_document_changes_no_later_one(self):
+        document = bundled_scenario().to_dict()
+        changed = bundled_scenario().to_dict()
+        changed["name"] = "other"
+        changed["checks"][0]["entries"].clear()
+        changed["divisors"].clear()
+        later = bundled_scenario()
+        assert later.to_dict() == document
+        assert scenario_digest(later) == scenario_digest(parse_scenario(document))
+
+    def test_repro_twice_gives_the_golden_bytes(self):
+        golden = (DATA / BUNDLED_EXPECTED).read_text()
+        assert [canonical_json(run_repro().to_dict()) for _ in range(2)] == [golden] * 2
+
+
 def _json_paths(node, prefix=()):
     """Paths into a JSON tree, the root excluded; beyond the checks, a list
     contributes its first two items only, so long tables do not crowd out
