@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GeometryError, NotContractibleError
-from .exactlin import PivotPass, SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
+from .exactlin import SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
 from .exactlin import invert, is_negative_definite  # noqa: F401 (unused; benchmarks/spans.py wraps them)
 from .surface import DivisorLike, QDivisor, SparseClass, SurfaceModel
 
@@ -144,22 +144,17 @@ class Contraction:
     goes from one end, its pivots its continuants.  A pullback is one forward
     pass and one back-substitution per block, linear in its filled entries.
 
-    The class group is the source lattice modulo the contracted classes, read
-    from their sparse rows M with a certified chain of steps:
-    `sparse_pivot_pass` gives U*M = A with U unimodular (checked as U*M = A
-    and U*U^-1 = I over the sparse rows) and A a triangular block of pivots
-    d_t, each dividing its row, above non-pivot rows that are zero on the
-    pivot columns; the self-validating `smith_normal_form` takes the small
-    remainder (0x1 across the explorer family); `divisor_chain` merges the
-    d_t with the remainder's factors by gcd/lcm exchanges, each checked by
-    its 2x2 Bezout pair.  Extra classes (the cone's polarization) are reduced
-    by the cached pass's pivot rows divided by their pivots (`PivotPass.split`),
-    and only that reduction is checked again.
+    The class group is the source lattice modulo the contracted classes and
+    any extra classes (the cone's polarization): one certified
+    `sparse_pivot_pass` over all their sparse rows, the self-validating
+    `smith_normal_form` of its remainder (the rows it leaves on the columns
+    they meet), and the checked `divisor_chain` of both, as described in
+    `blowdown.exactlin`.  Each call runs its own pass.
 
-    Two caches are filled lazily, on first use: that pivot pass, and for each
-    hashable rank-one witness W its correction W* = W + sum c_j G_j,
-    orthogonal to every contracted G_j, which gives
-    pullback(D).W = D.W* for D supported off the contracted curves."""
+    One cache is filled lazily: for each hashable rank-one witness W its
+    correction W* = W + sum c_j G_j, orthogonal to every contracted G_j,
+    which gives pullback(D).W = D.W* for D supported off the contracted
+    curves."""
 
     def __init__(self, model: SurfaceModel, curve_names: Iterable[str]):
         names = list(curve_names)
@@ -190,7 +185,6 @@ class Contraction:
             self._blocks.append((block, *eliminated))
         self.source = model
         self.contracted = tuple(names)
-        self._pass: PivotPass | None = None
         self._witnesses: dict[object, tuple[SparseClass, int]] = {}
 
     @property
@@ -316,9 +310,9 @@ class Contraction:
 
     def class_group(self, extra_classes: Sequence[Sequence[int]] = ()) -> ClassGroupReport:
         """Quotient of the source lattice by the contracted classes (plus any
-        extra integral classes of length ``source.rank``), via the certified
-        pivot pass, the Smith normal form of its remainder and the divisor
-        chain of both (see the class docstring)."""
+        extra integral classes of length ``source.rank``), via one certified
+        pivot pass over all of them, the Smith normal form of its remainder
+        and the divisor chain of both (see the class docstring)."""
         rank = self.source.rank
         extra = []
         for cls in extra_classes:
@@ -327,9 +321,7 @@ class Contraction:
             if any(x != int(x) for x in cls):
                 raise GeometryError(f"extra class {list(cls)} is not integral")
             extra.append({j: int(x) for j, x in enumerate(cls) if x})
-        if self._pass is None:
-            self._pass = sparse_pivot_pass(self._classes, rank)
-        factors, rest = self._pass.split(extra)
+        factors, rest = sparse_pivot_pass(self._classes + extra, rank).split()
         factors = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
         return ClassGroupReport(rank - len(factors), tuple(x for x in factors if x > 1))
 

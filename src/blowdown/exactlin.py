@@ -4,8 +4,12 @@ Everything in this module (and the package) is exact: rational entries are
 `fractions.Fraction`, integer entries are arbitrary-precision `int`.  There is
 no floating point and no tolerance anywhere; equality checks are bit-exact.
 
-One fraction-free (Bareiss 1968) forward elimination, `_eliminate`, serves
-every square-matrix question.  Rational input is first scaled by one common
+`_eliminate`, one dense fraction-free (Bareiss 1968) forward elimination,
+serves the dense square-matrix tools (`determinant`, `is_negative_definite`,
+`signature`, `solve_linear`, `invert`) and `IntMatrix.determinant`, which
+checks unimodularity in `_validate_snf` and `_exchange`.  The contraction runs
+none of them: each contracted block has its own sparse elimination in
+`blowdown.contraction`.  Rational input is first scaled by one common
 positive denominator L, which keeps symmetry and inertia and gives
 det(g) = det(L*g) / L**n.  Its pivots are the leading principal minors, so
 they give the determinant (the last pivot), negative definiteness
@@ -13,9 +17,9 @@ they give the determinant (the last pivot), negative definiteness
 carried right-hand columns and one back-substitution give `solve_linear` and
 `invert`.
 
-Integer eliminations give divisor class groups, the quotient of Z^n by the
-rows of M, and each step checks its own result, so a bug raises rather than
-giving a wrong group:
+Class groups, the quotient of Z^n by the rows of M, come from two integer
+eliminations and a merge, and each step checks its own result, so a bug
+raises rather than giving a wrong group:
 
 * `sparse_pivot_pass` eliminates, on the sparse rows of M, every pivot that
   divides its row and its column (every +-1 is one), in an approximate
@@ -23,9 +27,10 @@ giving a wrong group:
   U*M = A and U*U^-1 = I over the sparse rows, so |det U| = 1 without a
   determinant; the pivot rows form a triangular block with d_t on its
   diagonal and d_t divides its row; every non-pivot row is zero on the pivot
-  columns.  So M is equivalent to diag(d_t) plus the remainder.  `PivotPass.split` gives the
-  factors and the remainder, and reduces extra rows (a quotient by further
-  classes) by the pivot rows divided by their pivots, checking x = y*W.
+  columns.  So M is equivalent to diag(d_t) plus the non-pivot rows on the
+  other columns.  `PivotPass.split` gives the |d_t| and, as the remainder,
+  the nonzero non-pivot rows on the columns they meet; every other column
+  is a free summand.
 * `smith_normal_form` takes the remainder, which is small: one loop that
   swaps the smallest nonzero entry of the trailing block to the corner,
   reduces its row and column by it, and folds in a row the pivot does not
@@ -391,54 +396,22 @@ class PivotPass(NamedTuple):
     diagonal).
     """
 
-    ncols: int
     matrix: tuple[SparseRow, ...]
     rows: tuple[SparseRow, ...]
     u: tuple[SparseRow, ...]
     u_inverse: tuple[SparseRow, ...]
     pivots: tuple[tuple[int, int], ...]
 
-    def split(self, extra: Sequence[SparseRow] = ()) -> tuple[tuple[int, ...], IntMatrix]:
-        """(factors, remainder) with M, plus the `extra` rows below it,
-        equivalent to diag(factors) + remainder.
-
-        An extra row x is reduced by the pivot rows divided by their pivots,
-        in pivot order, keeping the coefficient y_t taken at each: checked,
-        x = sum y_t*A[row_t]/d_t + z with z zero on the pivot columns, so x is
-        the row (y, z) times W.  A pivot whose y_t is a multiple of d_t in
-        every extra row stands alone as the factor |d_t|; any other adds the
-        row d_t on its column, and that column, to the remainder.  The
-        remainder's rows are the nonzero non-pivot rows of A and then the
-        reduced extra rows.
-        """
-        pivot_columns = {c for _, c in self.pivots}
-        reduced = []
-        for x in extra:
-            if any(not 0 <= j < self.ncols for j in x):
-                raise ValueError(f"column index outside 0..{self.ncols - 1}")
-            z, y, check = {j: v for j, v in x.items() if v}, {}, {}
-            for p, c in self.pivots:
-                if v := z.get(c):
-                    d = self.rows[p][c]
-                    scaled = {j: a // d for j, a in self.rows[p].items()}
-                    _subtract(z, v, scaled)
-                    _subtract(check, -v, scaled)
-                    y[c] = v
-            _subtract(check, -1, z)
-            if check != {j: v for j, v in x.items() if v} or not pivot_columns.isdisjoint(z):
-                raise AssertionError("extra row is not its reduction times W")
-            reduced.append({**z, **y})
-        alone = [
-            (p, c) for p, c in self.pivots
-            if all(row.get(c, 0) % self.rows[p][c] == 0 for row in reduced)
-        ]
-        kept = {c for _, c in alone}
+    def split(self) -> tuple[tuple[int, ...], IntMatrix]:
+        """(factors, remainder) with M equivalent to diag(factors) plus the
+        remainder plus zero columns: the factors are the |d_t|, and the
+        remainder is the nonzero non-pivot rows of A on the columns they meet.
+        Every other column is a free summand of the quotient Z^n / M."""
         done = {p for p, _ in self.pivots}
-        cols = [j for j in range(self.ncols) if j not in kept]
         rows = [row for i, row in enumerate(self.rows) if row and i not in done]
-        rows += [{c: self.rows[p][c]} for p, c in self.pivots if c not in kept]
-        dense = [[row.get(j, 0) for j in cols] for row in rows + reduced]
-        factors = tuple(abs(self.rows[p][c]) for p, c in alone)
+        cols = sorted({j for row in rows for j in row})
+        dense = [[row.get(j, 0) for j in cols] for row in rows]
+        factors = tuple(abs(self.rows[p][c]) for p, c in self.pivots)
         return factors, IntMatrix(len(dense), len(cols), tuple(x for row in dense for x in row))
 
 
@@ -498,7 +471,7 @@ def sparse_pivot_pass(rows: Sequence[SparseRow], ncols: int) -> PivotPass:
                         live[j].discard(i)
                 _subtract(u[i], q, u[p])
                 u_inverse[i][p] = q
-    result = PivotPass(ncols, matrix, tuple(a), tuple(u), tuple(u_inverse), tuple(pivots))
+    result = PivotPass(matrix, tuple(a), tuple(u), tuple(u_inverse), tuple(pivots))
     _certify_pivot_pass(result)
     return result
 

@@ -71,19 +71,40 @@ class Construction(NamedTuple):
         return names
 
 
-def frobenius_construction(p: int, n_points: int) -> Construction:
-    """Build the blown-up quadric for parameters (p, n_points); GeometryError
-    before building anything if its rank passes `MAX_LATTICE_RANK`."""
+def _shown(x: object, show=repr) -> str:
+    """show(x), or its type for an int past the interpreter's int-to-str
+    digit limit (or a value holding one), which neither repr nor str writes."""
+    try:
+        return show(x)
+    except ValueError:
+        return f"<{type(x).__name__} too large to print>"
+
+
+def _check_parameters(p: int, n_points: int) -> None:
+    """GeometryError for an invalid (p, n_points) or one whose lattice rank
+    2 + n_points*p passes `MAX_LATTICE_RANK`."""
     if not isinstance(p, int) or p < 2:
-        raise GeometryError(f"p must be an integer >= 2, got {p!r}")
+        raise GeometryError(f"p must be an integer >= 2, got {_shown(p)}")
     if not isinstance(n_points, int) or n_points < 1:
-        raise GeometryError(f"n_points must be an integer >= 1, got {n_points!r}")
+        raise GeometryError(f"n_points must be an integer >= 1, got {_shown(n_points)}")
     rank = 2 + n_points * p
     if rank > MAX_LATTICE_RANK:
         raise GeometryError(
-            f"(p, n_points) = ({p}, {n_points}) needs lattice rank 2 + n_points*p = {rank},"
-            f" past the limit {MAX_LATTICE_RANK}"
+            f"(p, n_points) = ({_shown(p, str)}, {_shown(n_points, str)}) needs lattice rank"
+            f" 2 + n_points*p = {_shown(rank, str)}, past the limit {MAX_LATTICE_RANK}"
         )
+
+
+def _curve_square(p: int, n_points: int) -> int:
+    """C^2 = p*(2 - n_points) for the curve C of class (1, p), C^2 = 2p,
+    which passes through all n_points*p blown-up points once."""
+    return p * (2 - n_points)
+
+
+def frobenius_construction(p: int, n_points: int) -> Construction:
+    """Build the blown-up quadric for parameters (p, n_points); GeometryError
+    before building anything if its rank passes `MAX_LATTICE_RANK`."""
+    _check_parameters(p, n_points)
     model = new_quadric()
     model.declare_curve("C", (1, p))
     fibers = []
@@ -119,14 +140,15 @@ class ExplorationReport(NamedTuple):
 
 
 def explore_frobenius(p: int, n_points: int) -> ExplorationReport:
-    """Build, contract, and assess the (p, n_points) surface."""
-    construction = frobenius_construction(p, n_points)
-    model = construction.model
-    c_squared = model.intersect("C", "C")
-    if c_squared >= 0:
+    """Build, contract, and assess the (p, n_points) surface; GeometryError
+    before building anything unless C^2 < 0, that is n_points >= 3."""
+    _check_parameters(p, n_points)
+    if (c_squared := _curve_square(p, n_points)) >= 0:
         raise GeometryError(
             f"C not contractible (C^2 = {c_squared} >= 0); need n_points >= 3"
         )
+    construction = frobenius_construction(p, n_points)
+    model = construction.model
     con = contract(model, construction.contracted_names)
     k_target = con.pushforward(model.canonical_divisor())
     degree = -con.degree_against(k_target)

@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from blowdown import (
     new_quadric,
     solve_linear,
 )
+from blowdown.exactlin import smith_normal_form
 
 
 def star_model(arms, centre_square=-2):
@@ -346,6 +348,52 @@ def test_class_group_single_blow_down():
     m.blow_up("E")
     group = contract(m, ["E"]).class_group()
     assert group == ClassGroupReport(rank=2, torsion=())
+
+
+def pairwise_block(curves, private):
+    """``curves`` curves of class (1, 1) on the quadric, blown up at one shared
+    point for each pair and at ``private`` points of each curve alone: one
+    negative definite block in which every two curves meet."""
+    m = new_quadric()
+    names = [f"D{i}" for i in range(curves)]
+    for name in names:
+        m.declare_curve(name, (1, 1))
+    for a, b in itertools.combinations(names, 2):
+        m.blow_up(f"P{a}{b}", [(a, 1), (b, 1)])
+    for name in names:
+        for k in range(private):
+            m.blow_up(f"Q{name}x{k}", [(name, 1)])
+    return m, names
+
+
+def plain_blow_ups(count):
+    m = new_quadric()
+    for i in range(count):
+        m.blow_up(f"E{i}")
+    return m
+
+
+@pytest.mark.parametrize(
+    "group, expected",
+    [
+        (lambda: contract(plain_blow_ups(1200), []).class_group(), (1202, ())),
+        (lambda: contract(*pairwise_block(25, 40)).class_group(), (1277, ())),
+        (lambda: contract(plain_blow_ups(400), []).class_group([[1] * 402]), (401, ())),
+    ],
+    ids=["empty-rank-1202", "pairwise-block-rank-1302", "dense-extra-rank-402"],
+)
+def test_smith_form_sees_only_the_columns_its_rows_meet(monkeypatch, group, expected):
+    # every column the pivot pass leaves untouched is a free summand, so the
+    # Smith normal form of these three gets no column at all
+    widths = []
+
+    def recording(m):
+        widths.append(m.cols)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr("blowdown.contraction.smith_normal_form", recording)
+    assert group() == ClassGroupReport(*expected)
+    assert widths == [0]
 
 
 class TestClassGroupExtraClasses:

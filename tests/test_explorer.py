@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from blowdown.explorer import (
     EXTRAPOLATED_PROVENANCE,
     MAX_LATTICE_RANK,
     REFERENCE_PROVENANCE,
+    _curve_square,
     frobenius_construction,
     tower_names,
 )
@@ -85,6 +87,22 @@ def test_explore_too_few_points():
         explore_frobenius(5, 1)
 
 
+def test_too_few_points_are_refused_before_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(explorer_module, "frobenius_construction", lambda *args: calls.append(args))
+    for p, n, square in [(3, 2, 0), (5, 1, 5), (50_000, 2, 0)]:
+        with pytest.raises(GeometryError) as info:
+            explore_frobenius(p, n)
+        assert str(info.value) == f"C not contractible (C^2 = {square} >= 0); need n_points >= 3"
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_curve_square_closed_form(p, n):
+    assert _curve_square(p, n) == frobenius_construction(p, n).model.intersect("C", "C")
+
+
 def test_explore_parameter_validation():
     with pytest.raises(GeometryError, match="p must be"):
         explore_frobenius(1, 3)
@@ -121,6 +139,24 @@ class TestRankLimit:
         )
         with pytest.raises(GeometryError) as info:
             explore_frobenius(p, n)
+        assert str(info.value) == message
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no int-to-str digit limit in this interpreter")
+    @pytest.mark.parametrize(
+        "p, n, message",
+        [
+            (10**5000, 3, "(p, n_points) = (<int too large to print>, 3) needs lattice rank"
+                          " 2 + n_points*p = <int too large to print>, past the limit 200002"),
+            (-10**5000, 3, "p must be an integer >= 2, got <int too large to print>"),
+            (3, 10**5000, "(p, n_points) = (3, <int too large to print>) needs lattice rank"
+                          " 2 + n_points*p = <int too large to print>, past the limit 200002"),
+        ],
+        ids=["huge-p", "huge-negative-p", "huge-n"],
+    )
+    def test_integers_past_the_digit_limit_raise_geometry_error(self, p, n, message):
+        with pytest.raises(GeometryError) as info:
+            frobenius_construction(p, n)
         assert str(info.value) == message
 
     def test_cli_exits_two_with_one_line(self, capsys):

@@ -848,7 +848,8 @@ def _sympy_class_group(rows, ncols):
 def test_explorer_pullback_and_class_group_at_scale(p, n):
     """The explorer family far past the reference scenario: the pullbacks of
     K and of a surviving divisor are orthogonal to every contracted curve,
-    pullback is linear, and the class group matches sympy's Smith normal form."""
+    pullback is linear, and the class group, alone and modulo the integral
+    class p times the surviving divisor, matches sympy's Smith normal form."""
     report = explore_frobenius(p, n)
     con, model = report.contraction, report.construction.model
     k_target = con.pushforward(model.canonical_divisor())
@@ -859,6 +860,8 @@ def test_explorer_pullback_and_class_group_at_scale(p, n):
     assert con.pullback(k_target + survivor.scaled(3)) == k_pullback + s_pullback.scaled(3)
     rows = [model.prime_divisors[c].class_vector for c in con.contracted]
     assert con.class_group() == _sympy_class_group(rows, model.rank)
+    cls = [int(x) for x in model.total_class(survivor.scaled(p))]
+    assert con.class_group([cls]) == _sympy_class_group(rows + [cls], model.rank)
 
 
 @st.composite
@@ -936,9 +939,13 @@ class TestSparsePivotPass:
     @settings(max_examples=300, deadline=None)
     def test_matches_sympy(self, case):
         rows, extra, ncols = case
-        pp = sparse_pivot_pass(_sparse(rows), ncols)
-        factors, rest = pp.split(_sparse(extra))
-        assert rest.cols == ncols - len(factors)
+        pp = sparse_pivot_pass(_sparse(rows + extra), ncols)
+        factors, rest = pp.split()
+        # the remainder is the nonzero non-pivot rows on exactly the columns they meet
+        pivot_rows = {i for i, _ in pp.pivots}
+        left = [row for i, row in enumerate(pp.rows) if row and i not in pivot_rows]
+        assert (rest.rows, rest.cols) == (len(left), len({j for row in left for j in row}))
+        assert all(any(rest[i, j] for i in range(rest.rows)) for j in range(rest.cols))
         ours = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
         full = rows + extra
         theirs = () if not full or not ncols else tuple(sorted(
@@ -972,7 +979,7 @@ class TestSparsePivotPass:
         pp = self._reference_pass(ref)
         factors, rest = pp.split()
         assert sorted(factors) == [1] * 7 + [3] * 3
-        assert (rest.rows, rest.cols) == (0, 1)
+        assert (rest.rows, rest.cols) == (0, 0)
 
     @pytest.mark.parametrize(
         "tamper, message",

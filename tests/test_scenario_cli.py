@@ -764,6 +764,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_run_class_group_of_1200_plain_blow_ups(self, tmp_path):
+        # nothing contracted at rank 1202: every column is a free summand
+        raw = {
+            "schema": "blowdown-scenario/1", "name": "plain-1200", "base": "quadric",
+            "blowups": [{"name": f"E{i}"} for i in range(1, 1201)],
+            "checks": [{"kind": "rank-one-positivity", "expect_class_group": {"rank": 1202}}],
+        }
+        assert run_cli(raw, tmp_path) == 0
+
     def test_explore_reference(self, capsys):
         assert main(["explore", "--p", "3", "--points", "3"]) == 0
         out = capsys.readouterr().out
