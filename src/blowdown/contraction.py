@@ -318,7 +318,7 @@ class Contraction:
         for cls in extra_classes:
             if len(cls) != rank:
                 raise GeometryError(f"extra class of length {len(cls)} on a rank-{rank} lattice")
-            if any(x != int(x) for x in cls):
+            if any(x % 1 for x in cls):  # nonzero, or nan for nan and inf
                 raise GeometryError(f"extra class {list(cls)} is not integral")
             extra.append({j: int(x) for j, x in enumerate(cls) if x})
         factors, rest = sparse_pivot_pass(self._classes + extra, rank).split()

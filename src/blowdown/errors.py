@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""The package's shared exceptions and record base."""
 
 
 class GeometryError(ValueError):
@@ -19,3 +19,39 @@ class LerayHypothesisError(GeometryError):
 
 class ScenarioError(ValueError):
     """A scenario file is malformed or references unknown names."""
+
+
+class _Record:
+    """``==`` field by field between records of one type, and the repr
+    ``Name(field=value, ...)``, over the names in ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A `_Record` whose fields are set once (by ``__init__``, a copy or an
+    unpickling), never deleted and hashed; its other slots are ordinary."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in self._fields and hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())

@@ -7,15 +7,14 @@ no floating point and no tolerance anywhere; equality checks are bit-exact.
 `_eliminate`, one dense fraction-free (Bareiss 1968) forward elimination,
 serves the dense square-matrix tools (`determinant`, `is_negative_definite`,
 `signature`, `solve_linear`, `invert`) and `IntMatrix.determinant`, which
-checks unimodularity in `_validate_snf` and `_exchange`.  The contraction runs
-none of them: each contracted block has its own sparse elimination in
-`blowdown.contraction`.  Rational input is first scaled by one common
-positive denominator L, which keeps symmetry and inertia and gives
-det(g) = det(L*g) / L**n.  Its pivots are the leading principal minors, so
-they give the determinant (the last pivot), negative definiteness
-(Sylvester) and inertia (Jacobi: sign changes between consecutive minors);
-carried right-hand columns and one back-substitution give `solve_linear` and
-`invert`.
+checks unimodularity in `_validate_snf`.  The contraction runs none of them:
+each contracted block has its own sparse elimination in `blowdown.contraction`.
+Rational input is first scaled by one common positive denominator L, which
+keeps symmetry and inertia and gives det(g) = det(L*g) / L**n.  Its pivots are
+the leading principal minors, so they give the determinant (the last pivot),
+negative definiteness (Sylvester) and inertia (Jacobi: sign changes between
+consecutive minors); carried right-hand columns and one back-substitution give
+`solve_linear` and `invert`.
 
 Class groups, the quotient of Z^n by the rows of M, come from two integer
 eliminations and a merge, and each step checks its own result, so a bug
@@ -37,8 +36,8 @@ raises rather than giving a wrong group:
   divide; `_validate_snf` checks U*M*V = D with both determinants +-1 and the
   divisor chain.  It also serves direct callers, with its U and V.
 * `divisor_chain` merges the factors of both into divisor-chain form by
-  gcd/lcm exchanges, each checked by its 2x2 Bezout pair:
-  U*diag(a, b)*V = diag(gcd, lcm) with det U = det V = 1.
+  gcd/lcm exchanges, each checked in integers: x*a + y*b = g with g > 0
+  dividing a and b implies U*diag(a, b)*V = diag(g, lcm), det U = det V = 1.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, _Frozen
 
 RationalLike = int | Fraction
 
@@ -57,8 +56,9 @@ def _square(
 ) -> list[list[Fraction]]:
     rows = [[Fraction(x) for x in row] for row in g]
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError(f"matrix is not square: {n} rows of length {len(rows[0])}")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"matrix is not square: {n} rows, row {i} of length {len(row)}")
     if symmetric:
         for i in range(n):
             for j in range(i + 1, n):
@@ -198,10 +198,10 @@ def signature(g: Sequence[Sequence[RationalLike]]) -> tuple[int, int, int]:
     return len(signs) - minus, minus, len(pivots) - len(signs)
 
 
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Immutable integer matrix, entries in row-major order."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
         if rows < 0 or cols < 0:
@@ -213,25 +213,6 @@ class IntMatrix:
         if not all(isinstance(e, int) for e in entries):
             raise ValueError("entries must be integers")
         self.rows, self.cols, self.entries = rows, cols, entries
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if hasattr(self, name):  # each field is set once, by __init__ or a copy
-            raise AttributeError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -511,9 +492,9 @@ def divisor_chain(factors: Sequence[int]) -> tuple[int, ...]:
     """The nonzero invariant factors of diag(factors), in divisor-chain form.
 
     Sorted by size, then each pair a, b with a not dividing b (a earlier) is
-    exchanged for gcd, lcm: Z/a + Z/b = Z/gcd + Z/lcm.  Each exchange is
-    checked by its 2x2 Bezout pair: U*diag(a, b)*V = diag(gcd, lcm) with
-    det U = det V = 1.
+    exchanged for gcd, lcm: Z/a + Z/b = Z/gcd + Z/lcm.  Each exchange checks
+    x*a + y*b = g with g > 0 dividing a and b, which implies the Bezout pair
+    U*diag(a, b)*V = diag(g, lcm) with det U = det V = 1 (see `_exchange`).
     """
     f = sorted(abs(x) for x in factors if x)
     if all(b % a == 0 for a, b in zip(f, f[1:])):  # already a chain: nothing to exchange
@@ -526,19 +507,16 @@ def divisor_chain(factors: Sequence[int]) -> tuple[int, ...]:
 
 
 def _exchange(a: int, b: int) -> tuple[int, int]:
-    """(gcd, lcm) of a, b > 0 from x*a + y*b = g (extended Euclid), checked."""
-    (r, x, y), (r1, x1, y1) = (a, 1, 0), (b, 0, 1)
-    while r1:
-        q = r // r1
-        (r, x, y), (r1, x1, y1) = (r1, x1, y1), (r - q * r1, x - q * x1, y - q * y1)
-    g, lcm = r, a // r * b
-    u = IntMatrix.from_rows([[x, y], [-b // g, a // g]])
-    v = IntMatrix.from_rows([[1, -y * b // g], [1, x * a // g]])
-    if (u @ IntMatrix.from_rows([[a, 0], [0, b]]) @ v).entries != (g, 0, 0, lcm):
-        raise AssertionError("gcd/lcm exchange: U*diag(a, b)*V != diag(gcd, lcm)")
-    if u.determinant() != 1 or v.determinant() != 1:
-        raise AssertionError("gcd/lcm exchange is not unimodular")
-    return g, lcm
+    """(gcd, lcm) of a, b > 0 from x*a + y*b = g (extended Euclid), checked: with
+    g > 0 dividing a and b, U = [[x, y], [-b/g, a/g]] and V = [[1, -y*b/g],
+    [1, x*a/g]] are integral, det U = det V = 1 and U*diag(a, b)*V = diag(g, lcm)."""
+    (g, x, y), (r, x1, y1) = (a, 1, 0), (b, 0, 1)
+    while r:
+        q = g // r
+        (g, x, y), (r, x1, y1) = (r, x1, y1), (g - q * r, x - q * x1, y - q * y1)
+    if not (g > 0 and x * a + y * b == g and a % g == 0 and b % g == 0):
+        raise AssertionError("gcd/lcm exchange: x*a + y*b != g or g does not divide a and b")
+    return g, a // g * b
 
 
 def _validate_snf(m: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:

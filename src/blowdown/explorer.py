@@ -83,9 +83,9 @@ def _shown(x: object, show=repr) -> str:
 def _check_parameters(p: int, n_points: int) -> None:
     """GeometryError for an invalid (p, n_points) or one whose lattice rank
     2 + n_points*p passes `MAX_LATTICE_RANK`."""
-    if not isinstance(p, int) or p < 2:
+    if type(p) is not int or p < 2:  # a bool is no parameter
         raise GeometryError(f"p must be an integer >= 2, got {_shown(p)}")
-    if not isinstance(n_points, int) or n_points < 1:
+    if type(n_points) is not int or n_points < 1:
         raise GeometryError(f"n_points must be an integer >= 1, got {_shown(n_points)}")
     rank = 2 + n_points * p
     if rank > MAX_LATTICE_RANK:

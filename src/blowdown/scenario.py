@@ -31,11 +31,12 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, NoReturn
 
+from . import explorer
 from .cohomology import KvvFailureReport, verify_h0_anticanonical_zero, verify_kvv_failure
 from .cone import build_cone, local_cohomology_certificate
 from .contraction import Contraction, SingClass, contract, singular_point_census
-from .errors import GeometryError, ScenarioError
-from .surface import PLANE, QUADRIC, QDivisor, SparseClass, SurfaceModel, new_plane, new_quadric
+from .errors import GeometryError, ScenarioError, _Frozen, _Record
+from .surface import BASES, PLANE, QUADRIC, QDivisor, SparseClass, SurfaceModel, new_plane, new_quadric
 
 SCENARIO_SCHEMA = "blowdown-scenario/1"
 REPORT_SCHEMA = "blowdown-report/1"
@@ -181,25 +182,7 @@ def _text(value: Any) -> str:
 # -- scenario data -------------------------------------------------------------
 
 
-class _Record:
-    """``==`` field by field between records of one type, and the repr
-    ``Name(field=value, ...)``, over the names in ``_fields``."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class Scenario(_Record):
+class Scenario(_Frozen):
     """A parsed scenario document; its fields cannot be reassigned, and it
     compares by them alone.  It hashes by them only while it has no check:
     ``hash()`` raises TypeError otherwise, because the raw ``checks`` are dicts.
@@ -230,17 +213,6 @@ class Scenario(_Record):
         self._trial: ScenarioRun | None = None
         self._path: str | None = None
         self._digest: str | None = None
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in self._fields and hasattr(self, name):  # set once, by __init__ or a copy
-            raise AttributeError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def to_dict(self) -> dict:
         """The scenario document; its checks are copies the caller may change."""
@@ -346,11 +318,16 @@ class ScenarioRun(_Record):
 
 def parse_scenario(raw: Any, where: str = "scenario") -> Scenario:
     """Parse a scenario document against `DOCUMENT_SCHEMA`; every error's
-    location starts with ``where``."""
+    location starts with ``where``.  A lattice rank (base rank plus blow-ups)
+    past `explorer.MAX_LATTICE_RANK` is refused before anything is built."""
     try:
         doc = _parse_document(raw, {CURVE: set(), REF: {"K"}})
     except _Invalid as exc:
         raise ScenarioError(f"{where}{''.join(reversed(exc.path))}: {exc.message}") from None
+    base_rank, blowups = len(BASES[doc["base"]][0]), len(doc.get("blowups", ()))
+    if base_rank + blowups > explorer.MAX_LATTICE_RANK:
+        raise ScenarioError(f"{where}.blowups: lattice rank {base_rank} + {blowups} blow-ups ="
+                            f" {base_rank + blowups}, past the limit {explorer.MAX_LATTICE_RANK}")
     return Scenario(
         name=doc["name"],
         base=doc["base"],

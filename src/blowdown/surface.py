@@ -97,6 +97,14 @@ class PrimeDivisor:
 _ZERO = Fraction(0)
 
 
+def _fraction(x: int | Fraction | str) -> Fraction:
+    """Fraction(x); GeometryError for what it cannot convert (nan, an infinity)."""
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError):
+        raise GeometryError(f"{x!r} is not a finite rational") from None
+
+
 class QDivisor:
     """Formal rational combination of named prime divisors, plus an integral
     residual lattice class for divisors (like the canonical class) that have
@@ -110,12 +118,12 @@ class QDivisor:
 
     def __init__(self, named: Mapping[str, int | Fraction | str] | None = None,
                  residual: Sequence[int] | None = None):
-        coeffs = {n: c if type(c) is Fraction else Fraction(c) for n, c in (named or {}).items()}
+        coeffs = {n: c if type(c) is Fraction else _fraction(c) for n, c in (named or {}).items()}
         self.named: dict[str, Fraction] = {name: c for name, c in coeffs.items() if c}
         if residual is not None:
             residual = tuple(residual)
             if {*map(type, residual)} - {int}:  # an all-int residual is kept as it is
-                if any(x != int(x) for x in residual):
+                if any(x % 1 for x in residual):  # nonzero, or nan for nan and inf
                     raise GeometryError("residual class must be integral")
                 residual = tuple(map(int, residual))
         self.residual = residual
@@ -156,7 +164,7 @@ class QDivisor:
 
     def scaled(self, s: int | Fraction) -> "QDivisor":
         """``s`` times the divisor; the residual must stay integral."""
-        s = Fraction(s)
+        s = _fraction(s)
         res = None if self.residual is None else [s * x for x in self.residual]
         return QDivisor({n: s * c for n, c in self.named.items()}, res)
 
@@ -215,7 +223,7 @@ class SurfaceModel:
         i, negative, exc_square, k_degree = -1, False, 0, 0
         for i, x in enumerate(class_vector):
             if type(x) is not int:
-                if x != int(x):
+                if x % 1:  # nonzero, or nan for nan and inf
                     raise GeometryError("curve classes are integral lattice vectors")
                 x = int(x)
             if not x:
@@ -340,7 +348,7 @@ class SurfaceModel:
                 for i, x in self.sparse_class(name).items():
                     cls[i] = cls.get(i, 0) + c * x
             return {i: x for i, x in cls.items() if x}
-        vec = [x if type(x) is int else Fraction(x) for x in d]
+        vec = [x if type(x) is int else _fraction(x) for x in d]
         if len(vec) != self.rank:
             raise GeometryError(f"class vector of length {len(vec)} on a rank-{self.rank} lattice")
         return {i: x for i, x in enumerate(vec) if x}

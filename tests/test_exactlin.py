@@ -47,6 +47,21 @@ def test_solve_shape_errors():
         solve_linear([[1, 0], [0, 1]], [1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2], [3]], "matrix is not square: 2 rows, row 1 of length 1"),
+        ([[1], [2, 3]], "matrix is not square: 2 rows, row 0 of length 1"),
+        ([[1, 2, 3], [4, 5, 6]], "matrix is not square: 2 rows, row 0 of length 3"),
+    ],
+    ids=["short-last-row", "short-first-row", "wide"],
+)
+def test_not_square_names_the_first_row_of_another_length(rows, message):
+    with pytest.raises(ValueError) as info:
+        solve_linear(rows, [1, 2])
+    assert str(info.value) == message
+
+
 def test_invert_round_trip():
     g = [[-2, 1], [1, -2]]
     inv = invert(g)

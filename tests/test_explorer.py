@@ -110,6 +110,22 @@ def test_explore_parameter_validation():
         explore_frobenius(3, 0)
 
 
+@pytest.mark.parametrize("build", [explore_frobenius, frobenius_construction])
+@pytest.mark.parametrize(
+    "p, n, message",
+    [
+        (3, True, "n_points must be an integer >= 1, got True"),
+        (True, 3, "p must be an integer >= 2, got True"),
+    ],
+    ids=["n", "p"],
+)
+def test_bool_parameters_are_refused(build, p, n, message):
+    # True == 1 as an int, but a flag is no point count: (3, True) used to build
+    with pytest.raises(GeometryError) as info:
+        build(p, n)
+    assert str(info.value) == message
+
+
 class TestRankLimit:
     """The rank 2 + n*p is checked before anything is built: no test here
     builds a pair past the limit."""

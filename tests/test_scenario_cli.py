@@ -773,6 +773,39 @@ class TestCli:
         }
         assert run_cli(raw, tmp_path) == 0
 
+    @pytest.mark.parametrize("base, blowups", [("quadric", 4), ("plane", 5)])
+    def test_lattice_rank_past_the_limit_exits_two(self, tmp_path, capsys, monkeypatch, base, blowups):
+        # a small limit stands in for MAX_LATTICE_RANK: the refusal reads only
+        # the base rank and the number of blow-ups, so nothing large is built
+        monkeypatch.setattr("blowdown.explorer.MAX_LATTICE_RANK", 5)
+        raw = {"schema": "blowdown-scenario/1", "name": "many", "base": base,
+               "blowups": [{"name": f"E{i}"} for i in range(1, blowups + 1)]}
+        assert run_cli({**raw, "blowups": raw["blowups"][:-1]}, tmp_path) == 0  # rank 5
+        capsys.readouterr()
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        base_rank = 6 - blowups
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}.blowups: lattice rank {base_rank} + {blowups} blow-ups = 6,"
+            " past the limit 5\n"
+        )
+
+    def test_lattice_rank_is_refused_before_the_digest(self, tmp_path, monkeypatch):
+        def digest(scenario):
+            raise AssertionError("digested")
+
+        monkeypatch.setattr("blowdown.explorer.MAX_LATTICE_RANK", 10)
+        monkeypatch.setattr(scenario_module, "scenario_digest", digest)
+        path = tmp_path / "bundled.json"
+        path.write_text(json.dumps(bundled_dict()))  # rank 2 + 9 blow-ups = 11
+        with pytest.raises(ScenarioError, match=r"\.blowups: lattice rank 2 \+ 9 blow-ups = 11,"):
+            load_scenario(str(path))
+        with pytest.raises(ScenarioError, match=r"^scenario\.blowups: lattice rank"):
+            parse_scenario(bundled_dict())
+
     def test_explore_reference(self, capsys):
         assert main(["explore", "--p", "3", "--points", "3"]) == 0
         out = capsys.readouterr().out

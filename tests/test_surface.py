@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from blowdown import GeometryError, QDivisor, SurfaceModel, new_plane, new_quadric
+from blowdown import GeometryError, QDivisor, SurfaceModel, contract, new_plane, new_quadric
 from blowdown.exactlin import signature
 from blowdown.surface import BASE_SIGNATURES
 
@@ -293,6 +293,27 @@ class TestQDivisor:
     def test_is_integral(self):
         assert QDivisor({"A": 2}).is_integral
         assert not QDivisor({"A": F(1, 3)}).is_integral
+
+
+#: Each entry point that takes a class or coefficient, with the message it
+#: gives a nan or an infinity: an integral one its message for a non-integer.
+NON_FINITE_ENTRY_POINTS = {
+    "declare_curve": (lambda x: new_quadric().declare_curve("C", (x, 1)),
+                      "curve classes are integral lattice vectors"),
+    "class_group": (lambda x: contract(new_quadric(), []).class_group([[x, 0]]),
+                    "is not integral"),
+    "residual": (lambda x: QDivisor({}, residual=(x, 0)), "residual class must be integral"),
+    "coefficient": (lambda x: QDivisor({"C": x}), "is not a finite rational"),
+    "sparse_class": (lambda x: new_quadric().sparse_class((x, 0)), "is not a finite rational"),
+}
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRY_POINTS)
+def test_non_finite_entries_raise_geometry_error(entry, x):
+    call, message = NON_FINITE_ENTRY_POINTS[entry]
+    with pytest.raises(GeometryError, match=message):
+        call(x)
 
 
 def test_total_class_resolution():
