@@ -76,58 +76,75 @@ def canonical_json(obj: Any) -> str:
 
     This writer exists because any ``indent`` makes ``json.dumps`` leave its C
     encoder for its pure-Python one, which took more time than the checks on
-    a large intersection table.  Strings still go through the stdlib's C
-    string encoder and floats through ``json.dumps``."""
-    return _write(obj, "\n", {}) + "\n"
+    a large intersection table.  Every part goes into one list, joined once
+    at the end, so no container's text is copied into its parent's; an error
+    leaves no partial text.  Strings still go through the stdlib's C string
+    encoder and floats through ``json.dumps``."""
+    parts: list[str] = []
+    _write(obj, "\n", {}, parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _write(obj: Any, newline: str, keys: dict) -> str:
-    """`canonical_json` of ``obj`` at the indent that ``newline`` ends with.
+def _write(obj: Any, newline: str, heads: dict, put: Callable[[str], None]) -> None:
+    """`put` the parts of `canonical_json` of ``obj`` at the indent that ``newline`` ends with.
 
-    A str, int, bool or None member of a dict or list is written inline.
-    ``keys`` holds, for one call, the sorted keys of each dict with their
-    written ``"key": `` prefixes, by the dict's key tuple: the rows of a
-    table share theirs."""
+    Each member goes out after its head: ``"{"``, ``"["`` or ``","``, the newline and
+    indent and, in a dict, the written ``"key": ``; a str, int, bool or None member is
+    one part, head and text.  ``heads`` caches, for one call, the list item heads of
+    each indent and the sorted keys' heads of each (indent, key tuple): the rows of a
+    table share theirs, and one key set at two depths has two."""
     kind = type(obj)
-    if kind is dict or kind is list or kind is tuple:
+    if kind is dict:
         if not obj:
-            return "{}" if kind is dict else "[]"
-        inner = newline + "  "
-        items = []
-        if kind is dict:
-            if (prefixes := keys.get(names := tuple(obj))) is None:
-                prefixes = keys[names] = [(k, _encode_str(k) + ": ") for k in sorted(obj)]
-            for k, prefix in prefixes:
-                x = obj[k]
-                if (tx := type(x)) is str:
-                    items.append(prefix + _encode_str(x))
-                elif tx is int:
-                    items.append(prefix + int.__repr__(x))
-                elif tx is bool:
-                    items.append(prefix + ("true" if x else "false"))
-                elif x is None:
-                    items.append(prefix + "null")
-                else:
-                    items.append(prefix + _write(x, inner, keys))
-            return "{" + inner + ("," + inner).join(items) + newline + "}"
+            return put("{}")
+        if (entry := heads.get(names := (newline, *obj))) is None:
+            inner = newline + "  "
+            keyed = [(k, f",{inner}{_encode_str(k)}: ") for k in sorted(obj)]
+            keyed[0] = (keyed[0][0], "{" + keyed[0][1][1:])
+            entry = heads[names] = (keyed, inner, newline + "}")
+        keyed, inner, close = entry
+        for k, head in keyed:
+            x = obj[k]
+            if (tx := type(x)) is str:
+                put(head + _encode_str(x))
+            elif tx is int:
+                put(head + int.__repr__(x))
+            elif tx is bool:
+                put(head + ("true" if x else "false"))
+            elif x is None:
+                put(head + "null")
+            else:
+                put(head)
+                _write(x, inner, heads, put)
+        return put(close)
+    if kind is list or kind is tuple:
+        if not obj:
+            return put("[]")
+        if (entry := heads.get(newline)) is None:
+            inner = newline + "  "
+            entry = heads[newline] = ("[" + inner, "," + inner, inner, newline + "]")
+        head, sep, inner, close = entry
         for x in obj:
             if (tx := type(x)) is str:
-                items.append(_encode_str(x))
+                put(head + _encode_str(x))
             elif tx is int:
-                items.append(int.__repr__(x))
+                put(head + int.__repr__(x))
             elif tx is bool:
-                items.append("true" if x else "false")
+                put(head + ("true" if x else "false"))
             elif x is None:
-                items.append("null")
+                put(head + "null")
             else:
-                items.append(_write(x, inner, keys))
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+                put(head)
+                _write(x, inner, heads, put)
+            head = sep
+        return put(close)
     # a subclass, such as a namedtuple or an OrderedDict, is written as its base type
     if isinstance(obj, (list, tuple)):
-        return _write(list(obj), newline, keys)
+        return _write(list(obj), newline, heads, put)
     if isinstance(obj, dict):
-        return _write(dict(obj.items()), newline, keys)
-    return json.dumps(obj, ensure_ascii=False)  # a float, another scalar, or TypeError
+        return _write(dict(obj.items()), newline, heads, put)
+    put(json.dumps(obj, ensure_ascii=False))  # a float, another scalar, or TypeError
 
 
 def scenario_digest(scenario: "Scenario") -> str:

@@ -105,6 +105,16 @@ def _fraction(x: int | Fraction | str) -> Fraction:
         raise GeometryError(f"{x!r} is not a finite rational") from None
 
 
+def _exact(value: object) -> int | Fraction:
+    """``value``, an int or a Fraction; anything else (a float, say) can only come
+    from a caller's sparse class with such an entry, which `sparse_class` passes
+    through unscanned: GeometryError."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    raise GeometryError(f"{value!r} is not an exact rational: a sparse class entry is "
+                        "not an int or a Fraction")
+
+
 class QDivisor:
     """Formal rational combination of named prime divisors, plus an integral
     residual lattice class for divisors (like the canonical class) that have
@@ -334,7 +344,8 @@ class SurfaceModel:
         """Resolve a divisor to its sparse class: a registered name gives its stored
         class (the live map, not a copy), a QDivisor its residual plus its named classes
         (an integral coefficient stays an ``int``), a class vector its nonzero
-        entries, and a sparse class itself.  Entries are ``int`` or ``Fraction``."""
+        entries, and a sparse class itself, unscanned.  Entries are ``int`` or
+        ``Fraction``: `pairing` and `k_degree` refuse a result of another type."""
         if isinstance(d, str):
             if (div := self.prime_divisors.get(d)) is None:
                 raise GeometryError(f"unknown divisor name {d!r}")
@@ -372,7 +383,7 @@ class SurfaceModel:
         if len(u) > len(v):
             u, v = v, u
         r, base_part = self.base_rank, _BASE_PART[self.base]
-        return base_part(u, v) - sum([x * v[i] for i, x in u.items() if i >= r and i in v])
+        return _exact(base_part(u, v) - sum([x * v[i] for i, x in u.items() if i >= r and i in v]))
 
     def gram_rows(self, names: Sequence[str]) -> list[dict[int, int]]:
         """Sparse Gram rows of distinct registered curves (row i maps j to
@@ -394,7 +405,7 @@ class SurfaceModel:
         """D.K for anything `sparse_class` resolves: G_base K_base on the base
         coordinates, less the exceptional ones (K has 1 on each)."""
         k, r = self._k_dual, self.base_rank
-        return sum([x * k[i] if i < r else -x for i, x in self.sparse_class(d).items()])
+        return _exact(sum([x * k[i] if i < r else -x for i, x in self.sparse_class(d).items()]))
 
     def intersect(self, a: DivisorLike | SparseClass, b: DivisorLike | SparseClass) -> Fraction:
         """Intersection number of two divisors: `pairing` as a Fraction."""

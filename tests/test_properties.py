@@ -1199,6 +1199,63 @@ class TestCanonicalJson:
             canonical_json(value)
 
 
+def nested(value, depth):
+    """``value`` inside ``depth`` containers, a dict and a list by turns, each
+    with a scalar sibling."""
+    for level in range(depth):
+        value = {"k": value, "s": level} if level % 2 else [level, value]
+    return value
+
+
+class TestBufferWriter:
+    """The shapes the one-buffer writer's head cache must tell apart, each
+    against the stdlib's ``indent=2`` bytes."""
+
+    @staticmethod
+    def assert_stdlib_bytes(value):
+        # compared line by line: pytest explains a mismatch of two lists by
+        # the first index that differs, but diffs two long texts for minutes
+        lines = canonical_json(value).split("\n")
+        assert lines == TestCanonicalJson.stdlib(value).split("\n")
+
+    @pytest.mark.parametrize("value", [
+        # the key set {"a", "b"} at three depths, holding scalars at one and containers at others
+        {"a": {"a": {"a": 1, "b": "x"}, "b": [{"b": None, "a": True}]}, "b": 2},
+        [{"a": 1, "b": 2}, [{"b": [3], "a": {}}], [[{"a": {"a": 4, "b": 5}, "b": ()}]]],
+        {"b": [{"a": [], "b": [{"a": "y", "b": 6}]}], "a": {"b": {"a": [7], "b": {"a": 8, "b": 9}}}},
+    ])
+    def test_one_key_set_at_three_depths(self, value):
+        self.assert_stdlib_bytes(value)
+
+    @pytest.mark.parametrize("empty", [{}, [], ()], ids=["dict", "list", "tuple"])
+    @pytest.mark.parametrize("depth", range(6))
+    def test_empty_container_at_every_depth(self, empty, depth):
+        value = nested(empty, depth)
+        self.assert_stdlib_bytes(value)
+        value = [empty, value, empty]
+        self.assert_stdlib_bytes(value)
+
+    def test_nested_200_levels(self):
+        value = nested("leaf", 200)
+        self.assert_stdlib_bytes(value)
+
+    def test_table_of_2000_rows(self):
+        rows = [
+            {"a": f"E{i}", "b": f"Cé{i % 7}", "expect": i - 1000} if i % 3
+            else {"expect": f"{i}/3", "b": f"C{i}", "a": None}
+            for i in range(2000)
+        ]
+        value = {"checks": [{"kind": "intersection-table", "entries": rows}]}
+        self.assert_stdlib_bytes(value)
+
+    def test_past_the_recursion_limit_raises_recursion_error(self):
+        value = []
+        for _ in range(sys.getrecursionlimit() + 10):
+            value = [value]
+        with pytest.raises(RecursionError):
+            canonical_json(value)
+
+
 # The shapes of the report (`Report.to_dict`, with each check kind's details)
 # and of the exploration (`exploration_to_dict`), for generating values like
 # them: the names of each object's fields, and which of them hold an object or

@@ -316,6 +316,37 @@ def test_non_finite_entries_raise_geometry_error(entry, x):
         call(x)
 
 
+def quadric_with_c():
+    m = new_quadric()
+    m.declare_curve("C", (1, 1))
+    return m
+
+
+#: Each query that takes a caller's sparse class as it is, with a foreign entry
+FOREIGN_SPARSE_CLASSES = {
+    "pairing-nan": lambda m: m.pairing({0: float("nan")}, "C"),
+    "pairing-float": lambda m: m.pairing({0: 0.5}, "C"),
+    "pairing-both": lambda m: m.pairing("C", {1: 0.25, 0: F(1, 2)}),
+    "k_degree-float": lambda m: m.k_degree({0: 0.5}),
+    "intersect-nan": lambda m: m.intersect({0: float("nan")}, "C"),
+    "arithmetic_genus-nan": lambda m: m.arithmetic_genus({0: float("nan")}),
+}
+
+
+@pytest.mark.parametrize("query", FOREIGN_SPARSE_CLASSES)
+def test_foreign_sparse_class_entry_raises_geometry_error(query):
+    with pytest.raises(GeometryError, match="is not an exact rational"):
+        FOREIGN_SPARSE_CLASSES[query](quadric_with_c())
+
+
+def test_exact_sparse_classes_still_pair():
+    m = quadric_with_c()
+    assert m.pairing({0: F(1, 2)}, "C") == F(1, 2)
+    assert type(m.pairing({0: 1, 1: 2}, "C")) is int
+    assert m.k_degree({0: F(1, 2)}) == -1
+    assert m.arithmetic_genus({0: 1, 1: 1}) == 0
+
+
 def test_total_class_resolution():
     m = new_quadric()
     m.declare_curve("C", (1, 3))
