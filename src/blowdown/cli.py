@@ -20,7 +20,6 @@ from typing import Callable
 from .errors import GeometryError, ScenarioError
 from .explorer import explore_frobenius
 from .scenario import (
-    Report,
     canonical_json,
     exploration_to_dict,
     exploration_to_text,
@@ -75,21 +74,16 @@ def emit_report(
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "repro":
-            report = run_repro()
-        elif args.command == "run":
-            report = run_scenario(load_scenario(args.scenario))
-        else:
+        if args.command == "explore":
             exploration = explore_frobenius(args.p, args.points)
-            emit_report(
-                partial(exploration_to_text, exploration),
-                partial(exploration_to_dict, exploration),
-                args.format,
-                args.out,
-            )
-            return 0
-        emit_report(report.to_text, report.to_dict, args.format, args.out)
-        return 0 if report.passed else 1
+            to_text = partial(exploration_to_text, exploration)
+            to_dict, code = partial(exploration_to_dict, exploration), 0
+        else:
+            report = run_repro() if args.command == "repro" else run_scenario(
+                load_scenario(args.scenario))
+            to_text, to_dict, code = report.to_text, report.to_dict, 0 if report.passed else 1
+        emit_report(to_text, to_dict, args.format, args.out)
+        return code
     except (ScenarioError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -265,16 +265,13 @@ class Scenario(_Frozen):
         """Construct the model and the contraction; raises ScenarioError with
         a location when the declared data is numerically impossible."""
         model = new_quadric() if self.base == QUADRIC else new_plane()
-        for i, (name, vec) in enumerate(self.curves):
-            try:
-                model.declare_curve(name, vec)
-            except GeometryError as exc:
-                raise ScenarioError(f"curves[{i}] ({name!r}): {exc}") from None
-        for i, (name, incident) in enumerate(self.blowups):
-            try:
-                model.blow_up(name, incident)
-            except GeometryError as exc:
-                raise ScenarioError(f"blowups[{i}] ({name!r}): {exc}") from None
+        for field, entries, add in (("curves", self.curves, model.declare_curve),
+                                    ("blowups", self.blowups, model.blow_up)):
+            for i, (name, data) in enumerate(entries):
+                try:
+                    add(name, data)
+                except GeometryError as exc:
+                    raise ScenarioError(f"{field}[{i}] ({name!r}): {exc}") from None
         try:
             con = contract(model, self.contraction)
         except GeometryError as exc:

@@ -14,15 +14,15 @@ Only the base block is stored, and classes are sparse: a *sparse class* is
 one dict ``{coordinate index: nonzero value}``, base coordinates included.
 One other module splits a class into base and exceptional parts:
 `cohomology.verify_h0_anticanonical_zero` reads coordinates 0 and 1 of a
-quadric class as its bidegree and zeroes them.  A blow-up
-updates each incident curve in place (one entry added to its map, D.D and D.K
-adjusted) and the kept nonzero *exceptional parts* E(X, Y) = -sum X_c*Y_c
-(c exceptional) of the names' pairings: by -m_X*m_Y for incident X, Y, and
-E(E, X) = m_X for the new curve.  So two names pair in O(1) (one kernel per
-base gives the base part), a blow-up costs O(incidences^2) and copies no map,
-and other classes walk the shorter map.  Dense vectors (``class_vector``,
-``total_class``, ``gram``, ``canonical_class``) are built on demand.  The
-canonical class is stored as its base part: each exceptional coordinate is 1.
+quadric class as its bidegree and zeroes them.  A blow-up updates each incident
+curve's record in place: one entry added to its map, D.D and D.K adjusted, and
+the kept nonzero *exceptional parts* E(X, Y) = -sum X_c*Y_c (c exceptional) of
+its pairings, by -m_X*m_Y for incident X, Y, with E(E, X) = m_X for the new
+curve.  So two names pair in O(1) (one kernel per base gives the base part), a
+blow-up costs O(incidences^2) and copies no map, and other classes walk the
+shorter map.  Dense vectors (``class_vector``, ``total_class``, ``gram``,
+``canonical_class``) are built on demand.  The canonical class is stored as its
+base part: each exceptional coordinate is 1.
 
 Conventions:
   * quadric base: basis starts with the two ruling fibre classes ``f_x``,
@@ -69,25 +69,30 @@ _BASE_PART = {base: _kernel(links) for base, links in _LINKS.items()}
 
 
 def _dense(cls: SparseClass, rank: int) -> tuple[int | Fraction, ...]:
+    """The dense vector of a sparse class; GeometryError for a key that is not a
+    coordinate 0..rank-1 or an entry that is not an int or a Fraction."""
     vec = [0] * rank
     for i, x in cls.items():
-        vec[i] = x
+        if type(i) is not int or not 0 <= i < rank:
+            raise GeometryError(f"sparse class index {i!r} is not a coordinate 0..{rank - 1}")
+        vec[i] = x if type(x) is int else _exact(x)
     return tuple(vec)  # of a list: tuples grown from a generator linger in free lists
 
 
 class PrimeDivisor:
-    """A named irreducible curve: its sparse class ``cls``, one map over all
-    coordinates, and D.D and D.K cached as ``square`` and ``k_degree``.  It is
-    updated in place by a blow-up through it, to the strict transform (-m on the
-    new coordinate, D.D - m^2, D.K + m), so ``sparse_class(name)`` returns the
-    live map: a caller who needs a fixed class copies it."""
+    """A named irreducible curve: its sparse class ``cls`` over all coordinates,
+    D.D and D.K cached as ``square`` and ``k_degree``, and ``_parts``, its nonzero
+    exceptional pairings E(D, Y) by name.  A blow-up through it updates all of
+    them in place, to the strict transform's, so ``sparse_class(name)`` returns
+    the live map: a caller who needs a fixed class copies it."""
 
-    __slots__ = ("name", "cls", "square", "k_degree", "_basis")
+    __slots__ = ("name", "cls", "square", "k_degree", "_basis", "_parts")
 
     def __init__(self, name: str, cls: SparseClass, square: int, k_degree: int, basis: list[str]):
         self.name, self.cls = name, cls
         self.square, self.k_degree = square, k_degree
         self._basis = basis  # the model's labels, so class_vector reads its current rank
+        self._parts: dict[str, int] = {}  # filled by the model
 
     @property
     def class_vector(self) -> tuple[int, ...]:
@@ -214,7 +219,6 @@ class SurfaceModel:
         self.base, self.base_gram, self.base_rank = base, gram, len(labels)
         self._k_dual = [sum(g * k for g, k in zip(row, self._k_base)) for row in gram]  # G K_base
         self.prime_divisors: dict[str, PrimeDivisor] = {}
-        self._exceptional: dict[str, dict[str, int]] = {}  # name -> {name: nonzero E(X, Y)}
 
     # -- construction -----------------------------------------------------
 
@@ -254,13 +258,13 @@ class SurfaceModel:
         if (twice_genus := square + k_degree + 2) % 2 or twice_genus < 0:
             raise GeometryError(f"class {_dense(cls, i + 1)} has arithmetic genus "
                                 f"{Fraction(twice_genus, 2)}; no irreducible curve represents it")
-        row = self._exceptional[name] = {}
+        new = PrimeDivisor(name, cls, square, k_degree, self.basis_labels)
         if exc:
-            for other, div in self.prime_divisors.items():
-                if meets := -sum([x * div.cls[i] for i, x in exc if i in div.cls]):
-                    row[other] = self._exceptional[other][name] = meets
-        self.prime_divisors[name] = PrimeDivisor(name, cls, square, k_degree, self.basis_labels)
-        return self.prime_divisors[name]
+            for other in self.prime_divisors.values():
+                if meets := -sum([x * other.cls[i] for i, x in exc if i in other.cls]):
+                    new._parts[other.name] = other._parts[name] = meets
+        self.prime_divisors[name] = new
+        return new
 
     def blow_up(
         self, exceptional_name: str, incident: Iterable[tuple[str, int]] = ()
@@ -274,9 +278,9 @@ class SurfaceModel:
         the new class.
         """
         self._check_fresh(exceptional_name)
-        divisors, parts, base_part = self.prime_divisors, self._exceptional, _BASE_PART[self.base]
+        divisors, base_part = self.prime_divisors, _BASE_PART[self.base]
         seen: dict[str, int] = {}
-        kept = []  # (x, y, E(x, y) after the blow-up) for each incident pair
+        kept = []  # (X, Y, E(X, Y) after the blow-up) for each incident pair
         for x, mx in incident:
             if (dx := divisors.get(x)) is None:
                 raise GeometryError(f"unknown curve {x!r} in incidence list")
@@ -287,29 +291,27 @@ class SurfaceModel:
             if (twice_genus := dx.square + dx.k_degree + 2) < mx * (mx - 1):
                 raise GeometryError(f"curve {x!r} cannot have a point of multiplicity {mx} "
                                     f"(genus budget {Fraction(twice_genus, 2)})")
-            cx, row = dx.cls, parts[x]
             for y, my in seen.items():
-                e = row.get(y, 0)
-                if (meets := e + base_part(cx, divisors[y].cls)) < my * mx:
+                e, dy = dx._parts.get(y, 0), divisors[y]
+                if (meets := e + base_part(dx.cls, dy.cls)) < my * mx:
                     raise GeometryError(f"incidence budget violated: {y}.{x} = {meets} < "
                                         f"{my}*{mx}; the declared point cannot exist numerically")
-                kept.append((x, y, e - mx * my))
+                kept.append((dx, dy, e - mx * my))
             seen[x] = mx
 
         index, basis = self.rank, self.basis_labels
         basis.append(exceptional_name)
-        for x, y, e in kept:
+        exc = divisors[exceptional_name] = PrimeDivisor(exceptional_name, {index: 1}, -1, -1, basis)
+        for dx, dy, e in kept:
             if e:
-                parts[x][y] = parts[y][x] = e
+                dx._parts[dy.name] = dy._parts[dx.name] = e
             else:
-                del parts[x][y], parts[y][x]
+                del dx._parts[dy.name], dy._parts[dx.name]
         for name, m in seen.items():  # strict transforms, in place; no other divisor changes
             div = divisors[name]
             div.cls[index] = -m
             div.square, div.k_degree = div.square - m * m, div.k_degree + m
-            parts[name][exceptional_name] = m
-        parts[exceptional_name] = dict(seen)
-        exc = divisors[exceptional_name] = PrimeDivisor(exceptional_name, {index: 1}, -1, -1, basis)
+            div._parts[exceptional_name] = exc._parts[name] = m
         return exc
 
     def _check_fresh(self, name: str) -> None:
@@ -345,7 +347,9 @@ class SurfaceModel:
         class (the live map, not a copy), a QDivisor its residual plus its named classes
         (an integral coefficient stays an ``int``), a class vector its nonzero
         entries, and a sparse class itself, unscanned.  Entries are ``int`` or
-        ``Fraction``: `pairing` and `k_degree` refuse a result of another type."""
+        ``Fraction``: `pairing`, `k_degree` and `total_class` refuse another type.
+        `k_degree` and `total_class` refuse a key that is not a coordinate 0..rank-1;
+        `pairing` trusts a caller's map for its keys."""
         if isinstance(d, str):
             if (div := self.prime_divisors.get(d)) is None:
                 raise GeometryError(f"unknown divisor name {d!r}")
@@ -372,13 +376,12 @@ class SurfaceModel:
         """Intersection form on two classes (anything `sparse_class` resolves):
         two names give ``square`` or their base part plus the kept E part, in
         O(1); other classes their base part less the exceptional dot product,
-        walked over the shorter map.  Integral classes give an int."""
-        parts = self._exceptional
-        if type(u) is str and type(v) is str and u in parts and v in parts:
-            if u == v:
-                return self.prime_divisors[u].square
-            divisors = self.prime_divisors
-            return parts[u].get(v, 0) + _BASE_PART[self.base](divisors[u].cls, divisors[v].cls)
+        walked over the shorter map.  Integral classes give an int.  A caller's
+        map is trusted for its keys: checking them would double a dict pairing."""
+        divisors = self.prime_divisors
+        if type(u) is str and type(v) is str and u in divisors and v in divisors:
+            du, dv = divisors[u], divisors[v]
+            return du.square if du is dv else du._parts.get(v, 0) + _BASE_PART[self.base](du.cls, dv.cls)
         u, v = self.sparse_class(u), self.sparse_class(v)
         if len(u) > len(v):
             u, v = v, u
@@ -390,22 +393,25 @@ class SurfaceModel:
         names[i].names[j] if nonzero, its diagonal first), pairing only curves
         with a kept exceptional part or base coordinates that G_base links."""
         where = {n: i for i, n in enumerate(names)}
-        classes = [self.prime_divisors[n].cls for n in names]
-        on_base = [[i for i, cls in enumerate(classes) if k in cls] for k in range(self.base_rank)]
-        rows = [{i: self.prime_divisors[n].square} for i, n in enumerate(names)]
-        for i, (n, cls) in enumerate(zip(names, classes)):
-            linked = {where[m] for m in self._exceptional[n] if m in where}
-            linked.update(j for k, l, _ in _LINKS[self.base] if k in cls for j in on_base[l])
+        records, base_part = [self.prime_divisors[n] for n in names], _BASE_PART[self.base]
+        on_base = [[i for i, d in enumerate(records) if k in d.cls] for k in range(self.base_rank)]
+        rows = [{i: d.square} for i, d in enumerate(records)]
+        for i, d in enumerate(records):
+            linked = {where[m] for m in d._parts if m in where}
+            linked.update(j for k, l, _ in _LINKS[self.base] if k in d.cls for j in on_base[l])
             for j in sorted(linked):
-                if j > i and (meets := self.pairing(n, names[j])):
+                if j > i and (meets := d._parts.get(names[j], 0) + base_part(d.cls, records[j].cls)):
                     rows[i][j] = rows[j][i] = meets
         return rows
 
     def k_degree(self, d: DivisorLike | SparseClass) -> int | Fraction:
         """D.K for anything `sparse_class` resolves: G_base K_base on the base
         coordinates, less the exceptional ones (K has 1 on each)."""
-        k, r = self._k_dual, self.base_rank
-        return _exact(sum([x * k[i] if i < r else -x for i, x in self.sparse_class(d).items()]))
+        k, r, n, cls = self._k_dual, self.base_rank, self.rank, self.sparse_class(d)
+        terms = [x * k[i] if i < r else -x for i, x in cls.items() if type(i) is int and 0 <= i < n]
+        if len(terms) < len(cls):
+            _dense(cls, n)  # raises GeometryError naming a key off the lattice
+        return _exact(sum(terms))
 
     def intersect(self, a: DivisorLike | SparseClass, b: DivisorLike | SparseClass) -> Fraction:
         """Intersection number of two divisors: `pairing` as a Fraction."""

@@ -103,6 +103,24 @@ def test_curve_square_closed_form(p, n):
     assert _curve_square(p, n) == frobenius_construction(p, n).model.intersect("C", "C")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_explore_out_writes_the_bytes_stdout_gives(tmp_path, capsys, fmt):
+    args = ["explore", "--p", "5", "--points", "5", "--format", fmt]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / f"explore.{fmt}"
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+def test_explore_unwritable_out_exits_two(capsys):
+    assert main(["explore", "--p", "3", "--points", "3", "--out", "/nonexistent-dir/x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_explore_parameter_validation():
     with pytest.raises(GeometryError, match="p must be"):
         explore_frobenius(1, 3)

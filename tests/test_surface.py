@@ -4,6 +4,7 @@ import pytest
 
 from blowdown import GeometryError, QDivisor, SurfaceModel, contract, new_plane, new_quadric
 from blowdown.exactlin import signature
+from blowdown.scenario import bundled_scenario
 from blowdown.surface import BASE_SIGNATURES
 
 
@@ -219,6 +220,38 @@ def test_blow_up_rejects_a_multiplicity_that_is_not_an_int(mult):
     assert m.rank == 2 and "E" not in m.prime_divisors and m.pairing("C", "C") == 6
 
 
+def model_state(m):
+    """Everything a construction step may change: the lattice, each record's
+    numbers and every pairing by name."""
+    names = list(m.prime_divisors)
+    records = {n: (dict(d.cls), d.square, d.k_degree) for n, d in m.prime_divisors.items()}
+    pairings = {(a, b): m.pairing(a, b) for a in names for b in names}
+    return m.rank, list(m.basis_labels), records, pairings, m.gram_rows(names)
+
+
+#: Construction steps the bundled model refuses, each after some valid input
+REJECTED_STEPS = {
+    "incidence-budget": lambda m: m.blow_up("X", [("E1", 1), ("C", 1), ("F2", 1)]),
+    "unknown-after-valid": lambda m: m.blow_up("X", [("E1", 1), ("C", 1), ("nope", 1)]),
+    "listed-twice": lambda m: m.blow_up("X", [("E1", 1), ("C", 1), ("E1", 1)]),
+    "genus-budget": lambda m: m.blow_up("X", [("E1", 1), ("C", 2)]),
+    "blow-up-name-in-use": lambda m: m.blow_up("E1", [("C", 1)]),
+    "curve-name-in-use": lambda m: m.declare_curve("C", (1, 0) + (0,) * 9),
+    "wrong-length": lambda m: m.declare_curve("X", (1, 0)),
+    "not-effective": lambda m: m.declare_curve("X", (-1, 1) + (0,) * 9),
+    "negative-genus": lambda m: m.declare_curve("X", (1, 0, 1) + (0,) * 8),
+}
+
+
+@pytest.mark.parametrize("step", REJECTED_STEPS)
+def test_a_rejected_construction_step_changes_nothing(step):
+    m = bundled_scenario().build().model
+    before = model_state(m)
+    with pytest.raises(GeometryError):
+        REJECTED_STEPS[step](m)
+    assert model_state(m) == before
+
+
 def test_multiplicity_two_on_positive_genus_curve():
     m = new_quadric()
     m.declare_curve("N", (2, 2))  # genus (2-1)(2-1) = 1
@@ -337,6 +370,25 @@ FOREIGN_SPARSE_CLASSES = {
 def test_foreign_sparse_class_entry_raises_geometry_error(query):
     with pytest.raises(GeometryError, match="is not an exact rational"):
         FOREIGN_SPARSE_CLASSES[query](quadric_with_c())
+
+
+#: Each query that walks a caller's sparse class, with a key off the rank-2
+#: lattice or an inexact entry, and the message it gives
+OFF_LATTICE_SPARSE_CLASSES = {
+    "total_class-negative": (lambda m: m.total_class({-1: 1}), "index -1 is not a coordinate 0..1"),
+    "total_class-past-rank": (lambda m: m.total_class({7: 1}), "index 7 is not a coordinate 0..1"),
+    "total_class-float": (lambda m: m.total_class({0: 0.5}), "0.5 is not an exact rational"),
+    "k_degree-negative": (lambda m: m.k_degree({-1: 1}), "index -1 is not a coordinate 0..1"),
+    "k_degree-past-rank": (lambda m: m.k_degree({7: 1}), "index 7 is not a coordinate 0..1"),
+    "k_degree-str": (lambda m: m.k_degree({"0": 1}), "index '0' is not a coordinate 0..1"),
+}
+
+
+@pytest.mark.parametrize("query", OFF_LATTICE_SPARSE_CLASSES)
+def test_off_lattice_sparse_class_raises_geometry_error(query):
+    call, message = OFF_LATTICE_SPARSE_CLASSES[query]
+    with pytest.raises(GeometryError, match=message):
+        call(quadric_with_c())
 
 
 def test_exact_sparse_classes_still_pair():
