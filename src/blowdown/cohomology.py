@@ -104,7 +104,7 @@ class KvvFailureReport(NamedTuple):
     pullback_expansion: QDivisor
     floor: QDivisor
     relatively_nef: bool
-    nef_degrees: dict[str, Fraction]
+    nef_degrees: dict[str, int | Fraction]
     k_dot_floor: Fraction
     floor_squared: Fraction
     euler_char: Fraction

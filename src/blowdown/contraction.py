@@ -20,8 +20,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import GeometryError, NotContractibleError
-from .exactlin import SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
+from .errors import GeometryError, NotContractibleError, _shown
+from .exactlin import PivotPass, SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
 from .exactlin import invert, is_negative_definite  # noqa: F401 (unused; benchmarks/spans.py wraps them)
 from .surface import DivisorLike, QDivisor, SparseClass, SurfaceModel
 
@@ -145,16 +145,17 @@ class Contraction:
     pass and one back-substitution per block, linear in its filled entries.
 
     The class group is the source lattice modulo the contracted classes and
-    any extra classes (the cone's polarization): one certified
-    `sparse_pivot_pass` over all their sparse rows, the self-validating
-    `smith_normal_form` of its remainder (the rows it leaves on the columns
-    they meet), and the checked `divisor_chain` of both, as described in
-    `blowdown.exactlin`.  Each call runs its own pass.
+    any extra classes (the cone's polarization): the `PivotPass.split` of one
+    certified `sparse_pivot_pass` over the contracted classes writes the
+    extras in its basis, the same chain runs on the small remainder it leaves
+    (ending in the self-validating `smith_normal_form`), and `divisor_chain`
+    merges all the factors, as described in `blowdown.exactlin`.
 
-    One cache is filled lazily: for each hashable rank-one witness W its
-    correction W* = W + sum c_j G_j, orthogonal to every contracted G_j,
-    which gives pullback(D).W = D.W* for D supported off the contracted
-    curves."""
+    Two caches are filled lazily: that pass, on the first `class_group` call
+    (which reads ``source.rank`` afresh, so a later blow-up adds one free
+    rank), and for each hashable rank-one witness W its correction
+    W* = W + sum c_j G_j, orthogonal to every contracted G_j, which gives
+    pullback(D).W = D.W* for D supported off the contracted curves."""
 
     def __init__(self, model: SurfaceModel, curve_names: Iterable[str]):
         names = list(curve_names)
@@ -186,6 +187,7 @@ class Contraction:
         self.source = model
         self.contracted = tuple(names)
         self._witnesses: dict[object, tuple[SparseClass, int]] = {}
+        self._pass: PivotPass | None = None
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -310,26 +312,30 @@ class Contraction:
 
     def class_group(self, extra_classes: Sequence[Sequence[int]] = ()) -> ClassGroupReport:
         """Quotient of the source lattice by the contracted classes (plus any
-        extra integral classes of length ``source.rank``), via one certified
-        pivot pass over all of them, the Smith normal form of its remainder
-        and the divisor chain of both (see the class docstring)."""
+        extra integral classes of length ``source.rank``), from the kept pass
+        and the same chain on what it leaves (see the class docstring)."""
         rank = self.source.rank
         extra = []
         for cls in extra_classes:
             if len(cls) != rank:
                 raise GeometryError(f"extra class of length {len(cls)} on a rank-{rank} lattice")
-            if any(x % 1 for x in cls):  # nonzero, or nan for nan and inf
-                raise GeometryError(f"extra class {list(cls)} is not integral")
+            for j, x in enumerate(cls):  # x % 1: nonzero, or nan for nan and inf
+                if not isinstance(x, (int, float, Fraction)) or x % 1:
+                    raise GeometryError(f"extra class entry {j}, {_shown(x)}, is not integral")
             extra.append({j: int(x) for j, x in enumerate(cls) if x})
-        factors, rest = sparse_pivot_pass(self._classes + extra, rank).split()
-        factors = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
+        if self._pass is None:
+            self._pass = sparse_pivot_pass(self._classes, rank)
+        factors, rest = self._pass.split(extra)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in rest.to_rows()]
+        more, rest = sparse_pivot_pass(rows, rest.cols).split()
+        factors = divisor_chain(factors + more + smith_normal_form(rest).invariant_factors())
         return ClassGroupReport(rank - len(factors), tuple(x for x in factors if x > 1))
 
     # -- positivity ---------------------------------------------------------------
 
-    def is_relatively_nef(self, d: DivisorLike) -> tuple[bool, dict[str, Fraction]]:
+    def is_relatively_nef(self, d: DivisorLike) -> tuple[bool, dict[str, int | Fraction]]:
         """D.G >= 0 for every contracted G, with all degrees reported."""
-        degrees = {n: Fraction(x) for n, x in zip(self.contracted, self._pairings(d))}
+        degrees = dict(zip(self.contracted, self._pairings(d)))
         return all(v >= 0 for v in degrees.values()), degrees
 
     def degree_against(self, d_on_target: QDivisor, witness: DivisorLike | None = None) -> Fraction:

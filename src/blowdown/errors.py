@@ -1,4 +1,4 @@
-"""The package's shared exceptions and record base."""
+"""The package's shared exceptions, record base and message helper."""
 
 
 class GeometryError(ValueError):
@@ -19,6 +19,15 @@ class LerayHypothesisError(GeometryError):
 
 class ScenarioError(ValueError):
     """A scenario file is malformed or references unknown names."""
+
+
+def _shown(x: object, show=repr) -> str:
+    """show(x), or its type for an int past the interpreter's int-to-str
+    digit limit (or a value holding one), which neither repr nor str writes."""
+    try:
+        return show(x)
+    except ValueError:
+        return f"<{type(x).__name__} too large to print>"
 
 
 class _Record:

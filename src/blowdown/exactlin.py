@@ -29,7 +29,11 @@ raises rather than giving a wrong group:
   columns.  So M is equivalent to diag(d_t) plus the non-pivot rows on the
   other columns.  `PivotPass.split` gives the |d_t| and, as the remainder,
   the nonzero non-pivot rows on the columns they meet; every other column
-  is a free summand.
+  is a free summand.  Extra rows need no pass over M again: `split(extra)`
+  writes each in the pass's basis W (A = (D + R)*W) as the b with a = b*W,
+  checks sum b[c_t]*W[c_t] + r = a in sparse integers, and adds b, less its
+  unit-pivot columns, and the {c_t: d_t} rows it meets to the remainder,
+  on which the same chain runs again.
 * `smith_normal_form` takes the remainder, which is small: one loop that
   swaps the smallest nonzero entry of the trailing block to the corner,
   reduces its row and column by it, and folds in a row the pivot does not
@@ -383,17 +387,43 @@ class PivotPass(NamedTuple):
     u_inverse: tuple[SparseRow, ...]
     pivots: tuple[tuple[int, int], ...]
 
-    def split(self) -> tuple[tuple[int, ...], IntMatrix]:
-        """(factors, remainder) with M equivalent to diag(factors) plus the
-        remainder plus zero columns: the factors are the |d_t|, and the
-        remainder is the nonzero non-pivot rows of A on the columns they meet.
-        Every other column is a free summand of the quotient Z^n / M."""
+    def split(self, extra: Sequence[SparseRow] = ()) -> tuple[tuple[int, ...], IntMatrix]:
+        """(factors, remainder) with M and the ``extra`` rows equivalent to
+        diag(factors) plus the remainder plus zero columns.  Each extra row is
+        written as its b in the basis W (`_in_w_basis`); the remainder is the
+        nonzero non-pivot rows of A, a {c_t: d_t} row for each non-unit pivot
+        that some b meets, and the nonzero b, on the columns they meet; the
+        factors are the |d_t| of the other pivots.  Every other column is a
+        free summand of the quotient."""
         done = {p for p, _ in self.pivots}
+        reduced = [b for a in extra if (b := self._in_w_basis(a))]
+        met = {c for b in reduced for c in b}
         rows = [row for i, row in enumerate(self.rows) if row and i not in done]
+        rows += [{c: self.rows[p][c]} for p, c in self.pivots if c in met] + reduced
         cols = sorted({j for row in rows for j in row})
         dense = [[row.get(j, 0) for j in cols] for row in rows]
-        factors = tuple(abs(self.rows[p][c]) for p, c in self.pivots)
+        factors = tuple(abs(self.rows[p][c]) for p, c in self.pivots if c not in met)
         return factors, IntMatrix(len(dense), len(cols), tuple(x for row in dense for x in row))
+
+    def _in_w_basis(self, a: SparseRow) -> SparseRow:
+        """b with a = b*W, less its entries on unit-pivot columns (zero in the
+        quotient): from r = a, in pivot order, b[c_t] = r[c_t] and r -= b[c_t]*W[c_t]
+        (W[c_t] = A[p_t]/d_t), and b is r on the other columns.  Checked in sparse
+        integers before use: sum b[c_t]*W[c_t] + r = a, and r meets no pivot column."""
+        a = {j: x for j, x in a.items() if x}
+        r, terms = dict(a), []
+        for p, c in self.pivots:
+            if q := r.get(c):
+                row = self.rows[p]
+                _subtract(r, q, {j: x // row[c] for j, x in row.items()})
+                terms.append((p, c, q))
+        total = dict(r)
+        for p, c, q in terms:
+            for j, x in self.rows[p].items():
+                total[j] = total.get(j, 0) + q * x // self.rows[p][c]
+        if {j: x for j, x in total.items() if x} != a or any(c in r for _, c in self.pivots):
+            raise AssertionError("extra row: b*W + r != a, or r meets a pivot column")
+        return {c: q for p, c, q in terms if abs(self.rows[p][c]) != 1} | r
 
 
 def sparse_pivot_pass(rows: Sequence[SparseRow], ncols: int) -> PivotPass:

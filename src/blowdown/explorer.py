@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .contraction import Contraction, SingularPointReport, contract, singular_point_census
-from .errors import GeometryError
+from .errors import GeometryError, _shown
 from .surface import SurfaceModel, new_quadric
 
 REFERENCE_PROVENANCE = "reference construction"
@@ -69,15 +69,6 @@ class Construction(NamedTuple):
         for tower in self.towers:
             names.extend(tower[:-1])
         return names
-
-
-def _shown(x: object, show=repr) -> str:
-    """show(x), or its type for an int past the interpreter's int-to-str
-    digit limit (or a value holding one), which neither repr nor str writes."""
-    try:
-        return show(x)
-    except ValueError:
-        return f"<{type(x).__name__} too large to print>"
 
 
 def _check_parameters(p: int, n_points: int) -> None:

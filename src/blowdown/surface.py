@@ -99,15 +99,20 @@ class PrimeDivisor:
         return _dense(self.cls, len(self._basis))
 
 
-_ZERO = Fraction(0)
-
-
 def _fraction(x: int | Fraction | str) -> Fraction:
     """Fraction(x); GeometryError for what it cannot convert (nan, an infinity)."""
     try:
         return Fraction(x)
     except (ValueError, OverflowError):
         raise GeometryError(f"{x!r} is not a finite rational") from None
+
+
+def _rational(x: int | Fraction | str) -> int | Fraction:
+    """``x`` as an int when it is integral, else as a Fraction (see `_fraction`)."""
+    if type(x) is int:
+        return x
+    x = x if type(x) is Fraction else _fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _exact(value: object) -> int | Fraction:
@@ -127,14 +132,16 @@ class QDivisor:
 
     Zero coefficients are dropped on construction, so two combinations are
     equal exactly when they have the same nonzero coefficients and residual.
+    ``named`` holds each coefficient as an int when it is integral, else as
+    a Fraction.
     """
 
     __slots__ = ("named", "residual")
 
     def __init__(self, named: Mapping[str, int | Fraction | str] | None = None,
                  residual: Sequence[int] | None = None):
-        coeffs = {n: c if type(c) is Fraction else _fraction(c) for n, c in (named or {}).items()}
-        self.named: dict[str, Fraction] = {name: c for name, c in coeffs.items() if c}
+        self.named: dict[str, int | Fraction] = {
+            n: c for n, x in (named or {}).items() if (c := _rational(x))}
         if residual is not None:
             residual = tuple(residual)
             if {*map(type, residual)} - {int}:  # an all-int residual is kept as it is
@@ -143,16 +150,16 @@ class QDivisor:
                 residual = tuple(map(int, residual))
         self.residual = residual
 
-    def coefficient(self, name: str) -> Fraction:
-        return self.named.get(name, _ZERO)
+    def coefficient(self, name: str) -> int | Fraction:
+        return self.named.get(name, 0)
 
     @property
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.named.values())
 
     def floor(self) -> "QDivisor":
-        """Coefficient-wise floor of the named part; residual untouched."""
-        floored = {n: Fraction(c.numerator // c.denominator) for n, c in self.named.items()}
+        """Coefficient-wise floor of the named part, in ints; residual untouched."""
+        floored = {n: c.numerator // c.denominator for n, c in self.named.items()}
         return QDivisor(floored, self.residual)
 
     def _combine(self, other: "QDivisor", sign: int) -> "QDivisor":
@@ -178,8 +185,9 @@ class QDivisor:
         return self.scaled(-1)
 
     def scaled(self, s: int | Fraction) -> "QDivisor":
-        """``s`` times the divisor; the residual must stay integral."""
-        s = _fraction(s)
+        """``s`` times the divisor; the residual must stay integral (an all-int
+        residual times an int stays all-int and skips the integrality test)."""
+        s = _rational(s)
         res = None if self.residual is None else [s * x for x in self.residual]
         return QDivisor({n: s * c for n, c in self.named.items()}, res)
 
@@ -358,8 +366,7 @@ class SurfaceModel:
             return d
         if isinstance(d, QDivisor):
             cls = {} if d.residual is None else self.sparse_class(d.residual)
-            for name, coeff in d.named.items():
-                c = coeff.numerator if coeff.denominator == 1 else coeff
+            for name, c in d.named.items():
                 for i, x in self.sparse_class(name).items():
                     cls[i] = cls.get(i, 0) + c * x
             return {i: x for i, x in cls.items() if x}

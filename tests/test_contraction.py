@@ -12,12 +12,15 @@ from blowdown import (
     QDivisor,
     SingClass,
     contract,
+    explore_frobenius,
     frobenius_construction,
     hirzebruch_jung_type,
     new_quadric,
     solve_linear,
 )
+from blowdown.cone import build_cone
 from blowdown.exactlin import smith_normal_form
+from blowdown.scenario import run_repro
 
 
 def star_model(arms, centre_square=-2):
@@ -415,6 +418,89 @@ class TestClassGroupExtraClasses:
     def test_wrong_length_rejected(self, ref, length):
         with pytest.raises(GeometryError, match="rank-11"):
             ref.contraction.class_group([[1] * length])
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [("a", "'a'"), (None, "None"), (F(10**5000, 3), "<Fraction too large to print>")],
+        ids=["str", "none", "huge-fraction"],
+    )
+    def test_entry_that_is_not_an_integer_rejected(self, ref, entry, shown):
+        # a str or None failed in `x % 1` with TypeError, and the huge
+        # Fraction while its message was written, with ValueError
+        cls = [0] * 11
+        cls[4] = entry
+        with pytest.raises(GeometryError, match=f"extra class entry 4, {shown}, is not integral"):
+            ref.contraction.class_group([cls])
+        with pytest.raises(GeometryError, match="is not integral"):
+            ref.contraction.class_group([[entry] * 11])
+
+
+class TestKeptPivotPass:
+    """The contraction keeps one pivot pass over its contracted classes and
+    writes each call's extra classes in its basis."""
+
+    def test_repro_makes_one_pass_over_the_contracted_classes(self, monkeypatch):
+        import blowdown.contraction
+        import blowdown.exactlin
+
+        passes, certified = [], []
+        pivot_pass = blowdown.contraction.sparse_pivot_pass
+        certify = blowdown.exactlin._certify_pivot_pass
+
+        def counting(rows, ncols):
+            result = pivot_pass(rows, ncols)
+            passes.append(result)
+            return result
+
+        def recording(pp):
+            certified.append(pp)
+            return certify(pp)
+
+        monkeypatch.setattr(blowdown.contraction, "sparse_pivot_pass", counting)
+        monkeypatch.setattr(blowdown.exactlin, "_certify_pivot_pass", recording)
+        assert run_repro().passed
+        over_contracted = [pp for pp in passes if len(pp.matrix) == 10]
+        assert len(over_contracted) == 1
+        assert any(pp is over_contracted[0] for pp in certified)
+        # every other pass is over the small remainder of one call
+        assert all(len(pp.matrix) <= 4 for pp in passes if pp is not over_contracted[0])
+
+    def test_repeated_class_group_and_ten_cones_at_rank_10002(self):
+        con = explore_frobenius(5, 2000).contraction
+        assert con.class_group() == ClassGroupReport(1, (5,) * 2000)
+        start = time.perf_counter()
+        assert con.class_group() == ClassGroupReport(1, (5,) * 2000)
+        repeat = time.perf_counter() - start
+        start = time.perf_counter()
+        cones = [build_cone(con, QDivisor({f"E{i}": 1})) for i in range(1, 11)]
+        ten = time.perf_counter() - start
+        # a pass per call took about 0.12 s each: 0.12 s and 1.3 s
+        assert repeat < 0.02, repeat
+        assert ten < 0.5, ten
+        assert all(cone.class_group == ClassGroupReport(0, (5,) * 2000) for cone in cones)
+
+    def test_later_blow_up_adds_one_free_rank(self):
+        built = frobenius_construction(3, 3)  # not the shared fixture: this blows its model up
+        model, con = built.model, contract(built.model, built.contracted_names)
+        polarization = list(model.total_class(QDivisor({"E2": 1, "E3": 1, "E1": -1})))
+        assert con.class_group([polarization]) == ClassGroupReport(0, (3, 3, 3))
+        model.blow_up("Z")
+        assert con.class_group() == ClassGroupReport(2, (3, 3, 3))
+        assert con.class_group([polarization + [0]]) == ClassGroupReport(1, (3, 3, 3))
+        assert con.class_group([polarization + [1]]) == ClassGroupReport(1, (3, 3, 3))
+        assert con.class_group([polarization + [0], [0] * 11 + [3]]) == ClassGroupReport(0, (3,) * 4)
+
+    def test_extra_row_replay_is_checked(self, ref, monkeypatch):
+        import blowdown.exactlin
+
+        con = ref.contraction
+        polarization = ref.model.total_class(ref.ample)
+        assert con.class_group([polarization]) == ClassGroupReport(0, (3, 3, 3))
+        subtract = blowdown.exactlin._subtract
+        monkeypatch.setattr(blowdown.exactlin, "_subtract",
+                            lambda target, q, source: subtract(target, q + 1, source))
+        with pytest.raises(AssertionError, match=r"b\*W \+ r != a"):
+            con.class_group([polarization])
 
 
 class TestRankOnePositivity:

@@ -20,6 +20,7 @@ from blowdown import (
     contract,
     euler_characteristic,
     explore_frobenius,
+    frobenius_construction,
     h0_on_quadric,
     hirzebruch_jung_type,
     is_negative_definite,
@@ -1003,6 +1004,70 @@ class TestSparsePivotPass:
         tampered = tamper(pp) or pp
         with pytest.raises(AssertionError, match=message):
             _certify_pivot_pass(tampered)
+
+
+def _fresh_class_group(classes, extra, rank):
+    """The class group as `Contraction.class_group` found it before it kept
+    its pass: one fresh pass over the contracted and the extra classes, its
+    split, the Smith normal form of its remainder and the divisor chain."""
+    factors, rest = sparse_pivot_pass(classes + extra, rank).split()
+    factors = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
+    return ClassGroupReport(rank - len(factors), tuple(x for x in factors if x > 1))
+
+
+@st.composite
+def contracted_blow_ups(draw):
+    """(model, contracted names, extra rows): the explorer's (p, n) surface
+    for p in 2..4 and n in 1..3, blown up at up to three more points on
+    random sets of its curves; contracted, its contracted curves less up to
+    two (or, when that set is not negative definite, the exceptional curves
+    among them); and zero to three integral extra rows, some of them a
+    multiple of a contracted class plus a 0/1 row."""
+    built = frobenius_construction(draw(st.integers(2, 4)), draw(st.integers(1, 3)))
+    model, added = built.model, []
+    for i in range(draw(st.integers(0, 3))):
+        incident = draw(st.lists(st.sampled_from(sorted(model.prime_divisors)), unique=True, max_size=2))
+        try:
+            model.blow_up(f"Z{i}", [(name, 1) for name in incident])
+        except GeometryError:  # the curves do not meet often enough there
+            continue
+        added.append(f"Z{i}")
+    candidates = built.contracted_names + added
+    dropped = draw(st.sets(st.sampled_from(candidates), max_size=2))
+    names = [n for n in candidates if n not in dropped]
+    try:
+        contract(model, names)
+    except NotContractibleError:  # the strict transforms of exceptional curves always contract
+        names = [n for n in names if n != built.curve and n not in built.fibers]
+    entries = st.one_of(st.sampled_from((0, 0, 0, 1, -1)), st.integers(-6, 6))
+    extra = draw(st.lists(st.lists(entries, min_size=model.rank, max_size=model.rank), max_size=3))
+    for row in extra:
+        if names and draw(st.booleans()):
+            k, g = draw(st.sampled_from((2, 3, -3))), model.prime_divisors[draw(st.sampled_from(names))]
+            row[:] = [k * x + draw(st.sampled_from((0, 0, 1))) for x in g.class_vector]
+    return model, names, extra
+
+
+@given(contracted_blow_ups())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_kept_pass_class_group_matches_a_fresh_pass(case):
+    """`class_group` from the kept pass equals a fresh pass over the
+    contracted and the extra classes, in either call order on one
+    contraction, and again after a later blow-up of the model."""
+    model, names, extra = case
+    classes = [dict(model.sparse_class(n)) for n in names]
+    rank, sparse_extra = model.rank, _sparse(extra)
+    plain, with_extra = _fresh_class_group(classes, [], rank), _fresh_class_group(classes, sparse_extra, rank)
+    first = contract(model, names)
+    assert first.class_group() == plain
+    assert first.class_group(extra) == with_extra
+    second = contract(model, names)
+    assert second.class_group(extra) == with_extra
+    assert second.class_group() == plain
+    model.blow_up("Z", [(names[0], 1)] if names else [])
+    longer = [row + [3] for row in extra]
+    assert first.class_group() == _fresh_class_group(classes, [], rank + 1)
+    assert first.class_group(longer) == _fresh_class_group(classes, _sparse(longer), rank + 1)
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (2, 5), (5, 4), (7, 3)])

@@ -284,6 +284,22 @@ class TestQDivisor:
         d = QDivisor({"A": 2, "B": -1}, residual=(1, 0))
         assert d.floor() == d
 
+    def test_integral_values_are_ints(self):
+        # the report writes 3 and Fraction(3) alike, so only the types show it
+        d = QDivisor({"A": F(6, 2), "B": "4/2", "C": 2.0, "D": True, "E": F(1, 3)}, residual=(1, -2))
+        assert d.named == {"A": 3, "B": 2, "C": 2, "D": 1, "E": F(1, 3)}
+        assert [type(c) for c in d.named.values()] == [int, int, int, int, F]
+        assert type(d.coefficient("missing")) is int and d.coefficient("missing") == 0
+        assert all(type(c) is int for c in d.floor().named.values())
+        for scaled in (d.scaled(-1), -d, d.scaled(F(4, 2))):
+            assert all(type(x) is int for x in scaled.residual)
+            assert [type(c) for c in scaled.named.values()] == [int] * 4 + [F]
+        assert d.scaled(3).named["E"] == 1 and type(d.scaled(3).named["E"]) is int
+
+    def test_relative_nef_degrees_are_ints_on_integral_input(self, ref):
+        nef, degrees = ref.contraction.is_relatively_nef(QDivisor({"E1": 1}))
+        assert nef and all(type(x) is int for x in degrees.values())
+
     def test_arithmetic(self):
         a = QDivisor({"X": 1})
         b = QDivisor({"X": F(1, 2), "Y": -1})
