@@ -18,7 +18,8 @@ import enum
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import GeometryError, NotContractibleError, _shown
 from .exactlin import PivotPass, SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
@@ -108,21 +109,33 @@ def _walk(rows: Sequence[SparseRow], root: int) -> list[int]:
     return block
 
 
-def _eliminate(rows: Sequence[SparseRow], order: list[int]) -> tuple[list[int], list[SparseRow]] | None:
+#: The most work `_eliminate` may do on one block: the sum over its steps of
+#: (the pivot's later neighbours)^2 * (the pivot's bit length).  A block of k
+#: curves that all meet (`pairwise_block(k, 3)` in tests/test_contraction.py)
+#: counts 3.1e8 in 1.5 s at k = 150, 1.0e9 in 5.5 s at k = 200 (2-vCPU host).
+ELIMINATION_BUDGET = 4 * 10**8
+
+
+def _eliminate(rows: Sequence[SparseRow], order: list[int],
+               names: Sequence[str]) -> tuple[list[int], list[SparseRow]] | None:
     """Fraction-free (Bareiss) symmetric elimination of -G on one block's
     sparse rows, in ``order``: the pivots P_0 = 1, ..., P_k (the leading
     minors) and each pivot's row on the later curves, or None unless every
     P_t > 0 (Sylvester).  Step t writes only entries between two neighbours
-    of its pivot, so one last written at step s is read as a*P_t/P_s."""
+    of its pivot, so one last written at step s is read as a*P_t/P_s.
+    GeometryError once the work passes `ELIMINATION_BUDGET`."""
     if len(order) == 1:  # a curve that meets no other
         return ([1, d], [{}]) if (d := -rows[order[0]][order[0]]) > 0 else None
     a = {v: {j: (-x, 0) for j, x in rows[v].items()} for v in order}  # entry: (value, step)
-    pivots, upper = [1], []
+    pivots, upper, work = [1], [], 0
     for t, v in enumerate(order):
         p = pivots[-1]
         row = {j: x * p // pivots[s] for j, (x, s) in a[v].items()}
         if (d := row.pop(v, 0)) <= 0:
             return None
+        if (work := work + len(row) ** 2 * d.bit_length()) > ELIMINATION_BUDGET:
+            raise GeometryError(f"the block of {len(order)} curves with {names[min(order)]!r} passes "
+                                f"the elimination work budget {ELIMINATION_BUDGET:,} at step {t}")
         pivots.append(d)
         upper.append(row)
         for i, x in row.items():
@@ -141,8 +154,10 @@ class Contraction:
     diagonal along them) and eliminates it once by `_eliminate`, in the
     reverse of a breadth-first walk from a curve of least degree: leaves
     first, so a tree fills in nothing, a cycle only along itself, and a chain
-    goes from one end, its pivots its continuants.  A pullback is one forward
-    pass and one back-substitution per block, linear in its filled entries.
+    goes from one end, its pivots its continuants.  A divisor's transfer
+    (pullback, discrepancies, the witness correction) is one forward pass and
+    one back-substitution per block it meets, found by the nonzero D.G that
+    `SurfaceModel.pairings_with` gives; every other block's correction is 0.
 
     The class group is the source lattice modulo the contracted classes and
     any extra classes (the cone's polarization): the `PivotPass.split` of one
@@ -151,11 +166,13 @@ class Contraction:
     (ending in the self-validating `smith_normal_form`), and `divisor_chain`
     merges all the factors, as described in `blowdown.exactlin`.
 
-    Two caches are filled lazily: that pass, on the first `class_group` call
-    (which reads ``source.rank`` afresh, so a later blow-up adds one free
-    rank), and for each hashable rank-one witness W its correction
-    W* = W + sum c_j G_j, orthogonal to every contracted G_j, which gives
-    pullback(D).W = D.W* for D supported off the contracted curves."""
+    Caches are filled lazily, so an empty contraction builds none: the
+    name-to-position map, and the pairing index and block map of a transfer,
+    on first use; that pass, on the first `class_group` call (which reads ``source.rank``
+    afresh, so a later blow-up adds one free rank); and for each hashable
+    rank-one witness W its correction W* = W + sum c_j G_j, orthogonal to
+    every contracted G_j, which gives pullback(D).W = D.W* for D supported
+    off the contracted curves."""
 
     def __init__(self, model: SurfaceModel, curve_names: Iterable[str]):
         names = list(curve_names)
@@ -178,7 +195,7 @@ class Contraction:
             if len(rows[start]) > 2:  # not a leaf: walk from the first curve of least degree
                 block = _walk(rows, min(block, key=lambda i: (len(rows[i]), i)))
             block.reverse()
-            if (eliminated := _eliminate(rows, block)) is None:
+            if (eliminated := _eliminate(rows, block, names)) is None:
                 raise NotContractibleError(
                     "not contractible (numerical criterion): the Gram matrix of "
                     f"the block {[names[i] for i in sorted(block)]} is not negative definite"
@@ -201,21 +218,30 @@ class Contraction:
 
     # -- transfer of divisors ----------------------------------------------
 
-    def _pairings(self, d: DivisorLike) -> list[int | Fraction]:
-        """D.G for every contracted G, resolving D once."""
-        total = self.source.sparse_class(d)
-        return [self.source.pairing(total, cls) for cls in self._classes]
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {n: i for i, n in enumerate(self.contracted)}
+
+    @cached_property
+    def _pairings_with(self) -> Callable[[DivisorLike], dict[int, int | Fraction]]:
+        """D -> the nonzero D.G_i by position, through `SurfaceModel.pairings_with`."""
+        return self.source.pairings_with(self._classes)
+
+    @cached_property
+    def _block_of(self) -> dict[int, int]:
+        return {j: b for b, (order, _, _) in enumerate(self._blocks) for j in order}
 
     def _solve(self, d: DivisorLike) -> Iterable[tuple[list[int], list[int], int]]:
-        """Per block, its positions j, integers n_j and q > 0 with a_j = n_j/q
-        solving (D + sum a_j G_j).G_k = 0 for all k, i.e. -G a = D.G: the
-        block's elimination run forward on m*D.G (m its lcm, each entry read
-        as there), then back-substitution on P_k*m*a, integral; q = m*P_k."""
-        pairings = self._pairings(d)
-        m = math.lcm(*(x.denominator for x in pairings))
-        pairings = [int(x * m) for x in pairings]
-        for order, pivots, upper in self._blocks:
-            b = {v: (pairings[v], 0) for v in order}
+        """Per block that D meets, its positions j, integers n_j and q > 0 with
+        a_j = n_j/q solving (D + sum a_j G_j).G_k = 0 for all k, i.e. -G a = D.G:
+        the block's elimination run forward on m*D.G (m its lcm, each entry read
+        as there), then back-substitution on P_k*m*a, integral; q = m*P_k.
+        Elsewhere a = 0, as -G a = 0 with G nonsingular."""
+        rhs = self._pairings_with(d)
+        m = math.lcm(*(x.denominator for x in rhs.values()))
+        rhs = {j: int(x * m) for j, x in rhs.items()}
+        for order, pivots, upper in [self._blocks[b] for b in sorted({self._block_of[j] for j in rhs})]:
+            b = {v: (rhs.get(v, 0), 0) for v in order}
             for t, v in enumerate(order):  # then b[v] is what its pivot row reads
                 x, s = b[v]
                 p = pivots[t]
@@ -246,12 +272,12 @@ class Contraction:
         return QDivisor(named, d_on_target.residual)
 
     def _check_off_contracted(self, d_on_target: QDivisor) -> None:
-        if touching := [n for n in self.contracted if n in d_on_target.named]:  # no zeros kept
+        if touching := [n for n in d_on_target.named if n in self._position]:  # no zeros kept
             raise GeometryError(f"representative has nonzero coefficient on contracted {touching}")
 
     def pushforward(self, d: QDivisor) -> QDivisor:
         """Drop coefficients on contracted curves, keep everything else."""
-        named = {n: c for n, c in d.named.items() if n not in self.contracted}
+        named = {n: c for n, c in d.named.items() if n not in self._position}
         return QDivisor(named, d.residual)
 
     # -- discrepancies -------------------------------------------------------
@@ -259,20 +285,13 @@ class Contraction:
     def discrepancies(self) -> tuple[dict[str, Fraction], SingClass]:
         """a(G) for each contracted curve, and the classification from the
         minimum: terminal a > 0, canonical a >= 0, klt a > -1, lc a >= -1."""
-        k_target = self.pushforward(self.source.canonical_divisor())
-        discreps = {n: -a for n, a in self._corrections(k_target).items()}
+        corrections = self._corrections(self.pushforward(self.source.canonical_divisor()))
+        zero = Fraction(0)  # an unmet block's correction
+        discreps = {n: -corrections.get(n, zero) for n in self.contracted}
         worst = min(discreps.values(), default=1)  # nothing contracted: smooth
-        if worst > 0:
-            cls = SingClass.TERMINAL
-        elif worst >= 0:
-            cls = SingClass.CANONICAL
-        elif worst > -1:
-            cls = SingClass.KLT
-        elif worst >= -1:
-            cls = SingClass.LC
-        else:
-            cls = SingClass.NOT_LC
-        return discreps, cls
+        return discreps, (SingClass.TERMINAL if worst > 0 else SingClass.CANONICAL if worst >= 0
+                          else SingClass.KLT if worst > -1 else SingClass.LC if worst >= -1
+                          else SingClass.NOT_LC)
 
     # -- singular points ------------------------------------------------------
 
@@ -335,8 +354,9 @@ class Contraction:
 
     def is_relatively_nef(self, d: DivisorLike) -> tuple[bool, dict[str, int | Fraction]]:
         """D.G >= 0 for every contracted G, with all degrees reported."""
-        degrees = dict(zip(self.contracted, self._pairings(d)))
-        return all(v >= 0 for v in degrees.values()), degrees
+        pairings = self._pairings_with(d)
+        degrees = {n: pairings.get(j, 0) for j, n in enumerate(self.contracted)}
+        return all(v >= 0 for v in pairings.values()), degrees
 
     def degree_against(self, d_on_target: QDivisor, witness: DivisorLike | None = None) -> Fraction:
         """Degree of a divisor on the rank-one target against a witness curve
@@ -346,7 +366,7 @@ class Contraction:
         if self.target_rank != 1:
             raise GeometryError(f"target Picard rank is {self.target_rank}, not 1; "
                                 "rank-one degree undefined")
-        if isinstance(witness, str) and witness in self.contracted:
+        if isinstance(witness, str) and witness in self._position:
             raise GeometryError(f"witness curve {witness!r} is contracted")
         self._check_off_contracted(d_on_target)
         corrected, scale = self._corrected_witness(witness)

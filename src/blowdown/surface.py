@@ -20,9 +20,11 @@ the kept nonzero *exceptional parts* E(X, Y) = -sum X_c*Y_c (c exceptional) of
 its pairings, by -m_X*m_Y for incident X, Y, with E(E, X) = m_X for the new
 curve.  So two names pair in O(1) (one kernel per base gives the base part), a
 blow-up costs O(incidences^2) and copies no map, and other classes walk the
-shorter map.  Dense vectors (``class_vector``, ``total_class``, ``gram``,
-``canonical_class``) are built on demand.  The canonical class is stored as its
-base part: each exceptional coordinate is 1.
+shorter map; `pairings_with` pairs a divisor with many classes through an index
+of them by coordinate, touching only those that meet it.  Dense vectors
+(``class_vector``, ``total_class``, ``gram``, ``canonical_class``) are built on
+demand.  The canonical class is stored as its base part: each exceptional
+coordinate is 1.
 
 Conventions:
   * quadric base: basis starts with the two ruling fibre classes ``f_x``,
@@ -394,6 +396,29 @@ class SurfaceModel:
             u, v = v, u
         r, base_part = self.base_rank, _BASE_PART[self.base]
         return _exact(base_part(u, v) - sum([x * v[i] for i, x in u.items() if i >= r and i in v]))
+
+    def pairings_with(self, classes: Sequence[SparseClass]):
+        """A function D -> {i: D.classes[i]} holding the nonzero pairings alone,
+        through an index {c: [(i, e_c.classes[i])]}: G_base's links on a base c,
+        built here, and -classes[i][c] on an exceptional c, built for the first
+        D off the base.  A call costs the entries on its coordinates, not len(classes)."""
+        index = {k: [(i, g * x) for i, cls in enumerate(classes) if (x := cls.get(l))]
+                 for k, l, g in _LINKS[self.base]}  # each base block links a row once
+        r, unindexed = self.base_rank, [classes]
+
+        def pairings(d: DivisorLike | SparseClass) -> dict[int, int | Fraction]:
+            d = self.sparse_class(d)
+            if unindexed and any(c >= r for c in d):
+                for i, cls in enumerate(unindexed.pop()):
+                    for c, x in cls.items():
+                        if c >= r:
+                            index.setdefault(c, []).append((i, -x))
+            sums: dict[int, int | Fraction] = {}
+            for c, x in d.items():
+                for i, y in index.get(c, ()):
+                    sums[i] = sums.get(i, 0) + x * y
+            return {i: _exact(x) for i, x in sums.items() if x}
+        return pairings
 
     def gram_rows(self, names: Sequence[str]) -> list[dict[int, int]]:
         """Sparse Gram rows of distinct registered curves (row i maps j to

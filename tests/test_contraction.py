@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from fractions import Fraction as F
 
@@ -18,9 +19,12 @@ from blowdown import (
     new_quadric,
     solve_linear,
 )
+from blowdown.cli import main
 from blowdown.cone import build_cone
+from blowdown.contraction import Contraction
 from blowdown.exactlin import smith_normal_form
 from blowdown.scenario import run_repro
+from blowdown.surface import SurfaceModel
 
 
 def star_model(arms, centre_square=-2):
@@ -542,6 +546,82 @@ class TestRankOnePositivity:
         assert con.numerically_proportional(ref.ample, ref.ample) == 1
         assert con.numerically_proportional(QDivisor({}), ref.ample) == 0
         assert con.numerically_proportional(ref.ample, QDivisor({})) is None
+
+
+def test_witness_correction_work_does_not_grow_with_the_family(monkeypatch):
+    """The default witness f_x meets one contracted curve, C, a block of its
+    own: the first `degree_against` of K makes as many `SurfaceModel.pairing`
+    calls, and solves as many blocks, at (5, 20) as at (5, 2000).  Calls are
+    counted, not timed."""
+    pairing, solve = SurfaceModel.pairing, Contraction._solve
+    counts = []
+    for n in (20, 2000):
+        built = frobenius_construction(5, n)
+        con = contract(built.model, built.contracted_names)
+        k_target = con.pushforward(built.model.canonical_divisor())
+        calls, blocks = [], []
+
+        def counting_pairing(self, u, v):
+            calls.append(1)
+            return pairing(self, u, v)
+
+        def counting_solve(self, d):
+            for block in solve(self, d):
+                blocks.append(block[0])
+                yield block
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SurfaceModel, "pairing", counting_pairing)
+            patch.setattr(Contraction, "_solve", counting_solve)
+            assert -con.degree_against(k_target) == F(2, n - 2) + 2 - 5
+        assert blocks == [[con.contracted.index("C")]]
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def pairwise_scenario(curves, private):
+    """`pairwise_block` as a scenario document that contracts its curves."""
+    names = [f"D{i}" for i in range(curves)]
+    blowups = [{"name": f"P{a}{b}", "incident": [{"curve": a, "mult": 1}, {"curve": b, "mult": 1}]}
+               for a, b in itertools.combinations(names, 2)]
+    blowups += [{"name": f"Q{n}x{k}", "incident": [{"curve": n, "mult": 1}]}
+                for n in names for k in range(private)]
+    return {"schema": "blowdown-scenario/1", "name": f"pairwise-{curves}", "base": "quadric",
+            "curves": [{"name": n, "class": [1, 1]} for n in names], "blowups": blowups,
+            "contraction": names}
+
+
+class TestEliminationBudget:
+    """`_eliminate` counts its work and refuses a block past
+    `ELIMINATION_BUDGET`; the budget is lowered here so that no test builds a
+    refused input at full size."""
+
+    def test_scale_inputs_stay_far_under_it(self, monkeypatch):
+        # their largest blocks count 1.9e5 (pairwise_block(25, 40)), 9.0e3
+        # (the 999-curve chains of (1000, 3)) and 1.4e3 (the star)
+        monkeypatch.setattr("blowdown.contraction.ELIMINATION_BUDGET", 10**6)
+        built = frobenius_construction(1000, 3)
+        for model, names in (star_model((1, 1, 197), -3), pairwise_block(25, 40),
+                             (built.model, built.contracted_names)):
+            contract(model, names)
+
+    def test_refusal_names_the_block_and_the_budget(self, monkeypatch):
+        monkeypatch.setattr("blowdown.contraction.ELIMINATION_BUDGET", 10**6)
+        with pytest.raises(GeometryError, match=r"^the block of 50 curves with 'D0' passes the "
+                                                r"elimination work budget 1,000,000 at step \d+$"):
+            contract(*pairwise_block(50, 3))
+
+    def test_cli_exits_2_with_one_error_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("blowdown.contraction.ELIMINATION_BUDGET", 100)
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(pairwise_scenario(8, 3)))
+        path = str(path)
+        assert main(["run", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "the block of 8 curves with 'D0' passes the elimination work budget 100" in err
+        monkeypatch.setattr("blowdown.contraction.ELIMINATION_BUDGET", 10**6)
+        assert main(["run", "--scenario", path]) == 0
 
 
 class TestRelativeNef:

@@ -1133,6 +1133,75 @@ def test_class_group_closed_form_at_rank_1002():
     assert con.class_group() == ClassGroupReport(1, (5,) * 200)
 
 
+def _dense_transfer(con, d):
+    """The oracle for a sparse transfer: D paired with every class the
+    contraction keeps, and one dense solve over the whole contracted Gram
+    matrix, so over every block, met or not.  (D.G for each G, a)."""
+    model = con.source
+    total = model.sparse_class(d)
+    pairings = [model.pairing(total, cls) for cls in con._classes]
+    return pairings, solve_linear(con.gram, [-x for x in pairings]) if pairings else []
+
+
+@given(st.sampled_from(["explorer", "quadric", "plane"]), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_sparse_transfer_matches_dense_oracle(source, late, data):
+    """`Contraction` pairs a divisor only with the contracted curves it meets
+    and solves only their blocks.  Against `_dense_transfer`, on the
+    explorer's surfaces with extra blow-ups and on plane and quadric towers
+    with a chain or a branched block (and the curves disjoint from it), some
+    with the model blown up after `contract`: the witness correction behind
+    `degree_against` for the default witness first (the base alone), a
+    caller's sparse map, a vector with Fraction entries and surviving names;
+    `degree_against` itself on a rank-one target; `pullback` of -K and of a
+    divisor with Fraction coefficients and a residual; `discrepancies`; and
+    `is_relatively_nef` of all of these and of two contracted names."""
+    if source == "explorer":
+        model, names, _ = data.draw(contracted_blow_ups())
+    else:
+        model = random_tower(source, data, max_steps=4)
+        block = with_chain(model, data) if data.draw(st.booleans()) else with_branch(model, source, data)
+        names = with_disjoint(model, block, data)
+        if not is_negative_definite([[model.intersect(a, b) for b in names] for a in names]):
+            names = block
+    con = contract(model, names)
+    kept = sorted(set(model.prime_divisors) - set(names))
+    if late:
+        model.blow_up("Late", [(data.draw(st.sampled_from(sorted(model.prime_divisors))), 1)])
+        kept.append("Late")
+    rank, entries = model.rank, st.one_of(ints, small_rationals).filter(bool)
+    divisors = [
+        con.pushforward(model.canonical_divisor()),
+        QDivisor(data.draw(st.dictionaries(st.sampled_from(kept), small_rationals)) if kept else {},
+                 data.draw(st.lists(ints, min_size=rank, max_size=rank))),
+    ]
+    witnesses = [None, data.draw(st.dictionaries(st.integers(0, rank - 1), entries)),
+                 tuple(data.draw(st.lists(st.one_of(ints, small_rationals), min_size=rank, max_size=rank))),
+                 *kept[:2]]
+    for w in witnesses:
+        vector = model.total_class((1,) + (0,) * (rank - 1) if w is None else w)
+        _, c = _dense_transfer(con, vector)
+        star = list(vector)
+        for x, cls in zip(c, con._classes):
+            for j, y in cls.items():
+                star[j] += x * y
+        scale = math.lcm(*(F(x).denominator for x in star))
+        assert con._corrected_witness(w) == ({j: int(x * scale) for j, x in enumerate(star) if x}, scale)
+        if con.target_rank == 1:
+            for d in divisors:
+                pulled = QDivisor({**d.named, **dict(zip(names, _dense_transfer(con, d)[1]))}, d.residual)
+                assert con.degree_against(d, w) == model.intersect(pulled, vector)
+    for d in divisors:
+        pullback = con.pullback(d)
+        assert [pullback.coefficient(n) for n in names] == _dense_transfer(con, d)[1]
+    discreps, _ = con.discrepancies()
+    assert discreps == {n: -a for n, a in zip(names, _dense_transfer(con, divisors[0])[1])}
+    assert all(type(a) is F for a in discreps.values())
+    for d in [*divisors, *witnesses[1:], *names[:2]]:
+        pairings, _ = _dense_transfer(con, d)
+        assert con.is_relatively_nef(d) == (all(x >= 0 for x in pairings), dict(zip(names, pairings)))
+
+
 class TestRiemannRochProperties:
     def test_quadric_grid(self):
         model = new_quadric()
