@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import GeometryError, NotContractibleError, _shown
-from .exactlin import PivotPass, SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
+from .exactlin import IntMatrix, PivotPass, SparseRow, divisor_chain, smith_normal_form, sparse_pivot_pass
 from .exactlin import invert, is_negative_definite  # noqa: F401 (unused; benchmarks/spans.py wraps them)
 from .surface import DivisorLike, QDivisor, SparseClass, SurfaceModel
 
@@ -162,9 +162,9 @@ class Contraction:
     The class group is the source lattice modulo the contracted classes and
     any extra classes (the cone's polarization): the `PivotPass.split` of one
     certified `sparse_pivot_pass` over the contracted classes writes the
-    extras in its basis, the same chain runs on the small remainder it leaves
-    (ending in the self-validating `smith_normal_form`), and `divisor_chain`
-    merges all the factors, as described in `blowdown.exactlin`.
+    extras in its basis, a second pass takes the sparse rows it leaves, the
+    self-validating `smith_normal_form` gets only what that pass leaves, and
+    `divisor_chain` merges all the factors, as described in `blowdown.exactlin`.
 
     Caches are filled lazily, so an empty contraction builds none: the
     name-to-position map, and the pairing index and block map of a transfer,
@@ -344,9 +344,9 @@ class Contraction:
             extra.append({j: int(x) for j, x in enumerate(cls) if x})
         if self._pass is None:
             self._pass = sparse_pivot_pass(self._classes, rank)
-        factors, rest = self._pass.split(extra)
-        rows = [{j: x for j, x in enumerate(row) if x} for row in rest.to_rows()]
-        more, rest = sparse_pivot_pass(rows, rest.cols).split()
+        factors, rows, ncols = self._pass.split(extra)
+        more, rows, ncols = sparse_pivot_pass(rows, ncols).split()
+        rest = IntMatrix(len(rows), ncols, tuple(row.get(j, 0) for row in rows for j in range(ncols)))
         factors = divisor_chain(factors + more + smith_normal_form(rest).invariant_factors())
         return ClassGroupReport(rank - len(factors), tuple(x for x in factors if x > 1))
 

@@ -5,16 +5,15 @@ Everything in this module (and the package) is exact: rational entries are
 no floating point and no tolerance anywhere; equality checks are bit-exact.
 
 `_eliminate`, one dense fraction-free (Bareiss 1968) forward elimination,
-serves the dense square-matrix tools (`determinant`, `is_negative_definite`,
-`signature`, `solve_linear`, `invert`) and `IntMatrix.determinant`, which
-checks unimodularity in `_validate_snf`.  The contraction runs none of them:
-each contracted block has its own sparse elimination in `blowdown.contraction`.
-Rational input is first scaled by one common positive denominator L, which
-keeps symmetry and inertia and gives det(g) = det(L*g) / L**n.  Its pivots are
-the leading principal minors, so they give the determinant (the last pivot),
-negative definiteness (Sylvester) and inertia (Jacobi: sign changes between
-consecutive minors); carried right-hand columns and one back-substitution give
-`solve_linear` and `invert`.
+serves only the dense tools `determinant`, `is_negative_definite`,
+`signature`, `solve_linear` and `invert`; neither the contraction (one sparse
+elimination per block, in `blowdown.contraction`) nor the class group runs
+them.  Rational input is first scaled by one common positive denominator L,
+which keeps symmetry and inertia and gives det(g) = det(L*g) / L**n.  Its
+pivots are the leading principal minors, so they give the determinant (the
+last pivot), negative definiteness (Sylvester) and inertia (Jacobi: sign
+changes between consecutive minors); carried right-hand columns and one
+back-substitution give `solve_linear` and `invert`.
 
 Class groups, the quotient of Z^n by the rows of M, come from two integer
 eliminations and a merge, and each step checks its own result, so a bug
@@ -28,17 +27,18 @@ raises rather than giving a wrong group:
   diagonal and d_t divides its row; every non-pivot row is zero on the pivot
   columns.  So M is equivalent to diag(d_t) plus the non-pivot rows on the
   other columns.  `PivotPass.split` gives the |d_t| and, as the remainder,
-  the nonzero non-pivot rows on the columns they meet; every other column
-  is a free summand.  Extra rows need no pass over M again: `split(extra)`
-  writes each in the pass's basis W (A = (D + R)*W) as the b with a = b*W,
-  checks sum b[c_t]*W[c_t] + r = a in sparse integers, and adds b, less its
-  unit-pivot columns, and the {c_t: d_t} rows it meets to the remainder,
-  on which the same chain runs again.
+  the nonzero non-pivot rows, sparse and renumbered onto the columns they
+  meet; every other column is a free summand.  Extra rows need no pass over
+  M again: `split(extra)` writes each in the pass's basis W (A = (D + R)*W)
+  as the b with a = b*W, checks sum b[c_t]*W[c_t] + r = a in sparse integers,
+  and adds b, less its unit-pivot columns, and the {c_t: d_t} rows it meets
+  to the remainder, on which the same chain runs again.
 * `smith_normal_form` takes the remainder, which is small: one loop that
   swaps the smallest nonzero entry of the trailing block to the corner,
   reduces its row and column by it, and folds in a row the pivot does not
-  divide; `_validate_snf` checks U*M*V = D with both determinants +-1 and the
-  divisor chain.  It also serves direct callers, with its U and V.
+  divide, applying each operation's inverse to U^-1 and V^-1.  `_validate_snf`
+  checks U*U^-1 = I and V*V^-1 = I (so |det U| = |det V| = 1, as for the
+  pass), U*M*V = D and the divisor chain.  It also serves direct callers.
 * `divisor_chain` merges the factors of both into divisor-chain form by
   gcd/lcm exchanges, each checked in integers: x*a + y*b = g with g > 0
   dividing a and b implies U*diag(a, b)*V = diag(g, lcm), det U = det V = 1.
@@ -47,6 +47,7 @@ raises rather than giving a wrong group:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -237,18 +238,10 @@ class IntMatrix(_Frozen):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        a, b = self.to_rows(), other.to_rows()
-        prod = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntMatrix.from_rows(prod) if prod else IntMatrix(0, other.cols, ())
-
-    def determinant(self) -> int:
-        """Fraction-free determinant (square matrices only)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return _eliminate(self.to_rows(), self.rows)[0]
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols, tuple(
+            sum(map(operator.mul, row, col)) for row in self.to_rows() for col in columns
+        ))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
@@ -278,38 +271,37 @@ def smith_normal_form(m: IntMatrix | Sequence[Sequence[int]]) -> SnfDecompositio
     trailing entry the pivot does not divide has its row folded into the
     pivot row, so the next pass reduces it; otherwise the corner is final.
     Normalization: diagonal entries nonnegative, each dividing the next.
-    The returned decomposition is self-validated (U*M*V = D, det U, det V
-    in {1, -1}), so a bug here raises rather than propagating silently.
+    Each operation's inverse is applied to U^-1 and V^-1, carried beside U and
+    V, so the returned decomposition is self-validated (U*M*V = D, U*U^-1 = I,
+    V*V^-1 = I, D diagonal and a divisor chain): a bug here raises.
     """
     if not isinstance(m, IntMatrix):
         m = IntMatrix.from_rows(m)
     a = m.to_rows()
     nrows, ncols = m.rows, m.cols
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    # U and V^-1 are kept by rows, U^-1 and V by columns, so that every
+    # operation and its inverse replace whole lists
+    u, u_inv, v, v_inv = _identity(nrows), _identity(nrows), _identity(ncols), _identity(ncols)
 
     def row_op(i: int, k: int, q: int) -> None:  # row i -= q * row k
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        u_inv[k] = [x + q * y for x, y in zip(u_inv[k], u_inv[i])]
 
     def col_op(j: int, k: int, q: int) -> None:  # col j -= q * col k
         for row in a:
             row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
+        v[j] = [x - q * y for x, y in zip(v[j], v[k])]
+        v_inv[k] = [x + q * y for x, y in zip(v_inv[k], v_inv[j])]
 
     t = 0
     while t < min(nrows, ncols):
-        pivot = min(
-            ((abs(a[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]),
-            default=None,
-        )
-        if pivot is None:
+        smallest = min((abs(x) for row in a[t:] for x in row[t:] if x), default=None)
+        if smallest is None:
             break
-        _, i, j = pivot
-        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
-        for row in (*a, *v):
-            row[t], row[j] = row[j], row[t]
+        i, j = next((i, j) for i in range(t, nrows) for j in range(t, ncols) if abs(a[i][j]) == smallest)
+        for seq, other in ((a, i), (u, i), (u_inv, i), (v, j), (v_inv, j), *((row, j) for row in a)):
+            seq[t], seq[other] = seq[other], seq[t]  # rows t and i, columns t and j
         for i in range(t + 1, nrows):
             if a[i][t]:
                 row_op(i, t, a[i][t] // a[t][t])
@@ -329,13 +321,19 @@ def smith_normal_form(m: IntMatrix | Sequence[Sequence[int]]) -> SnfDecompositio
 
     for k in range(min(nrows, ncols)):
         if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
+            for rows in (a, u, u_inv):
+                rows[k] = [-x for x in rows[k]]
 
-    u_m, v_m = IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+    u_m, v_m = IntMatrix.from_rows(u), IntMatrix.from_rows(list(zip(*v)))
     d_m = IntMatrix.from_rows(a) if a else IntMatrix(0, ncols, ())
-    _validate_snf(m, u_m, d_m, v_m)
+    u_inverse = IntMatrix.from_rows(list(zip(*u_inv))) if nrows else u_m  # empty: its own inverse
+    v_inverse = IntMatrix.from_rows(v_inv) if ncols else v_m
+    _validate_snf(m, u_m, d_m, v_m, u_inverse, v_inverse)
     return SnfDecomposition(u_m, d_m, v_m)
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 #: A sparse integer row: {column: nonzero entry}.
@@ -387,23 +385,22 @@ class PivotPass(NamedTuple):
     u_inverse: tuple[SparseRow, ...]
     pivots: tuple[tuple[int, int], ...]
 
-    def split(self, extra: Sequence[SparseRow] = ()) -> tuple[tuple[int, ...], IntMatrix]:
-        """(factors, remainder) with M and the ``extra`` rows equivalent to
-        diag(factors) plus the remainder plus zero columns.  Each extra row is
-        written as its b in the basis W (`_in_w_basis`); the remainder is the
-        nonzero non-pivot rows of A, a {c_t: d_t} row for each non-unit pivot
-        that some b meets, and the nonzero b, on the columns they meet; the
-        factors are the |d_t| of the other pivots.  Every other column is a
-        free summand of the quotient."""
+    def split(self, extra: Sequence[SparseRow] = ()) -> tuple[tuple[int, ...], list[SparseRow], int]:
+        """(factors, rows, ncols) with M and the ``extra`` rows equivalent to
+        diag(factors) plus the remainder ``rows`` plus zero columns.  Each extra
+        row is written as its b in the basis W (`_in_w_basis`); the remainder is
+        the nonzero non-pivot rows of A, a {c_t: d_t} row for each non-unit pivot
+        that some b meets, and the nonzero b, renumbered onto the ``ncols``
+        columns they meet, in order; the factors are the |d_t| of the other
+        pivots.  Every other column is a free summand of the quotient."""
         done = {p for p, _ in self.pivots}
         reduced = [b for a in extra if (b := self._in_w_basis(a))]
         met = {c for b in reduced for c in b}
         rows = [row for i, row in enumerate(self.rows) if row and i not in done]
         rows += [{c: self.rows[p][c]} for p, c in self.pivots if c in met] + reduced
-        cols = sorted({j for row in rows for j in row})
-        dense = [[row.get(j, 0) for j in cols] for row in rows]
+        cols = {j: k for k, j in enumerate(sorted({j for row in rows for j in row}))}
         factors = tuple(abs(self.rows[p][c]) for p, c in self.pivots if c not in met)
-        return factors, IntMatrix(len(dense), len(cols), tuple(x for row in dense for x in row))
+        return factors, [{cols[j]: x for j, x in row.items()} for row in rows], len(cols)
 
     def _in_w_basis(self, a: SparseRow) -> SparseRow:
         """b with a = b*W, less its entries on unit-pivot columns (zero in the
@@ -549,18 +546,15 @@ def _exchange(a: int, b: int) -> tuple[int, int]:
     return g, a // g * b
 
 
-def _validate_snf(m: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
-    if u.rows and abs(u.determinant()) != 1:
-        raise AssertionError("left transform is not unimodular")
-    if v.rows and abs(v.determinant()) != 1:
-        raise AssertionError("right transform is not unimodular")
-    if (u @ m @ v).entries != d.entries:
-        raise AssertionError("U*M*V != D")
+def _validate_snf(m: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix,
+                  u_inverse: IntMatrix, v_inverse: IntMatrix) -> None:
+    """Check U*M*V = D with D in Smith normal form, raising AssertionError on failure.
+    Integral U*U^-1 = I and V*V^-1 = I prove |det U| = |det V| = 1, as in
+    `_certify_pivot_pass` (an empty transform is skipped); given U*U^-1 = I,
+    U*M*V = D is checked as M*V = U^-1*D, a product that keeps M's small entries."""
     diag = d.diagonal()
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j and d[i, j] != 0:
-                raise AssertionError("D is not diagonal")
+    if any(d[i, j] for i in range(d.rows) for j in range(d.cols) if i != j):
+        raise AssertionError("D is not diagonal")
     if any(x < 0 for x in diag):
         raise AssertionError("D has a negative entry")
     for x, y in zip(diag, diag[1:]):
@@ -568,3 +562,9 @@ def _validate_snf(m: IntMatrix, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> Non
             raise AssertionError("divisibility chain broken")
         if x == 0 and y != 0:
             raise AssertionError("zero before nonzero on the diagonal")
+    if u.rows and (u @ u_inverse).to_rows() != _identity(u.rows):
+        raise AssertionError("U*U^-1 != I")
+    if v.rows and (v @ v_inverse).to_rows() != _identity(v.rows):
+        raise AssertionError("V*V^-1 != I")
+    if (m @ v).entries != (u_inverse @ d).entries:
+        raise AssertionError("U*M*V != D")

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from blowdown import exactlin
 from blowdown.errors import SingularMatrixError
 from blowdown.exactlin import (
     IntMatrix,
@@ -73,6 +74,7 @@ def test_determinant():
     assert determinant([[1, 2], [2, 4]]) == 0
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([]) == 1
+    assert determinant([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4
 
 
 class TestNegativeDefinite:
@@ -137,11 +139,6 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(1, 1, (F(1, 2),))
 
-    def test_bareiss_determinant(self):
-        m = IntMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-        assert m.determinant() == 4
-        assert IntMatrix.from_rows([[1, 2], [2, 4]]).determinant() == 0
-
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
@@ -177,8 +174,36 @@ class TestSmithNormalForm:
         m = IntMatrix.from_rows([[6, 10, 15], [10, 15, 6], [15, 6, 10]])
         snf = smith_normal_form(m)
         assert (snf.u @ m @ snf.v).entries == snf.d.entries
-        assert abs(snf.u.determinant()) == 1
-        assert abs(snf.v.determinant()) == 1
+        assert abs(determinant(snf.u.to_rows())) == 1
+        assert abs(determinant(snf.v.to_rows())) == 1
+
+    @pytest.mark.parametrize(
+        "arg, i, j, entry, message",
+        [
+            (4, 0, 0, lambda x: x + 1, r"U\*U\^-1 != I"),
+            (5, 2, 1, lambda x: x - 1, r"V\*V\^-1 != I"),
+            (0, 1, 2, lambda x: x + 1, r"U\*M\*V != D"),
+            (2, 0, 1, lambda x: 1, "D is not diagonal"),
+            (2, 0, 0, lambda x: -1, "D has a negative entry"),
+            (2, 1, 1, lambda x: 2, "divisibility chain broken"),
+            (2, 1, 1, lambda x: 0, "zero before nonzero"),
+        ],
+        ids=["u-inverse", "v-inverse", "product", "off-diagonal", "negative", "chain", "zero-first"],
+    )
+    def test_tampered_certificate_raises(self, monkeypatch, arg, i, j, entry, message):
+        # the arguments (M, U, D, V, U^-1, V^-1) that smith_normal_form hands
+        # to its check, D = diag(1, 1, 1891), with one entry changed
+        seen = []
+        validate = exactlin._validate_snf
+        monkeypatch.setattr(exactlin, "_validate_snf", lambda *args: seen.append(args) or validate(*args))
+        smith_normal_form([[6, 10, 15], [10, 15, 6], [15, 6, 10]])
+        args = list(seen[0])
+        assert args[2].diagonal() == (1, 1, 1891)
+        rows = args[arg].to_rows()
+        rows[i][j] = entry(rows[i][j])
+        args[arg] = IntMatrix.from_rows(rows)
+        with pytest.raises(AssertionError, match=message):
+            validate(*args)
 
     def test_contracted_class_relation_matrix(self):
         # rows: F_i, G_i, H_i for i = 1..3 and C, in the rank-11 basis;

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -255,7 +256,7 @@ class TestSympyOracles:
         st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)))
     @settings(deadline=None)
     def test_int_matrix_determinant(self, m):
-        assert IntMatrix.from_rows(m).determinant() == sympy.Matrix(m).det()
+        assert determinant(m) == sympy.Matrix(m).det()
 
     @given(st.one_of(symmetric_int_matrices(n=8), degenerate_symmetric_matrices()))
     @settings(deadline=None)
@@ -893,6 +894,10 @@ def _sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
+def _dense(rows, ncols):
+    return IntMatrix(len(rows), ncols, tuple(row.get(j, 0) for row in rows for j in range(ncols)))
+
+
 def _min_rule_pivots(rows):
     """The pivot sequence of `sparse_pivot_pass` as it was first written:
     in each row, min() over every candidate that divides its column, keyed
@@ -941,13 +946,13 @@ class TestSparsePivotPass:
     def test_matches_sympy(self, case):
         rows, extra, ncols = case
         pp = sparse_pivot_pass(_sparse(rows + extra), ncols)
-        factors, rest = pp.split()
+        factors, rest, ncols_left = pp.split()
         # the remainder is the nonzero non-pivot rows on exactly the columns they meet
         pivot_rows = {i for i, _ in pp.pivots}
         left = [row for i, row in enumerate(pp.rows) if row and i not in pivot_rows]
-        assert (rest.rows, rest.cols) == (len(left), len({j for row in left for j in row}))
-        assert all(any(rest[i, j] for i in range(rest.rows)) for j in range(rest.cols))
-        ours = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
+        assert (len(rest), ncols_left) == (len(left), len({j for row in left for j in row}))
+        assert {j for row in rest for j in row} == set(range(ncols_left))
+        ours = divisor_chain(factors + smith_normal_form(_dense(rest, ncols_left)).invariant_factors())
         full = rows + extra
         theirs = () if not full or not ncols else tuple(sorted(
             abs(int(x)) for x in sympy_snf(sympy.Matrix(full)).diagonal() if x != 0
@@ -978,9 +983,9 @@ class TestSparsePivotPass:
 
     def test_reference_pass_has_non_unit_pivots_and_no_remainder(self, ref):
         pp = self._reference_pass(ref)
-        factors, rest = pp.split()
+        factors, rest, ncols = pp.split()
         assert sorted(factors) == [1] * 7 + [3] * 3
-        assert (rest.rows, rest.cols) == (0, 0)
+        assert (len(rest), ncols) == (0, 0)
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -1010,8 +1015,8 @@ def _fresh_class_group(classes, extra, rank):
     """The class group as `Contraction.class_group` found it before it kept
     its pass: one fresh pass over the contracted and the extra classes, its
     split, the Smith normal form of its remainder and the divisor chain."""
-    factors, rest = sparse_pivot_pass(classes + extra, rank).split()
-    factors = divisor_chain(factors + smith_normal_form(rest).invariant_factors())
+    factors, rest, ncols = sparse_pivot_pass(classes + extra, rank).split()
+    factors = divisor_chain(factors + smith_normal_form(_dense(rest, ncols)).invariant_factors())
     return ClassGroupReport(rank - len(factors), tuple(x for x in factors if x > 1))
 
 
@@ -1127,10 +1132,43 @@ def test_degree_against_rational_and_uncached_witnesses(source):
         assert con._corrected_witness(w) == ({j: int(x * scale) for j, x in enumerate(star) if x}, scale)
 
 
-def test_class_group_closed_form_at_rank_1002():
-    con = explore_frobenius(5, 200).contraction
-    assert con.source.rank == 1002
-    assert con.class_group() == ClassGroupReport(1, (5,) * 200)
+@pytest.mark.parametrize("p, n, rank", [(5, 200, 1002), (11, 11, 123)], ids=["p5-n200", "p11-n11"])
+def test_class_group_closed_form_at_rank_1002(p, n, rank):
+    con = explore_frobenius(p, n).contraction
+    assert con.source.rank == rank
+    assert con.class_group() == ClassGroupReport(1, (p,) * n)
+
+
+def _sum_of_towers(exploration):
+    """The class of E_1 + ... + E_n, the last blow-up of each tower."""
+    construction = exploration.construction
+    return list(construction.model.total_class(QDivisor({tower[-1]: 1 for tower in construction.towers})))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_class_group_modulo_the_sum_of_towers(p, n):
+    """Cl(T)/<E_1 + ... + E_n> = (Z/p)^(n-1) + Z/(pn): the polarization meets
+    every tower, so the kept pass leaves a remainder of n rows on n columns."""
+    exploration = explore_frobenius(p, n)
+    con, model = exploration.contraction, exploration.construction.model
+    rows = [model.prime_divisors[c].class_vector for c in con.contracted]
+    polarization = _sum_of_towers(exploration)
+    expected = ClassGroupReport(0, (p,) * (n - 1) + (p * n,))
+    assert con.class_group([polarization]) == _sympy_class_group(rows + [polarization], model.rank) == expected
+
+
+def test_class_group_modulo_the_sum_of_towers_at_rank_10002():
+    # the remainder meets 2000 columns; written out densely between the two
+    # pivot passes it took about 0.6 s
+    exploration = explore_frobenius(5, 2000)
+    con, polarization = exploration.contraction, _sum_of_towers(exploration)
+    assert con.class_group() == ClassGroupReport(1, (5,) * 2000)
+    start = time.perf_counter()
+    group = con.class_group([polarization])
+    elapsed = time.perf_counter() - start
+    assert group == ClassGroupReport(0, (5,) * 1999 + (10000,))
+    assert elapsed < 0.3, elapsed
 
 
 def _dense_transfer(con, d):
